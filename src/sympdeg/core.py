@@ -19,6 +19,8 @@ never overflow into nonsense.
 
 from __future__ import annotations
 
+from itertools import accumulate
+from operator import ge as _ge
 from typing import Dict, Iterator, List, Tuple
 
 from .errors import InvalidRankSequence, MismatchedQuiver
@@ -138,6 +140,20 @@ class RankSequence:
         if validate:
             self.validate()
 
+    @classmethod
+    def _of_rows(cls, n: int, rows) -> "RankSequence":
+        """Wrap a staircase of tuples built inside the package, unchecked.
+
+        Build each row tuple from a list, not from a generator or map:
+        those give no length hint, so the tuple is grown by realloc and, once
+        freed, parks on a free list that exact-size allocations never drain
+        (megabytes of peak RSS over a long run).
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "_rows", tuple(rows))
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("RankSequence is immutable")
 
@@ -164,25 +180,34 @@ class RankSequence:
 
         Raises InvalidRankSequence naming the first offending (i, j).
         """
-        for i in range(1, self.n + 1):
-            for j in range(i, self.n + 1):
-                if not isinstance(self.r(i, j), int) or self.r(i, j) < 0:
+        for i, here, above in self._neighbours():
+            for j, (v, right, up, up_right) in enumerate(
+                    zip(here, here[1:], above, above[1:]), i):
+                if not isinstance(v, int) or v < 0:
                     raise InvalidRankSequence(
                         "entry r[%d,%d] is not a non-negative integer" % (i, j),
                         indices=(i, j))
-                if self.r(i, j) < self.r(i, j + 1):
+                if v < right:
                     raise InvalidRankSequence(
                         "r[%d,%d] < r[%d,%d]" % (i, j, i, j + 1), indices=(i, j))
-                if self.r(i - 1, j) > self.r(i, j):
+                if up > v:
                     raise InvalidRankSequence(
                         "r[%d,%d] > r[%d,%d]" % (i - 1, j, i, j), indices=(i, j))
-                if (self.r(i - 1, j) - self.r(i - 1, j + 1)
-                        > self.r(i, j) - self.r(i, j + 1)):
+                if up - up_right > v - right:
                     raise InvalidRankSequence(
                         "corner surplus fails at (%d,%d): "
                         "r[%d,%d]-r[%d,%d] > r[%d,%d]-r[%d,%d]"
                         % (i, j, i - 1, j, i - 1, j + 1, i, j, i, j + 1),
                         indices=(i, j))
+
+    def _neighbours(self) -> Iterator[Tuple[int, tuple, tuple]]:
+        """Per row i: (i, (r_{i,i}, ..., r_{i,n+1}), (r_{i-1,i}, ..., r_{i-1,n+1})),
+        boundary zeros included, so entry j of a row sits at index j - i."""
+        above = (0,) * (self.n + 1)
+        for i, row in enumerate(self._rows, 1):
+            here = row + (0,)
+            yield i, here, above
+            above = here[1:]
 
     def entries(self) -> Iterator[Tuple[int, int, int]]:
         for i in range(1, self.n + 1):
@@ -193,25 +218,27 @@ class RankSequence:
         return sum(v for _, _, v in self.entries())
 
     def diagonal(self) -> DimVector:
-        return tuple(self._rows[i][0] for i in range(self.n))
+        return tuple([row[0] for row in self._rows])
 
     def dominates(self, other: "RankSequence") -> bool:
         if self.n != other.n:
             raise MismatchedQuiver("cannot compare ranks on %d and %d vertices"
                                    % (self.n, other.n))
-        return all(a >= b for (_, _, a), (_, _, b) in zip(self.entries(), other.entries()))
+        return all(all(map(_ge, ra, rb)) for ra, rb in zip(self._rows, other._rows))
 
     def add(self, other: "RankSequence") -> "RankSequence":
         if self.n != other.n:
             raise MismatchedQuiver("mismatched sizes in rank addition")
-        return RankSequence(self.n, [
-            [a + b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)])
+        return RankSequence._of_rows(self.n, [
+            tuple([a + b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self._rows, other._rows)])
 
     def sub(self, other: "RankSequence") -> "RankSequence":
         if self.n != other.n:
             raise MismatchedQuiver("mismatched sizes in rank subtraction")
-        return RankSequence(self.n, [
-            [a - b for a, b in zip(ra, rb)] for ra, rb in zip(self._rows, other._rows)])
+        return RankSequence._of_rows(self.n, [
+            tuple([a - b for a, b in zip(ra, rb)])
+            for ra, rb in zip(self._rows, other._rows)])
 
     def __eq__(self, other):
         return (isinstance(other, RankSequence)
@@ -227,15 +254,25 @@ class RankSequence:
 # --- conversions -----------------------------------------------------------
 
 def ranks_of(rep: Representation) -> RankSequence:
-    """Rank sequence of a module: r_{i,j} counts segments [k,l] with k<=i, j<=l."""
+    """Rank sequence of a module: r_{i,j} counts segments [k,l] with k<=i, j<=l.
+
+    O(n^2 + |segments|): row i is the suffix sum, over l >= j, of the
+    segments [k, l] with k <= i, and those counts grow by the segments
+    starting at i as i steps down the rows.
+    """
     n = rep.n
+    starting: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
+    for (k, l), m in rep.mult.items():
+        starting[k].append((l, m))
+    ending = [0] * (n + 1)      # ending[l]: copies of [k, l] with k <= i
     rows = []
     for i in range(1, n + 1):
-        row = []
-        for j in range(i, n + 1):
-            row.append(sum(m for (k, l), m in rep.mult.items() if k <= i and j <= l))
-        rows.append(row)
-    return RankSequence(n, rows)
+        for l, m in starting[i]:
+            ending[l] += m
+        row = list(accumulate(reversed(ending[i:])))
+        row.reverse()
+        rows.append(tuple(row))
+    return RankSequence._of_rows(n, rows)
 
 
 def rep_of(ranks: RankSequence) -> Representation:
@@ -245,15 +282,14 @@ def rep_of(ranks: RankSequence) -> Representation:
     the input guarantees the result is non-negative.
     """
     ranks.validate()
-    n = ranks.n
     mult: Dict[Segment, int] = {}
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            m = (ranks.r(i, j) - ranks.r(i, j + 1)
-                 - ranks.r(i - 1, j) + ranks.r(i - 1, j + 1))
+    for i, here, above in ranks._neighbours():
+        for j, (v, right, up, up_right) in enumerate(
+                zip(here, here[1:], above, above[1:]), i):
+            m = v - right - up + up_right
             if m:
                 mult[(i, j)] = m
-    return Representation(n, mult)
+    return Representation(ranks.n, mult)
 
 
 def dual(rep: Representation) -> Representation:

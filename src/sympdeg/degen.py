@@ -6,13 +6,18 @@ elementary moves that generate the order, a generic-quotient construction
 that produces the moves witnessing one peeling step, and a path builder
 that factors an arbitrary degeneration into elementary moves.
 
-Every call to apply_move recomputes the rank sequence of the result and
-checks it against the predicted entrywise drop; the module-level AUDIT
-counters record how many of these checks ran and whether any failed.
+Every move application is audited: the rank sequence of the result is
+recomputed from its multiplicities and checked against the input's ranks
+minus the move's predicted entrywise drop.  apply_move computes the
+input's ranks itself; generic_quotient and the path builder pass on the
+ranks they already hold, so along a path each module's ranks are
+computed once.  The module-level AUDIT counters record how many checks
+ran and whether any failed.
 """
 
 from __future__ import annotations
 
+from itertools import count
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, dim_vector,
@@ -52,13 +57,12 @@ class Move(NamedTuple):
 
     def drops(self) -> frozenset:
         """The set of rank entries (k, l) this move lowers by one."""
-        if self.kind == "cut":
-            return frozenset((k, l)
-                             for k in range(self.t, self.q)
-                             for l in range(self.q, self.s + 1))
-        return frozenset((k, l)
-                         for k in range(self.t, self.q)
-                         for l in range(self.r + 1, self.s + 1))
+        k0, k1, l0, l1 = self._box()
+        return frozenset((k, l) for k in range(k0, k1 + 1) for l in range(l0, l1 + 1))
+
+    def _box(self) -> Tuple[int, int, int, int]:
+        """drops() as the rectangle (first k, last k, first l, last l)."""
+        return self.t, self.q - 1, self.q if self.kind == "cut" else self.r + 1, self.s
 
 
 def move_to_json(move: Move) -> dict:
@@ -108,6 +112,17 @@ def apply_move(rep: Representation, move: Move) -> Representation:
     ever disagrees with the prediction (which would be a bug, and is
     tallied in AUDIT["violations"] before the raise).
     """
+    return _apply_audited(rep, move, ranks_of(rep))[0]
+
+
+def _apply_audited(rep: Representation, move: Move,
+                   before: RankSequence) -> Tuple[Representation, RankSequence]:
+    """apply_move for a caller that already holds before = ranks_of(rep).
+
+    The result's ranks are always recomputed from its multiplicities and
+    returned with it, so a chain of moves computes each module's ranks
+    once.
+    """
     mult = dict(rep.mult)
     if move.kind == "cut":
         _take(mult, (move.t, move.s), move)
@@ -123,23 +138,25 @@ def apply_move(rep: Representation, move: Move) -> Representation:
     out = Representation(rep.n, mult)
 
     AUDIT["applied"] += 1
-    before = ranks_of(rep)
     after = ranks_of(out)
-    drops = move.drops()
-    for i, j, value in before.entries():
-        want = value - (1 if (i, j) in drops else 0)
-        if after.r(i, j) != want:
+    k0, k1, l0, l1 = move._box()
+    for i, want, got in zip(count(1), before._rows, after._rows):
+        if k0 <= i <= k1:
+            want = tuple([v - 1 if l0 <= j <= l1 else v for j, v in enumerate(want, i)])
+        if want != got:
+            j, w, g = next(x for x in zip(count(i), want, got) if x[1] != x[2])
             AUDIT["violations"] += 1
             raise AssertionError(
                 "rank check failed for %r at (%d, %d): expected %d, got %d"
-                % (move, i, j, want, after.r(i, j)))
+                % (move, i, j, w, g))
     AUDIT["verified"] += 1
-    return out
+    return out, after
 
 
 def apply_moves(rep: Representation, moves) -> Representation:
+    ranks = ranks_of(rep)
     for move in moves:
-        rep = apply_move(rep, move)
+        rep, ranks = _apply_audited(rep, move, ranks)
     return rep
 
 
@@ -161,30 +178,41 @@ class QuotientReport(NamedTuple):
               by the listed moves),
     moves     elementary moves taking M to L + Q (empty when L splits off),
     markers   the marker tuple (t1, q1, t2, q2) steering the move choice,
-              or None in the split case.
+              or None in the split case,
+    stages    the module after each move, as the end-of-call check
+              applied them (the last one is L + Q).
     """
 
     ranks_Q: RankSequence
     ranks_LQ: RankSequence
     moves: Tuple[Move, ...]
     markers: Optional[Tuple[int, int, int, int]]
+    stages: Tuple[Representation, ...] = ()
 
 
-def generic_quotient(M: Representation, q: int, s: int) -> QuotientReport:
+def generic_quotient(M: Representation, q: int, s: int, *,
+                     _ranks: Optional[RankSequence] = None) -> QuotientReport:
     """Generic quotient of M by one copy of U[q, s], with witnessing moves.
 
     Requires that U[q, s] embeds into M.  When the segment is a direct
     summand the quotient just drops it and no moves are needed.  Otherwise
     the two-marker analysis below locates where a generic copy of U[q, s]
     sits inside M, and emits one or two moves that degenerate M to
-    U[q, s] + Q.  The emitted moves are re-applied and checked against
-    the predicted ranks before returning.
+    U[q, s] + Q.  The emitted moves are re-applied under audit and the
+    result is checked against the predicted ranks before returning.
+    The path builder passes _ranks = ranks_of(M), which it already holds.
     """
     n = M.n
     if not (1 <= q <= s <= n):
         raise ValueError("segment (%d, %d) out of range" % (q, s))
-    R = ranks_of(M)
-    if R.r(q, s) - R.r(q, s + 1) <= 0:
+    R = ranks_of(M) if _ranks is None else _ranks
+    rows = R._rows
+
+    def r(k: int, l: int) -> int:
+        # stored entry for 1 <= k <= l, boundary zero at l = n + 1
+        return rows[k - 1][l - k] if l <= n else 0
+
+    if r(q, s) - r(q, s + 1) <= 0:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, s, M))
     RL = ranks_of(Representation(n, {(q, s): 1}))
 
@@ -194,14 +222,16 @@ def generic_quotient(M: Representation, q: int, s: int) -> QuotientReport:
     # how far short of split the embedding is, measured at (k, l):
     # f counts segments [k', l'] with k < k' <= q and l <= l' <= s
     def f(k: int, l: int) -> int:
-        return (R.r(q, l) - R.r(k, l)) - (R.r(q, s + 1) - R.r(k, s + 1))
+        return (r(q, l) - r(k, l)) - (r(q, s + 1) - r(k, s + 1))
 
     # non-split embedding forces q >= 2 and f(q-1, s) = m_{q,s} = 0
     q1 = min(l for l in range(q, s + 1) if f(q - 1, l) == 0)
     t1 = min(k for k in range(1, q) if f(k, q1) == 0)
     t2 = min(k for k in range(1, q) if f(k, s) == 0)
     q2 = min(l for l in range(q, s + 1) if f(t2, l) == 0)
-    assert q <= q1 <= q2 <= s
+    if not q <= q1 <= q2 <= s:
+        raise AssertionError("markers (%d, %d, %d, %d) out of order for U[%d,%d]"
+                             % (t1, q1, t2, q2, q, s))
 
     if q1 == q2:
         if q == q1:
@@ -215,21 +245,28 @@ def generic_quotient(M: Representation, q: int, s: int) -> QuotientReport:
         else:
             moves = (Move.shift(t1, q2 - 1, q, q1 - 1), second)
 
-    rows = []
-    for k in range(1, n + 1):
-        row = []
-        for l in range(k, n + 1):
-            drop = 1 if (k < q and q <= l <= s and f(k, l) == 0) else 0
-            row.append(R.r(k, l) - drop)
-        rows.append(row)
-    ranks_LQ = RankSequence(n, rows, validate=True)
+    # only rows k < q and columns q..s can drop
+    lq_rows = list(rows)
+    for k in range(1, q):
+        row = list(rows[k - 1])
+        for l in range(q, s + 1):
+            if f(k, l) == 0:
+                row[l - k] -= 1
+        lq_rows[k - 1] = tuple(row)
+    ranks_LQ = RankSequence(n, lq_rows, validate=True)
     ranks_Q = ranks_LQ.sub(RL)
     ranks_Q.validate()
 
-    assert ranks_of(apply_moves(M, moves)) == ranks_LQ, \
-        "moves do not realise the predicted generic quotient"
+    # applying the moves is what raises InsufficientMultiplicity on a bad list
+    stages = []
+    cur, ranks = M, R
+    for move in moves:
+        cur, ranks = _apply_audited(cur, move, ranks)
+        stages.append(cur)
+    if ranks != ranks_LQ:
+        raise AssertionError("moves do not realise the predicted generic quotient")
     return QuotientReport(ranks_Q=ranks_Q, ranks_LQ=ranks_LQ, moves=moves,
-                          markers=(t1, q1, t2, q2))
+                          markers=(t1, q1, t2, q2), stages=tuple(stages))
 
 
 # --- degeneration paths ------------------------------------------------------
@@ -255,23 +292,27 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     A bounded breadth-first search over single moves is kept as a
     fallback for steps where no peel candidate works.
     """
-    if not degenerates(M, N):
+    if M.n != N.n:
+        raise MismatchedQuiver("modules live on different chains")
+    R, RT = ranks_of(M), ranks_of(N)
+    # degenerates(M, N) on the ranks: the diagonal is the dimension vector
+    if R.diagonal() != RT.diagonal() or not R.dominates(RT):
         raise NotComparable("target is not a degeneration of the source")
     n = M.n
     path: List[Tuple[Move, Representation]] = []
     done: Dict[Segment, int] = {}       # peeled-off segments, already matched
     cur = M                             # quotient still to be degenerated
     tgt = N                             # what the quotient must become
-    while cur.mult != tgt.mult:
-        step = _peel_step(cur, tgt)
+    while cur.mult != tgt.mult:         # R, RT: ranks of cur and tgt
+        step = _peel_step(cur, R, tgt, RT)
         if step is None:
             _bfs_fallback(cur, tgt, done, path, n)
             break
-        seg, report = step
-        for move in report.moves:
-            cur = apply_move(cur, move)
-            path.append((move, Representation(n, _merge(done, cur.mult))))
-        cur = rep_of(report.ranks_Q)
+        seg, report, RT = step
+        for move, stage in zip(report.moves, report.stages):
+            path.append((move, Representation(n, _merge(done, stage.mult))))
+        R = report.ranks_Q
+        cur = rep_of(R)
         _put(done, seg)
         tgt = Representation(n, {**tgt.mult, seg: tgt.m(*seg) - 1})
     return path
@@ -284,16 +325,18 @@ def _merge(a: Dict[Segment, int], b: Dict[Segment, int]) -> Dict[Segment, int]:
     return out
 
 
-def _peel_step(cur: Representation, tgt: Representation):
-    R = ranks_of(cur)
+def _peel_step(cur: Representation, R: RankSequence,
+               tgt: Representation, RT: RankSequence):
+    """The first peel candidate whose quotient still dominates, as
+    (segment, quotient report, ranks of the target without it)."""
     for seg in _peel_candidates(tgt):
         q, s = seg
         if R.r(q, s) - R.r(q, s + 1) <= 0:
             continue
-        report = generic_quotient(cur, q, s)
-        remaining = ranks_of(Representation(tgt.n, {**tgt.mult, seg: tgt.m(*seg) - 1}))
+        report = generic_quotient(cur, q, s, _ranks=R)
+        remaining = RT.sub(ranks_of(Representation(tgt.n, {seg: 1})))
         if report.ranks_Q.dominates(remaining):
-            return seg, report
+            return seg, report, remaining
     return None
 
 

@@ -20,10 +20,10 @@ from typing import List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, ranks_of, rep_of,
                    sigma)
-from .degen import Move, apply_move, degenerates
-from .errors import (InsufficientMultiplicity, MismatchedQuiver,
-                     MismatchedType, NoEmbedding, NotComparable, NotEpsilon,
-                     NotSplitType)
+from .degen import Move, apply_moves, degenerates
+from .errors import (InsufficientMultiplicity, InvalidRankSequence,
+                     MismatchedQuiver, MismatchedType, NoEmbedding,
+                     NotComparable, NotEpsilon, NotSplitType)
 
 
 class SymmetricType:
@@ -70,12 +70,15 @@ def is_epsilon_rank(ranks: RankSequence, sym: SymmetricType) -> bool:
     if ranks.n != sym.n:
         raise MismatchedQuiver("rank sequence and type have different sizes")
     n = sym.n
-    for i, j, value in ranks.entries():
-        if value != ranks.r(sigma(j, n), sigma(i, n)):
+    rows = ranks._rows
+    # r_{i,j} sits at rows[i-1][j-i]; its mirror r_{sigma(j),sigma(i)} at
+    # rows[n-j][j-i], so row i must equal the diagonal read up from row n+1-i
+    for i, row in enumerate(rows, 1):
+        if any(value != rows[n - j][j - i] for j, value in enumerate(row, i)):
             return False
     if sym.split:
-        for i in range(1, n + 1):
-            if i <= sigma(i, n) and ranks.r(i, sigma(i, n)) % 2 != 0:
+        for i in range(1, (n + 1) // 2 + 1):
+            if rows[i - 1][sigma(i, n) - i] % 2 != 0:
                 return False
     return True
 
@@ -196,7 +199,7 @@ def apply_sym_move(erep: EpsilonRep, move: SymMove) -> EpsilonRep:
     if not erep.sym.split:
         raise NotSplitType("paired moves only exist in the split types")
     first, second = move.expand(erep.sym)
-    rep = apply_move(apply_move(erep.rep, first), second)
+    rep = apply_moves(erep.rep, (first, second))
     SYM_AUDIT["applied"] += 1
     try:
         out = EpsilonRep(rep, erep.sym)
@@ -229,18 +232,23 @@ def _perp_ranks(R: RankSequence, q: int, a: int, top: int) -> RankSequence:
     [a, top] is the symmetric support block inside the full chain."""
     n = R.n
     sq = sigma(q, n)
-    rows = []
-    for k in range(1, n + 1):
-        row = []
-        for l in range(k, n + 1):
-            value = R.r(k, l)
-            if a <= k <= l <= top:
-                drop = ((1 if R.r(q, l) <= value else 0)
-                        + (1 if R.r(k, sq) <= value else 0))
-                value -= drop
-            row.append(value)
-        rows.append(row)
-    return RankSequence(n, rows)
+    rows = R._rows
+    row_q = rows[q - 1]
+    out = []
+    for k, row in enumerate(rows, 1):
+        if not a <= k <= top:
+            out.append(row)
+            continue
+        # r_{q,l} and r_{k,sigma(q)} are infinite (no drop) below the diagonal
+        r_k_sq = row[sq - k] if k <= sq else None
+        new = list(row)
+        for l in range(k, top + 1):
+            value = row[l - k]
+            drop = ((1 if l >= q and row_q[l - q] <= value else 0)
+                    + (1 if r_k_sq is not None and r_k_sq <= value else 0))
+            new[l - k] = value - drop
+        out.append(tuple(new))
+    return RankSequence._of_rows(n, out)
 
 
 def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
@@ -269,8 +277,10 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
     for k in range(1, n + 1):
         want = (R.r(k, k) - (1 if q <= k <= top else 0)
                 - (1 if a <= k <= sq else 0))
-        assert out.r(k, k) == want, "diagonal drop is off at vertex %d" % k
-    assert is_epsilon_rank(out, erep.sym), "perpendicular quotient lost symmetry"
+        if out.r(k, k) != want:
+            raise AssertionError("diagonal drop is off at vertex %d" % k)
+    if not is_epsilon_rank(out, erep.sym):
+        raise AssertionError("perpendicular quotient lost symmetry")
     return out
 
 
@@ -379,7 +389,7 @@ def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
         try:
             rM1.validate()
             rN1.validate()
-        except Exception:
+        except InvalidRankSequence:
             continue
         if rM1.dominates(rN1):
             return seg, rM1, rN1

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
@@ -7,6 +9,7 @@ from sympdeg.core import (
     dim_vector, dual, euler_form, ext_dim, hom_dim, ranks_of, rep_of, sigma,
     rep_to_json, rep_from_json, ranks_to_json, ranks_from_json,
 )
+from sympdeg import oracle
 from sympdeg.errors import InvalidRankSequence
 
 
@@ -142,3 +145,122 @@ def test_dominates():
     assert big.dominates(small)
     assert not small.dominates(big)
     assert big.dominates(big)
+
+
+# --- the rank kernels against literal reference implementations -------------
+
+def _ranks_reference(rep):
+    """The definition: r_{i,j} counts segments [k,l] with k <= i, j <= l."""
+    n = rep.n
+    return [[sum(m for (k, l), m in rep.mult.items() if k <= i and j <= l)
+             for j in range(i, n + 1)]
+            for i in range(1, n + 1)]
+
+
+def _validate_reference(n, rows):
+    """Entry-by-entry validate through the boundary conventions; returns
+    None or (error class, message, indices) of the first failure."""
+    def r(i, j):
+        if i == 0 or j == n + 1:
+            return 0
+        return rows[i - 1][j - i]
+
+    try:
+        for i in range(1, n + 1):
+            for j in range(i, n + 1):
+                if not isinstance(r(i, j), int) or r(i, j) < 0:
+                    raise InvalidRankSequence(
+                        "entry r[%d,%d] is not a non-negative integer" % (i, j),
+                        indices=(i, j))
+                if r(i, j) < r(i, j + 1):
+                    raise InvalidRankSequence(
+                        "r[%d,%d] < r[%d,%d]" % (i, j, i, j + 1), indices=(i, j))
+                if r(i - 1, j) > r(i, j):
+                    raise InvalidRankSequence(
+                        "r[%d,%d] > r[%d,%d]" % (i - 1, j, i, j), indices=(i, j))
+                if r(i - 1, j) - r(i - 1, j + 1) > r(i, j) - r(i, j + 1):
+                    raise InvalidRankSequence(
+                        "corner surplus fails at (%d,%d): "
+                        "r[%d,%d]-r[%d,%d] > r[%d,%d]-r[%d,%d]"
+                        % (i, j, i - 1, j, i - 1, j + 1, i, j, i, j + 1),
+                        indices=(i, j))
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+    return None
+
+
+def _failure_kind(outcome):
+    if outcome is None:
+        return None
+    cls, message, _ = outcome
+    if cls is not InvalidRankSequence:
+        return cls.__name__
+    words = message.split()
+    return words[0] if words[0] in ("entry", "corner") else words[1]
+
+
+def _validate_outcome(n, rows):
+    try:
+        RankSequence(n, rows).validate()
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "indices", None)
+    return None
+
+
+def _seeded_modules():
+    """The empty module on every n, and random modules with repeated
+    segments for n = 1..64."""
+    rng = random.Random(2405)
+    for n in range(1, 65):
+        yield Representation(n)
+        for _ in range(3):
+            mult = {}
+            for _ in range(rng.randint(1, 2 * n)):
+                i = rng.randint(1, n)
+                j = rng.randint(i, n)
+                mult[(i, j)] = mult.get((i, j), 0) + rng.randint(1, 3)
+            yield Representation(n, mult)
+
+
+def test_ranks_of_matches_definition():
+    for rep in _seeded_modules():
+        assert ranks_of(rep).rows() == _ranks_reference(rep)
+
+
+def test_ranks_of_matches_matrix_oracle():
+    for rep in _seeded_modules():
+        if rep.n > 5 or sum(rep.mult.values()) > 12:
+            continue
+        real = oracle.realize_matrices(rep)
+        assert ranks_of(rep) == oracle.rank_seq_bruteforce(real)
+
+
+def test_rep_of_inverts_ranks_of_on_seeded_modules():
+    for rep in _seeded_modules():
+        assert rep_of(ranks_of(rep)) == rep
+
+
+def test_validate_matches_reference_on_perturbed_matrices():
+    rng = random.Random(2739)
+    kinds = set()
+    for rep in _seeded_modules():
+        if rep.n > 24:
+            continue
+        n = rep.n
+        rows = ranks_of(rep).rows()
+        assert _validate_outcome(n, rows) is None
+        for _ in range(8):
+            trial = [list(row) for row in rows]
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(n)
+                j = rng.randrange(n - i)
+                kind = rng.randrange(6)
+                if kind < 2 and isinstance(trial[i][j], int):
+                    trial[i][j] += rng.choice([-2, -1, 1, 2]) * (kind + 1)
+                else:
+                    trial[i][j] = rng.choice([-1, 0, rows[i][j] + 0.5, None, True])
+            want = _validate_reference(n, trial)
+            assert _validate_outcome(n, trial) == want
+            kinds.add(_failure_kind(want))
+    # passes and every failure validate can report came up
+    assert kinds == {None, "TypeError", "entry", "<", ">", "corner"}

@@ -1,8 +1,13 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from sympdeg.core import Representation, ranks_of, rep_of
+import sympdeg
+from sympdeg import degen
+from sympdeg.core import RankSequence, Representation, ranks_of, rep_of
 from sympdeg.degen import (
     AUDIT, Move, apply_move, apply_moves, degenerates, degeneration_path,
     generic_quotient, move_from_json, move_to_json, reset_audit,
@@ -190,3 +195,73 @@ def test_degeneration_path_random():
             cur = apply_move(cur, move)
             assert shown == cur
         assert cur == n
+
+
+def test_generic_quotient_guard_survives_optimize():
+    """The end-of-call check must not be an assert: under python -O the
+    nested-segment defect (three nested segments, quotient by U[4,6])
+    still raises instead of returning an inapplicable move list."""
+    src = os.path.dirname(os.path.dirname(sympdeg.__file__))
+    code = ("from sympdeg.core import Representation\n"
+            "from sympdeg.degen import generic_quotient\n"
+            "from sympdeg.errors import InsufficientMultiplicity\n"
+            "M = Representation(6, {(1, 6): 1, (2, 5): 1, (3, 4): 1})\n"
+            "try:\n"
+            "    generic_quotient(M, 4, 6)\n"
+            "except InsufficientMultiplicity:\n"
+            "    print('InsufficientMultiplicity')\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "InsufficientMultiplicity"
+
+
+def test_ranks_computed_once_per_module_along_paths(monkeypatch):
+    """Paths carry rank matrices instead of recomputing them: at most 6
+    ranks_of calls per emitted move over seeded n = 16 paths."""
+    calls = [0]
+
+    def counting(rep):
+        calls[0] += 1
+        return ranks_of(rep)
+
+    monkeypatch.setattr(degen, "ranks_of", counting)
+    rng = random.Random(16)
+    total_calls = total_moves = 0
+    for _ in range(30):
+        m = _random_rep(rng, 16, picks=12)
+        n = _random_walk(rng, m, rng.randint(4, 10))
+        calls[0] = 0
+        try:
+            path = degeneration_path(m, n)
+        except InsufficientMultiplicity:   # the generic-quotient defect
+            continue
+        total_calls += calls[0]
+        total_moves += len(path)
+    assert total_moves > 100
+    assert total_calls <= 6 * total_moves
+
+
+def test_audit_recomputes_output_ranks(monkeypatch):
+    """The audit takes the input's ranks from the caller but always
+    recomputes the output's: corrupted output ranks are a violation."""
+    rep = Representation(3, {(1, 3): 1})
+    out = Representation(3, {(1, 1): 1, (2, 3): 1})
+
+    def corrupting(module):
+        ranks = ranks_of(module)
+        if module != out:
+            return ranks
+        rows = ranks.rows()
+        rows[0][0] += 1
+        return RankSequence(3, rows)
+
+    reset_audit()
+    monkeypatch.setattr(degen, "ranks_of", corrupting)
+    with pytest.raises(AssertionError, match=r"rank check failed .* at \(1, 1\)"):
+        apply_move(rep, Move.cut(1, 3, 2))
+    assert AUDIT["violations"] == 1
+    assert AUDIT["verified"] == 0
+    reset_audit()

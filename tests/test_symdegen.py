@@ -1,5 +1,6 @@
 import pytest
 
+from sympdeg import symdegen
 from sympdeg.core import Representation, RankSequence, ranks_of, rep_of
 from sympdeg.degen import Move
 from sympdeg.errors import (
@@ -245,3 +246,16 @@ def test_peel_label():
     assert peel_label((3, 5), 5) == "P_3"
     assert peel_label((4, 4), 5) == "S_4"
     assert peel_label((2, 4), 5) == "U[2,4]"
+
+
+def test_choose_peel_skips_only_invalid_ranks(monkeypatch):
+    """A candidate is rejected for an invalid rank table, never for an
+    unrelated error, which must propagate."""
+    class Broken:
+        def validate(self):
+            raise ZeroDivisionError("not a rank-table problem")
+
+    monkeypatch.setattr(symdegen, "_perp_ranks", lambda *args: Broken())
+    em, en = _ex1_pair()
+    with pytest.raises(ZeroDivisionError):
+        sym_degeneration_path(em, en)
