@@ -12,7 +12,7 @@ import argparse
 import json
 import random
 import sys
-from typing import Dict, List, Tuple
+from typing import List
 
 from . import core, degen, oracle, pbw, symdegen
 from .coxeter import WeylWord, evaluate, is_reduced, word_to_str
@@ -241,7 +241,7 @@ def _cmd_sym_moves(args) -> int:
         _emit({"status": "inconclusive", "budget": args.budget})
     else:
         _emit({"status": "found",
-               "moves": [symdegen.symmove_to_json(mv) for mv in found]})
+               "moves": [degen.move_to_json(mv) for mv in found]})
     return 0
 
 
@@ -322,38 +322,10 @@ def _cmd_pbw_lemma_ui(args) -> int:
     return 0
 
 
-def _reps_with_dims(dims: Tuple[int, ...]) -> List[core.Representation]:
-    n = len(dims)
-    segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    found: List[core.Representation] = []
-
-    def descend(index: int, remaining: List[int],
-                acc: Dict[Tuple[int, int], int]) -> None:
-        if index == len(segments):
-            if all(v == 0 for v in remaining):
-                found.append(core.Representation(n, dict(acc)))
-            return
-        i, j = segments[index]
-        cap = min(remaining[v - 1] for v in range(i, j + 1))
-        for count in range(cap + 1):
-            if count:
-                acc[(i, j)] = count
-                for v in range(i, j + 1):
-                    remaining[v - 1] -= count
-            descend(index + 1, remaining, acc)
-            if count:
-                for v in range(i, j + 1):
-                    remaining[v - 1] += count
-                del acc[(i, j)]
-
-    descend(0, list(dims), {})
-    return found
-
-
 def _cmd_poset(args) -> int:
     dims = tuple(int(x) for x in args.dims.split(","))
     sym = _sym_type(len(dims), args.type)
-    nodes = [rep for rep in _reps_with_dims(dims)
+    nodes = [rep for rep in core.modules_with_dims(dims)
              if symdegen.is_epsilon_rep(rep, sym)]
     nodes.sort(key=lambda rep: rep.key())
     ranks = [core.ranks_of(rep) for rep in nodes]

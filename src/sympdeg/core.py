@@ -307,6 +307,35 @@ def dim_vector(rep: Representation) -> DimVector:
     return tuple(d)
 
 
+def modules_with_dims(dims: DimVector) -> List[Representation]:
+    """Every module with dimension vector dims, one per isomorphism class."""
+    n = len(dims)
+    segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+    found: List[Representation] = []
+
+    def descend(index: int, remaining: List[int],
+                acc: Dict[Segment, int]) -> None:
+        if index == len(segments):
+            if all(v == 0 for v in remaining):
+                found.append(Representation(n, dict(acc)))
+            return
+        i, j = segments[index]
+        cap = min(remaining[v - 1] for v in range(i, j + 1))
+        for count in range(cap + 1):
+            if count:
+                acc[(i, j)] = count
+                for v in range(i, j + 1):
+                    remaining[v - 1] -= count
+            descend(index + 1, remaining, acc)
+            if count:
+                for v in range(i, j + 1):
+                    remaining[v - 1] += count
+                del acc[(i, j)]
+
+    descend(0, list(dims), {})
+    return found
+
+
 # --- hom / ext -------------------------------------------------------------
 
 def _hom_segments(i: int, j: int, k: int, l: int) -> int:

@@ -18,7 +18,7 @@ ran and whether any failed.
 from __future__ import annotations
 
 from itertools import count
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, dim_vector,
                    ranks_of, rep_of)
@@ -160,6 +160,19 @@ def apply_moves(rep: Representation, moves) -> Representation:
     return rep
 
 
+def single_moves(rep: Representation) -> Iterator[Move]:
+    """Every cut and shift rep's own segments allow: all cuts, then all
+    shifts, each in sorted segment order.  Each applies to rep."""
+    segs = sorted(rep.mult)
+    for (t, s) in segs:
+        for q in range(t + 1, s + 1):
+            yield Move.cut(t, s, q)
+    for (t, s) in segs:
+        for (q, r) in segs:
+            if t < q <= r < s:
+                yield Move.shift(t, s, q, r)
+
+
 def degenerates(M: Representation, N: Representation) -> bool:
     """Is N a degeneration of M?  Needs equal dimension vectors and
     entrywise domination of rank sequences."""
@@ -289,8 +302,6 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     The path peels off final segments of N one at a time: quotient the
     remaining part of M by the longest segment of N ending at its top
     vertex whose quotient still dominates, and recurse on the quotient.
-    A bounded breadth-first search over single moves is kept as a
-    fallback for steps where no peel candidate works.
     """
     if M.n != N.n:
         raise MismatchedQuiver("modules live on different chains")
@@ -306,8 +317,8 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     while cur.mult != tgt.mult:         # R, RT: ranks of cur and tgt
         step = _peel_step(cur, R, tgt, RT)
         if step is None:
-            _bfs_fallback(cur, tgt, done, path, n)
-            break
+            raise NotComparable("no final segment of the target can be peeled, "
+                                "which contradicts rank domination")
         seg, report, RT = step
         for move, stage in zip(report.moves, report.stages):
             path.append((move, Representation(n, _merge(done, stage.mult))))
@@ -338,47 +349,3 @@ def _peel_step(cur: Representation, R: RankSequence,
         if report.ranks_Q.dominates(remaining):
             return seg, report, remaining
     return None
-
-
-def _bfs_fallback(cur: Representation, tgt: Representation,
-                  done: Dict[Segment, int], path, n: int) -> None:
-    """Search over single elementary moves from cur down to tgt.
-
-    Only reached if the peeling heuristic stalls; the closure property of
-    the order guarantees a move chain exists, so this always terminates.
-    """
-    target_ranks = ranks_of(tgt)
-    frontier = [(cur, [])]
-    seen = {cur}
-    while frontier:
-        nxt = []
-        for rep, trail in frontier:
-            for move in _single_moves(rep):
-                try:
-                    child = apply_move(rep, move)
-                except InsufficientMultiplicity:
-                    continue
-                if child in seen:
-                    continue
-                if not ranks_of(child).dominates(target_ranks):
-                    continue
-                trail2 = trail + [(move, child)]
-                if child.mult == tgt.mult:
-                    for mv, stage in trail2:
-                        path.append((mv, Representation(n, _merge(done, stage.mult))))
-                    return
-                seen.add(child)
-                nxt.append((child, trail2))
-        frontier = nxt
-    raise NotComparable("no move chain found, which contradicts domination")
-
-
-def _single_moves(rep: Representation):
-    segs = sorted(rep.mult)
-    for (t, s) in segs:
-        for q in range(t + 1, s + 1):
-            yield Move.cut(t, s, q)
-    for (t, s) in segs:
-        for (q, r) in segs:
-            if t < q <= r < s:
-                yield Move.shift(t, s, q, r)

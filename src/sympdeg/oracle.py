@@ -14,9 +14,10 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Tuple
 
-from . import core
+from . import core, degen, symdegen
 from .core import Representation, RankSequence, sigma
-from .errors import InstanceTooLarge, MismatchedQuiver, NotEpsilon
+from .errors import (InstanceTooLarge, InsufficientMultiplicity,
+                     MismatchedQuiver, NotEpsilon)
 
 
 class MatrixRealization:
@@ -34,8 +35,9 @@ class MatrixRealization:
         for v in range(n - 1):
             rows = len(maps[v])
             cols = len(maps[v][0]) if maps[v] else 0
-            assert rows == len(spaces[v + 1])
-            assert cols == len(spaces[v]) or rows == 0
+            if rows != len(spaces[v + 1]) or (rows and cols != len(spaces[v])):
+                raise ValueError("map %d has shape (%d, %d), expected (%d, %d)"
+                                 % (v + 1, rows, cols, len(spaces[v + 1]), len(spaces[v])))
 
     def dims(self):
         return tuple(len(s) for s in self.spaces)
@@ -202,8 +204,6 @@ def realize_epsilon_form(erep) -> Tuple[MatrixRealization, Dict[int, list]]:
     <f_{v, sigma(v)}(x), x> = 0 on basis vectors.  Raises NotEpsilon if
     the input is not a valid epsilon-module or a check fails.
     """
-    from . import symdegen
-
     rep, sym = erep.rep, erep.sym
     if not symdegen.is_epsilon_rep(rep, sym):
         raise NotEpsilon("input fails the multiplicity criterion")
@@ -305,77 +305,43 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
     move_kind is "ORDINARY" (rep: Representation, single cuts/shifts) or
     "SYMMETRIC" (rep: EpsilonRep, paired moves).  BFS over canonical
     multiplicity maps; the start point is included.  Guarded by the rank
-    total of the start point.
+    total of the start point.  The moves come from the library's
+    generators, and every child is audited as it is applied.
     """
     if move_kind == "ORDINARY":
-        from . import degen
-
         start = rep
-        if core.ranks_of(start).total() > max_total:
-            raise InstanceTooLarge("rank total %d exceeds guard %d"
-                                   % (core.ranks_of(start).total(), max_total))
-        seen = {start}
-        frontier = [start]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for child in _ordinary_children(cur, degen):
-                    if child not in seen:
-                        seen.add(child)
-                        nxt.append(child)
-            frontier = nxt
-        return seen
 
-    if move_kind == "SYMMETRIC":
-        from . import symdegen
+        def children(cur):
+            # each child's audit starts from its parent's ranks, computed once
+            before = core.ranks_of(cur)
+            for move in degen.single_moves(cur):
+                yield degen._apply_audited(cur, move, before)[0]
 
-        erep = rep
-        if core.ranks_of(erep.rep).total() > max_total:
-            raise InstanceTooLarge("rank total %d exceeds guard %d"
-                                   % (core.ranks_of(erep.rep).total(), max_total))
-        seen = {erep.rep}
-        frontier = [erep]
-        while frontier:
-            nxt = []
-            for cur in frontier:
-                for child in _symmetric_children(cur, symdegen):
-                    if child.rep not in seen:
-                        seen.add(child.rep)
-                        nxt.append(child)
-            frontier = nxt
-        return seen
+    elif move_kind == "SYMMETRIC":
+        start, sym = rep.rep, rep.sym
 
-    raise ValueError("move_kind must be ORDINARY or SYMMETRIC")
-
-
-def _ordinary_children(rep: Representation, degen):
-    segs = sorted(rep.mult)
-    for (t, s) in segs:
-        for q in range(t + 1, s + 1):
-            yield degen.apply_move(rep, degen.Move.cut(t, s, q))
-    for (t, s) in segs:
-        for (q, r) in segs:
-            if t < q <= r < s:
-                yield degen.apply_move(rep, degen.Move.shift(t, s, q, r))
-
-
-def _symmetric_children(erep, symdegen):
-    from .errors import InsufficientMultiplicity
-
-    rep = erep.rep
-    n = rep.n
-    segs = sorted(rep.mult)
-    for (t, s) in segs:
-        for q in range(t, s):
-            try:
-                yield symdegen.apply_sym_move(erep, symdegen.SymMove.symcut(t, s, q))
-            except InsufficientMultiplicity:
-                pass
-    for (t, s) in segs:
-        for (q, r) in segs:
-            if t < q <= r < s:
+        def children(cur):
+            erep = symdegen.EpsilonRep(cur, sym)
+            for move in symdegen.sym_moves(erep):
                 try:
-                    yield symdegen.apply_sym_move(
-                        erep, symdegen.SymMove.symshift(t, s, q, r))
+                    yield symdegen.apply_sym_move(erep, move).rep
                 except InsufficientMultiplicity:
                     pass
+
+    else:
+        raise ValueError("move_kind must be ORDINARY or SYMMETRIC")
+
+    total = core.ranks_of(start).total()
+    if total > max_total:
+        raise InstanceTooLarge("rank total %d exceeds guard %d" % (total, max_total))
+    seen = {start}
+    frontier = [start]
+    while frontier:
+        nxt = []
+        for cur in frontier:
+            for child in children(cur):
+                if child not in seen:
+                    seen.add(child)
+                    nxt.append(child)
+        frontier = nxt
+    return seen

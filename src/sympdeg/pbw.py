@@ -360,11 +360,20 @@ def dynkin_face_violations(subset: PbwSubset, d: CRootVector,
     (weakly, or strictly in strict mode), elsewhere additivity is exact.
     Exchange constraints are equalities in both modes.
     """
+    return list(_face_violations(subset, d, strict))
+
+
+def dynkin_face_contains(subset: PbwSubset, d: CRootVector,
+                         strict: bool = False) -> bool:
+    """Does d satisfy every face constraint?  Stops at the first broken one."""
+    return next(_face_violations(subset, d, strict), None) is None
+
+
+def _face_violations(subset: PbwSubset, d: CRootVector,
+                     strict: bool) -> Iterator[dict]:
     if d.n != subset.n:
         raise ValueError("vector has n=%d, subset has n=%d" % (d.n, subset.n))
-    out = []
-    for con in _pair_constraints(subset):
-        _, tag, wall, b1, b2, total = con
+    for _, tag, wall, b1, b2, total in _pair_constraints(subset):
         lhs = d.d(b1) + d.d(b2)
         rhs = d.d(total)
         if tag == "bullet3":
@@ -377,40 +386,15 @@ def dynkin_face_violations(subset: PbwSubset, d: CRootVector,
             ok = lhs >= rhs
             relation = ">="
         if not ok:
-            out.append({"family": tag, "wall": wall, "roots": (b1, b2, total),
-                        "lhs": lhs, "rhs": rhs, "relation": relation})
-    for con in _exchange_constraints(subset.n):
-        _, name, k1, k2, k3, k4 = con
+            yield {"family": tag, "wall": wall, "roots": (b1, b2, total),
+                   "lhs": lhs, "rhs": rhs, "relation": relation}
+    for _, name, k1, k2, k3, k4 in _exchange_constraints(subset.n):
         lhs = d.d(k1) + d.d(k2)
         rhs = d.d(k3) + d.d(k4)
         if lhs != rhs:
-            out.append({"family": name, "wall": None,
-                        "roots": (k1, k2, k3, k4),
-                        "lhs": lhs, "rhs": rhs, "relation": "=="})
-    return out
-
-
-def dynkin_face_contains(subset: PbwSubset, d: CRootVector,
-                         strict: bool = False) -> bool:
-    if d.n != subset.n:
-        raise ValueError("vector has n=%d, subset has n=%d" % (d.n, subset.n))
-    for con in _pair_constraints(subset):
-        _, tag, _, b1, b2, total = con
-        lhs = d.d(b1) + d.d(b2)
-        rhs = d.d(total)
-        if tag == "bullet3":
-            if lhs != rhs:
-                return False
-        elif strict:
-            if lhs <= rhs:
-                return False
-        elif lhs < rhs:
-            return False
-    for con in _exchange_constraints(subset.n):
-        _, _, k1, k2, k3, k4 = con
-        if d.d(k1) + d.d(k2) != d.d(k3) + d.d(k4):
-            return False
-    return True
+            yield {"family": name, "wall": None,
+                   "roots": (k1, k2, k3, k4),
+                   "lhs": lhs, "rhs": rhs, "relation": "=="}
 
 
 def find_interior_point(subset: PbwSubset) -> CRootVector:
@@ -498,15 +482,17 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
 def _check_fixed_point(fp: FixedPoint, subset: PbwSubset) -> None:
     n = fp.n
     chain = fixed_point_chain(fp)
-    assert len(chain) == 2 * n - 1
+    if len(chain) != 2 * n - 1:
+        raise AssertionError("chain has %d members, not %d" % (len(chain), 2 * n - 1))
     degenerate = set(iprime(subset))
     for v in range(1, 2 * n):
-        assert len(chain[v - 1]) == v, "member %d has wrong size" % v
-    assert _dual_subset(fp.subsets[n - 1], n) == fp.subsets[n - 1], \
-        "middle member is not self-dual"
+        if len(chain[v - 1]) != v:
+            raise AssertionError("member %d has wrong size" % v)
+    if _dual_subset(fp.subsets[n - 1], n) != fp.subsets[n - 1]:
+        raise AssertionError("middle member is not self-dual")
     for v in range(1, 2 * n - 1):
         src = set(chain[v - 1])
         if v in degenerate:
             src.discard(v + 1)
-        assert src <= set(chain[v]), \
-            "member %d does not map into member %d" % (v, v + 1)
+        if not src <= set(chain[v]):
+            raise AssertionError("member %d does not map into member %d" % (v, v + 1))

@@ -16,7 +16,7 @@ degeneration and the per-step rank tables are returned for rendering.
 from __future__ import annotations
 
 from collections import deque
-from typing import List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, ranks_of, rep_of,
                    sigma)
@@ -165,19 +165,25 @@ class SymMove(NamedTuple):
                            sigma(self.r, n), sigma(self.q, n)))
 
 
-def symmove_to_json(move: SymMove) -> dict:
-    data = {"kind": move.kind, "t": move.t, "s": move.s, "q": move.q}
-    if move.r is not None:
-        data["r"] = move.r
-    return data
-
-
 def symmove_from_json(data: dict) -> SymMove:
     if data["kind"] == "symcut":
         return SymMove.symcut(data["t"], data["s"], data["q"])
     if data["kind"] == "symshift":
         return SymMove.symshift(data["t"], data["s"], data["q"], data["r"])
     raise ValueError("unknown symmetric move kind %r" % (data["kind"],))
+
+
+def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:
+    """Every symcut and symshift on erep's own segments: all symcuts, then
+    all symshifts, each in sorted segment order."""
+    segs = sorted(erep.rep.mult)
+    for (t, s) in segs:
+        for q in range(t, s):
+            yield SymMove.symcut(t, s, q)
+    for (t, s) in segs:
+        for (q, r) in segs:
+            if t < q <= r < s:
+                yield SymMove.symshift(t, s, q, r)
 
 
 SYM_AUDIT = {"applied": 0, "verified": 0, "violations": 0}
@@ -414,17 +420,6 @@ class _Inconclusive:
 INCONCLUSIVE = _Inconclusive()
 
 
-def _sym_moves_from(erep: EpsilonRep):
-    segs = sorted(erep.rep.mult)
-    for (t, s) in segs:
-        for q in range(t, s):
-            yield SymMove.symcut(t, s, q)
-    for (t, s) in segs:
-        for (q, r) in segs:
-            if t < q <= r < s:
-                yield SymMove.symshift(t, s, q, r)
-
-
 def sym_move_refinement(start: EpsilonRep, target: EpsilonRep, budget: int):
     """Search for paired moves taking start to target.
 
@@ -451,7 +446,7 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep, budget: int):
         if expanded >= budget:
             return INCONCLUSIVE
         expanded += 1
-        for move in _sym_moves_from(erep):
+        for move in sym_moves(erep):
             try:
                 child = apply_sym_move(erep, move)
             except InsufficientMultiplicity:

@@ -13,7 +13,7 @@ import time
 
 from sympdeg.core import (
     Representation, RankSequence, dim_vector, euler_form, ext_dim, hom_dim,
-    ranks_of, rep_of,
+    modules_with_dims, ranks_of, rep_of,
 )
 from sympdeg import oracle
 from sympdeg.coxeter import is_reduced
@@ -116,33 +116,6 @@ def _roundtrip_example():
     assert rep_of(r) == RUN_EXAMPLE
 
 
-def _reps_with_dims(dims):
-    n = len(dims)
-    segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    out = []
-
-    def descend(index, remaining, acc):
-        if index == len(segments):
-            if all(v == 0 for v in remaining):
-                out.append(Representation(n, dict(acc)))
-            return
-        i, j = segments[index]
-        cap = min(remaining[v - 1] for v in range(i, j + 1))
-        for count in range(cap + 1):
-            if count:
-                acc[(i, j)] = count
-                for v in range(i, j + 1):
-                    remaining[v - 1] -= count
-            descend(index + 1, remaining, acc)
-            if count:
-                for v in range(i, j + 1):
-                    remaining[v - 1] += count
-                del acc[(i, j)]
-
-    descend(0, list(dims), {})
-    return out
-
-
 def _order_equivalence_sweep():
     """Exhaustive two-sided check: rank domination iff reachability by
     symmetric moves, over every valid dimension vector with entries at
@@ -154,7 +127,7 @@ def _order_equivalence_sweep():
         for free in itertools.product(range(3), repeat=half):
             dims = list(free) + [free[n - 1 - v] for v in range(half, n)]
             ereps = [EpsilonRep(rep, sym)
-                     for rep in _reps_with_dims(tuple(dims))
+                     for rep in modules_with_dims(tuple(dims))
                      if is_epsilon_rep(rep, sym)]
             ranks = [ranks_of(e.rep) for e in ereps]
             for a, ea in enumerate(ereps):

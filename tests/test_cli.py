@@ -116,6 +116,19 @@ def test_sym_moves(tmp_path, capsys):
     assert json.loads(out)["status"] == "inconclusive"
 
 
+def test_sym_moves_found(tmp_path, capsys):
+    m = _write(tmp_path, "m.json", core.rep_to_json(
+        core.Representation(5, {(1, 5): 2, (2, 4): 2})))
+    n = _write(tmp_path, "n.json", core.rep_to_json(core.Representation(
+        5, {(1, 2): 1, (1, 4): 1, (2, 3): 1, (2, 5): 1, (3, 4): 1, (4, 5): 1})))
+    code, out, _ = _run(capsys, "sym-moves", "--m", m, "--n", n,
+                        "--type", "odd-neg")
+    assert code == 0
+    assert json.loads(out) == {"status": "found", "moves": [
+        {"kind": "symcut", "t": 2, "s": 4, "q": 2},
+        {"kind": "symshift", "t": 1, "s": 5, "q": 2, "r": 2}]}
+
+
 def test_pbw_verbs(capsys, tmp_path):
     code, out, _ = _run(capsys, "pbw-build", "3", "1")
     data = json.loads(out)

@@ -6,7 +6,8 @@ import hypothesis.strategies as st
 
 from sympdeg.core import (
     Representation, RankSequence, SENTINEL_INFINITY,
-    dim_vector, dual, euler_form, ext_dim, hom_dim, ranks_of, rep_of, sigma,
+    dim_vector, dual, euler_form, ext_dim, hom_dim, modules_with_dims,
+    ranks_of, rep_of, sigma,
     rep_to_json, rep_from_json, ranks_to_json, ranks_from_json,
 )
 from sympdeg import oracle
@@ -264,3 +265,21 @@ def test_validate_matches_reference_on_perturbed_matrices():
             kinds.add(_failure_kind(want))
     # passes and every failure validate can report came up
     assert kinds == {None, "TypeError", "entry", "<", ">", "corner"}
+
+
+def test_modules_with_dims_counts():
+    # n ones: one module per way of cutting the chain, 2^(n-1)
+    for n in range(1, 9):
+        assert len(modules_with_dims((1,) * n)) == 2 ** (n - 1)
+    # (a, b): c copies of U[1,2] for c = 0..min(a, b)
+    for a in range(5):
+        for b in range(5):
+            assert len(modules_with_dims((a, b))) == min(a, b) + 1
+
+
+def test_modules_with_dims_distinct_and_exact():
+    for dims in ((2, 1, 2), (1, 2, 2, 1), (3, 0, 2), (0, 0), (2, 3, 1, 2)):
+        modules = modules_with_dims(dims)
+        assert modules
+        assert len(set(modules)) == len(modules)
+        assert all(dim_vector(rep) == dims for rep in modules)

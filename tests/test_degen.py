@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 import subprocess
@@ -7,7 +8,8 @@ import pytest
 
 import sympdeg
 from sympdeg import degen
-from sympdeg.core import RankSequence, Representation, ranks_of, rep_of
+from sympdeg.core import (RankSequence, Representation, modules_with_dims,
+                          ranks_of, rep_of)
 from sympdeg.degen import (
     AUDIT, Move, apply_move, apply_moves, degenerates, degeneration_path,
     generic_quotient, move_from_json, move_to_json, reset_audit,
@@ -28,10 +30,10 @@ def _random_rep(rng, n, picks=4):
 
 def _random_walk(rng, rep, steps):
     """Apply a few random moves, returning the endpoint."""
-    from sympdeg.degen import _single_moves
+    from sympdeg.degen import single_moves
     cur = rep
     for _ in range(steps):
-        options = list(_single_moves(cur))
+        options = list(single_moves(cur))
         if not options:
             break
         cur = apply_move(cur, rng.choice(options))
@@ -265,3 +267,31 @@ def test_audit_recomputes_output_ranks(monkeypatch):
     assert AUDIT["violations"] == 1
     assert AUDIT["verified"] == 0
     reset_audit()
+
+
+def test_degeneration_path_exhaustive_n4():
+    """Every rank-dominated pair at n = 4 with entries <= 2: the path
+    replays move by move from M and ends at N."""
+    pairs = 0
+    for dims in itertools.product(range(3), repeat=4):
+        modules = modules_with_dims(dims)
+        ranks = {rep: ranks_of(rep) for rep in modules}
+        for m in modules:
+            for n in modules:
+                if not ranks[m].dominates(ranks[n]):
+                    continue
+                cur = m
+                for move, stage in degeneration_path(m, n):
+                    cur = apply_move(cur, move)
+                    assert cur == stage
+                assert cur == n
+                pairs += 1
+    assert pairs == 1859
+
+
+def test_stalled_peel_raises_not_comparable(monkeypatch):
+    monkeypatch.setattr(degen, "_peel_candidates", lambda tgt: [])
+    m = Representation(3, {(1, 3): 1})
+    n = Representation(3, {(1, 1): 1, (2, 3): 1})
+    with pytest.raises(NotComparable, match="no final segment of the target"):
+        degeneration_path(m, n)

@@ -1,8 +1,14 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
-from sympdeg.core import Representation, dim_vector, ext_dim, hom_dim, ranks_of
+import sympdeg
+from sympdeg.core import (Representation, dim_vector, ext_dim, hom_dim,
+                          modules_with_dims, ranks_of)
 from sympdeg.errors import InstanceTooLarge
 from sympdeg import oracle
 from sympdeg.symdegen import EpsilonRep, SymmetricType
@@ -108,3 +114,35 @@ def test_closure_budget():
     rep = Representation(4, {(1, 4): 4})
     with pytest.raises(InstanceTooLarge):
         oracle.closure_enumerate(rep, "ORDINARY", max_total=3)
+
+
+def test_ordinary_closure_is_rank_domination():
+    """Exhaustive over dimension vectors with n <= 4 and entries <= 2: the
+    move closure of M is exactly the set of modules M rank-dominates."""
+    closures = 0
+    for n in range(1, 5):
+        for dims in itertools.product(range(3), repeat=n):
+            modules = modules_with_dims(dims)
+            ranks = {rep: ranks_of(rep) for rep in modules}
+            for rep in modules:
+                below = {other for other in modules
+                         if ranks[rep].dominates(ranks[other])}
+                assert oracle.closure_enumerate(rep, "ORDINARY") == below
+                closures += 1
+    assert closures == 496
+
+
+def test_matrix_realization_shape_check_survives_optimize():
+    """Mismatched map shapes raise ValueError under python -O as well."""
+    src = os.path.dirname(os.path.dirname(sympdeg.__file__))
+    code = ("from sympdeg.oracle import MatrixRealization\n"
+            "try:\n"
+            "    MatrixRealization(2, [[(0, 1)], [(0, 2), (1, 2)]], [[[1]]])\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "map 1 has shape (1, 1), expected (2, 1)"

@@ -13,10 +13,10 @@ import json
 import random
 
 from sympdeg.core import Representation, sigma
-from sympdeg.degen import _single_moves, apply_move, degeneration_path
+from sympdeg.degen import apply_move, degeneration_path, single_moves
 from sympdeg.errors import InsufficientMultiplicity, SympdegError
-from sympdeg.symdegen import (EpsilonRep, SymmetricType, _sym_moves_from,
-                              apply_sym_move, sym_degeneration_path)
+from sympdeg.symdegen import (EpsilonRep, SymmetricType, apply_sym_move,
+                              sym_degeneration_path, sym_moves)
 
 ORDINARY_DIGEST = "71cada828d11ecf47f5b1847ea83a90bdcb7746af7292168fe44b2df552143eb"
 SYMMETRIC_DIGEST = "147c2cd5312daf6f15fb6cdabe3dc5e0a1818a8ca9fb8af3ff13f6529439c849"
@@ -43,7 +43,7 @@ def ordinary_pairs():
             M = _random_rep(rng, n, rng.randint(4, 10))
             N = M
             for _ in range(rng.randint(3, 8)):
-                options = list(_single_moves(N))
+                options = list(single_moves(N))
                 if not options:
                     break
                 N = apply_move(N, rng.choice(options))
@@ -66,7 +66,7 @@ def symmetric_pairs():
             M = EpsilonRep(Representation(n, mult), sym)
             N = M
             for _ in range(rng.randint(2, 5)):
-                options = list(_sym_moves_from(N))
+                options = list(sym_moves(N))
                 rng.shuffle(options)
                 for move in options:
                     try:

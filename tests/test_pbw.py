@@ -1,8 +1,15 @@
+import hashlib
 import itertools
+import json
 import math
+import os
+import random
+import subprocess
+import sys
 
 import pytest
 
+import sympdeg
 from sympdeg.core import dim_vector
 from sympdeg.coxeter import evaluate, is_reduced
 from sympdeg.errors import Infeasible
@@ -13,6 +20,8 @@ from sympdeg.pbw import (
     iprime, lagrangian_fixed_points, psi, sigma_i_map, theta, u_iprime_word,
     w_i_word, zero_root_vector,
 )
+
+FACE_VIOLATIONS_DIGEST = "8115a810284f6f3b1ab75b0ac2f88c4743b80598ff08e2547e500cb97af7572a"
 
 
 def _all_subsets(n):
@@ -258,3 +267,61 @@ def test_fixed_point_count_grows():
     base = len(lagrangian_fixed_points(PbwSubset.make(2, [])))
     degen = len(lagrangian_fixed_points(PbwSubset.make(2, [1])))
     assert base == 8 and degen == 10
+
+
+def _perturbed_vectors(subset, rng, count=4):
+    """The zero vector, the interior point, and seeded +-1 perturbations
+    of both at one to three entries."""
+    n = subset.n
+    keys = canonical_root_keys(n)
+    for base in (zero_root_vector(n), find_interior_point(subset)):
+        yield base
+        for _ in range(count):
+            entries = dict(base.items())
+            for key in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
+                entries[key] += rng.choice((-1, 1))
+            yield CRootVector(n, entries)
+
+
+def test_face_contains_is_empty_violations():
+    rng = random.Random(55)
+    checked = 0
+    for n in range(1, 6):
+        for s in _all_subsets(n):
+            for d in _perturbed_vectors(s, rng):
+                for strict in (False, True):
+                    assert dynkin_face_contains(s, d, strict) == \
+                        (not dynkin_face_violations(s, d, strict))
+                    checked += 1
+    assert checked == 2 * 10 * sum(2 ** (n - 1) for n in range(1, 6))
+
+
+def test_face_violations_pinned():
+    """Violation dicts and their order, as computed before contains and
+    violations shared one constraint walk."""
+    rng = random.Random(56)
+    records = []
+    for n in range(1, 5):
+        for s in _all_subsets(n):
+            for d in _perturbed_vectors(s, rng, count=2):
+                for strict in (False, True):
+                    records.append(dynkin_face_violations(s, d, strict))
+    digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
+    assert digest == FACE_VIOLATIONS_DIGEST
+
+
+def test_fixed_point_check_survives_optimize():
+    """The fixed-point self-check raises under python -O as well."""
+    src = os.path.dirname(os.path.dirname(sympdeg.__file__))
+    code = ("from sympdeg.pbw import FixedPoint, PbwSubset, _check_fixed_point\n"
+            "bad = FixedPoint(2, ((1,), (1, 4)))\n"
+            "try:\n"
+            "    _check_fixed_point(bad, PbwSubset.make(2, ()))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "middle member is not self-dual"

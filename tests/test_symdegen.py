@@ -2,7 +2,7 @@ import pytest
 
 from sympdeg import symdegen
 from sympdeg.core import Representation, RankSequence, ranks_of, rep_of
-from sympdeg.degen import Move
+from sympdeg.degen import Move, move_to_json
 from sympdeg.errors import (
     MismatchedType, NoEmbedding, NotComparable, NotEpsilon, NotSplitType,
 )
@@ -11,7 +11,6 @@ from sympdeg.symdegen import (
     apply_sym_move, is_epsilon_rank, is_epsilon_rep, peel_label,
     perp_quotient_ranks, reset_sym_audit, sym_degenerates,
     sym_degeneration_path, sym_move_refinement, symmove_from_json,
-    symmove_to_json,
 )
 
 # The two worked degeneration walks, frozen end to end.  Rows are
@@ -127,7 +126,7 @@ def test_sym_move_validation():
 
 def test_sym_move_json():
     for move in (SymMove.symcut(1, 4, 2), SymMove.symshift(1, 5, 2, 3)):
-        assert symmove_from_json(symmove_to_json(move)) == move
+        assert symmove_from_json(move_to_json(move)) == move
 
 
 def test_apply_sym_move():
