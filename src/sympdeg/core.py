@@ -379,26 +379,6 @@ def euler_form(d: DimVector, e: DimVector) -> int:
     return sum(d[i] * e[i] for i in range(n)) - sum(d[i] * e[i + 1] for i in range(n - 1))
 
 
-# --- membership tests ------------------------------------------------------
-
-def embeds(seg: Segment, M: Representation) -> bool:
-    """Does U[seg] admit an injective map into M?"""
-    i, j = seg
-    r = ranks_of(M)
-    return r.r(i, j) - r.r(i, j + 1) > 0
-
-
-def is_quotient(seg: Segment, M: Representation) -> bool:
-    """Does M surject onto U[seg]?"""
-    i, j = seg
-    r = ranks_of(M)
-    return r.r(i, j) - r.r(i - 1, j) > 0
-
-
-def is_summand(seg: Segment, M: Representation) -> bool:
-    return M.m(*seg) > 0
-
-
 # --- JSON ------------------------------------------------------------------
 
 def rep_to_json(rep: Representation) -> dict:

@@ -284,14 +284,6 @@ def generic_quotient(M: Representation, q: int, s: int, *,
 
 # --- degeneration paths ------------------------------------------------------
 
-def _peel_candidates(N: Representation) -> List[Tuple[int, int]]:
-    """Segments (i, n') of N ending at its last supported vertex, longest
-    first."""
-    d = dim_vector(N)
-    top = max(v for v in range(1, N.n + 1) if d[v - 1] > 0)
-    return [(i, top) for i in range(top, 0, -1) if N.m(i, top) > 0]
-
-
 def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, Representation]]:
     """A chain of elementary moves from M to N.
 
@@ -300,8 +292,10 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     N is not a degeneration of M.
 
     The path peels off final segments of N one at a time: quotient the
-    remaining part of M by the longest segment of N ending at its top
-    vertex whose quotient still dominates, and recurse on the quotient.
+    remaining part of M by the shortest segment U[q, top] of N ending at
+    its top vertex (the one with the largest start q), and recurse on the
+    quotient.  Rank domination makes that quotient dominate the rest of
+    N; a step where it does not raises NotComparable.
     """
     if M.n != N.n:
         raise MismatchedQuiver("modules live on different chains")
@@ -315,17 +309,21 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     cur = M                             # quotient still to be degenerated
     tgt = N                             # what the quotient must become
     while cur.mult != tgt.mult:         # R, RT: ranks of cur and tgt
-        step = _peel_step(cur, R, tgt, RT)
-        if step is None:
+        top = max(v for v, d in enumerate(RT.diagonal(), 1) if d > 0)
+        q = max(i for i in range(1, top + 1) if tgt.m(i, top) > 0)
+        # U[q, top] embeds: r_M(q, top) >= r_N(q, top) >= m_N(q, top) > 0
+        # and r(q, top + 1) = 0
+        report = generic_quotient(cur, q, top, _ranks=R)
+        RT = RT.sub(report.ranks_LQ.sub(report.ranks_Q))
+        if not report.ranks_Q.dominates(RT):
             raise NotComparable("no final segment of the target can be peeled, "
                                 "which contradicts rank domination")
-        seg, report, RT = step
         for move, stage in zip(report.moves, report.stages):
             path.append((move, Representation(n, _merge(done, stage.mult))))
         R = report.ranks_Q
         cur = rep_of(R)
-        _put(done, seg)
-        tgt = Representation(n, {**tgt.mult, seg: tgt.m(*seg) - 1})
+        _put(done, (q, top))
+        tgt = Representation(n, {**tgt.mult, (q, top): tgt.m(q, top) - 1})
     return path
 
 
@@ -334,18 +332,3 @@ def _merge(a: Dict[Segment, int], b: Dict[Segment, int]) -> Dict[Segment, int]:
     for seg, m in b.items():
         out[seg] = out.get(seg, 0) + m
     return out
-
-
-def _peel_step(cur: Representation, R: RankSequence,
-               tgt: Representation, RT: RankSequence):
-    """The first peel candidate whose quotient still dominates, as
-    (segment, quotient report, ranks of the target without it)."""
-    for seg in _peel_candidates(tgt):
-        q, s = seg
-        if R.r(q, s) - R.r(q, s + 1) <= 0:
-            continue
-        report = generic_quotient(cur, q, s, _ranks=R)
-        remaining = RT.sub(ranks_of(Representation(tgt.n, {seg: 1})))
-        if report.ranks_Q.dominates(remaining):
-            return seg, report, remaining
-    return None

@@ -16,8 +16,7 @@ from typing import Dict, List, Tuple
 
 from . import core, degen, symdegen
 from .core import Representation, RankSequence, sigma
-from .errors import (InstanceTooLarge, InsufficientMultiplicity,
-                     MismatchedQuiver, NotEpsilon)
+from .errors import InstanceTooLarge, MismatchedQuiver, NotEpsilon
 
 
 class MatrixRealization:
@@ -323,10 +322,7 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
         def children(cur):
             erep = symdegen.EpsilonRep(cur, sym)
             for move in symdegen.sym_moves(erep):
-                try:
-                    yield symdegen.apply_sym_move(erep, move).rep
-                except InsufficientMultiplicity:
-                    pass
+                yield symdegen.apply_sym_move(erep, move).rep
 
     else:
         raise ValueError("move_kind must be ORDINARY or SYMMETRIC")

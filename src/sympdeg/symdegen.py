@@ -21,8 +21,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 from .core import (RankSequence, Representation, Segment, ranks_of, rep_of,
                    sigma)
 from .degen import Move, apply_moves, degenerates
-from .errors import (InsufficientMultiplicity, InvalidRankSequence,
-                     MismatchedQuiver, MismatchedType, NoEmbedding,
+from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
 
@@ -175,7 +174,15 @@ def symmove_from_json(data: dict) -> SymMove:
 
 def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:
     """Every symcut and symshift on erep's own segments: all symcuts, then
-    all symshifts, each in sorted segment order."""
+    all symshifts, each in sorted segment order.
+
+    Each applies to erep, so apply_sym_move never runs short of a
+    segment: the reflected segment has the same multiplicity as the
+    segment itself; a self-dual segment, consumed twice, has even
+    multiplicity in the split types; and neither segment of a symshift
+    is the reflection of the other, since [q, r] = [sigma(s), sigma(t)]
+    would make t < q <= r < s force t + s < n + 1 < t + s.
+    """
     segs = sorted(erep.rep.mult)
     for (t, s) in segs:
         for q in range(t, s):
@@ -336,10 +343,10 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     Each step chooses a final segment L = U[q, top] of the remaining
     target, removes L and its reflection from the target, and replaces
     the remaining source by the perpendicular quotient along a generic
-    isotropic copy of L.  Among the candidate final segments the one
-    with odd multiplicity and maximal q is preferred (then maximal q
-    regardless of parity); a candidate is committed only if domination
-    survives, so the construction never gets stuck.
+    isotropic copy of L.  L is the final segment with odd multiplicity
+    and maximal q, or with maximal q if every multiplicity is even.
+    Rank domination carries over to the remaining pair; a step where it
+    does not raises NotComparable.
 
     Returns the list of steps, terminal step included.  Raises
     NotSplitType outside the split types and NotComparable when N is not
@@ -366,41 +373,40 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
                                    m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
             return steps
         a, top = span
-        seg, rM1, rN1 = _choose_peel(rM, rN, a, top, n)
+        seg, pair, rM1, rN1 = _choose_peel(rM, rN, a, top, n)
         steps.append(DegenStep(Z=Z, L=seg, support_interval=span,
                                m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
-        q = seg[0]
-        peeled = peeled.add(_segment_ranks(n, seg)).add(
-            _segment_ranks(n, (a, sigma(q, n))))
+        peeled = peeled.add(pair)
         rM, rN = rM1, rN1
 
 
 def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
-    """The peeling choice: final segments of the target, odd multiplicity
-    preferred, longest last.  Falls back along the candidate list if the
-    quotient pair would lose domination."""
+    """The peel L = U[q, top] of the next step: the final segment of the
+    target with odd multiplicity and maximal q, else the one with
+    maximal q.  Returns L, the ranks of L + L*, and the ranks of the
+    remaining source and target.  Raises InvalidRankSequence if the
+    perpendicular quotient formula yields no rank table, and
+    NotComparable if the remaining source does not dominate the
+    remaining target; rank domination rules out both."""
 
     def mult_at(i: int) -> int:
         return (rN.r(i, top) - rN.r(i - 1, top)
                 - rN.r(i, top + 1) + rN.r(i - 1, top + 1))
 
     cands = [i for i in range(a, top + 1) if mult_at(i) > 0]
-    ordered = (sorted((i for i in cands if mult_at(i) % 2 == 1), reverse=True)
-               + sorted((i for i in cands if mult_at(i) % 2 == 0), reverse=True))
-    for q in ordered:
-        seg = (q, top)
-        rM1 = _perp_ranks(rM, q, a, top)
-        rN1 = rN.sub(_segment_ranks(n, seg)).sub(
-            _segment_ranks(n, (a, sigma(q, n))))
-        try:
-            rM1.validate()
-            rN1.validate()
-        except InvalidRankSequence:
-            continue
-        if rM1.dominates(rN1):
-            return seg, rM1, rN1
-    raise NotComparable("no final segment of the target can be peeled, "
-                        "which contradicts rank domination")
+    q = max([i for i in cands if mult_at(i) % 2 == 1] or cands)
+    seg = (q, top)
+    # rN1 is N without two of its summands, so it needs no validation;
+    # the two tables are added, not built as one module, so that a
+    # self-dual L counts twice
+    pair = _segment_ranks(n, seg).add(_segment_ranks(n, (a, sigma(q, n))))
+    rM1 = _perp_ranks(rM, q, a, top)
+    rM1.validate()
+    rN1 = rN.sub(pair)
+    if not rM1.dominates(rN1):
+        raise NotComparable("no final segment of the target can be peeled, "
+                            "which contradicts rank domination")
+    return seg, pair, rM1, rN1
 
 
 # --- refinement into explicit paired moves -----------------------------------
@@ -447,10 +453,7 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep, budget: int):
             return INCONCLUSIVE
         expanded += 1
         for move in sym_moves(erep):
-            try:
-                child = apply_sym_move(erep, move)
-            except InsufficientMultiplicity:
-                continue
+            child = apply_sym_move(erep, move)
             if child.rep in seen:
                 continue
             if not ranks_of(child.rep).dominates(tgt):

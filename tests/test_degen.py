@@ -290,7 +290,18 @@ def test_degeneration_path_exhaustive_n4():
 
 
 def test_stalled_peel_raises_not_comparable(monkeypatch):
-    monkeypatch.setattr(degen, "_peel_candidates", lambda tgt: [])
+    """A quotient that stops dominating the rest of the target is not
+    committed: the guard raises NotComparable."""
+    real = degen.generic_quotient
+
+    def short(cur, q, s, **kwargs):
+        # same peeled segment, one U[1,1] short in the quotient
+        report = real(cur, q, s, **kwargs)
+        drop = ranks_of(Representation(cur.n, {(1, 1): 1}))
+        return report._replace(ranks_Q=report.ranks_Q.sub(drop),
+                               ranks_LQ=report.ranks_LQ.sub(drop))
+
+    monkeypatch.setattr(degen, "generic_quotient", short)
     m = Representation(3, {(1, 3): 1})
     n = Representation(3, {(1, 1): 1, (2, 3): 1})
     with pytest.raises(NotComparable, match="no final segment of the target"):

@@ -1,10 +1,14 @@
+import itertools
+
 import pytest
 
 from sympdeg import symdegen
-from sympdeg.core import Representation, RankSequence, ranks_of, rep_of
+from sympdeg.core import (Representation, RankSequence, modules_with_dims,
+                          ranks_of, rep_of)
 from sympdeg.degen import Move, move_to_json
 from sympdeg.errors import (
-    MismatchedType, NoEmbedding, NotComparable, NotEpsilon, NotSplitType,
+    InvalidRankSequence, MismatchedType, NoEmbedding, NotComparable,
+    NotEpsilon, NotSplitType,
 )
 from sympdeg.symdegen import (
     INCONCLUSIVE, SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
@@ -247,14 +251,56 @@ def test_peel_label():
     assert peel_label((2, 4), 5) == "U[2,4]"
 
 
-def test_choose_peel_skips_only_invalid_ranks(monkeypatch):
-    """A candidate is rejected for an invalid rank table, never for an
-    unrelated error, which must propagate."""
+def test_choose_peel_errors_propagate(monkeypatch):
+    """The one peel of a step is committed or fails: an error from the
+    perpendicular quotient's validation, a rank-table error included,
+    propagates instead of moving on to another segment."""
     class Broken:
-        def validate(self):
-            raise ZeroDivisionError("not a rank-table problem")
+        def __init__(self, error):
+            self.error = error
 
-    monkeypatch.setattr(symdegen, "_perp_ranks", lambda *args: Broken())
+        def validate(self):
+            raise self.error
+
     em, en = _ex1_pair()
-    with pytest.raises(ZeroDivisionError):
-        sym_degeneration_path(em, en)
+    for error in (ZeroDivisionError("not a rank-table problem"),
+                  InvalidRankSequence("bad perpendicular quotient")):
+        monkeypatch.setattr(symdegen, "_perp_ranks", lambda *args: Broken(error))
+        with pytest.raises(type(error)):
+            sym_degeneration_path(em, en)
+
+
+def test_split_types_exhaustive():
+    """Every epsilon module of the split types with n = 2..7 and entries
+    <= 2: each paired move from sym_moves applies, and every path of a
+    rank-dominated pair replays from M to N through epsilon stages with
+    one dimension vector, each dominated by the stage before it."""
+    modules = moves = pairs = 0
+    for n in range(2, 8):
+        sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
+        for half in itertools.product(range(3), repeat=(n + 1) // 2):
+            dims = half + half[:n // 2][::-1]
+            ereps = [EpsilonRep(rep, sym) for rep in modules_with_dims(dims)
+                     if is_epsilon_rep(rep, sym)]
+            ranks = {e: ranks_of(e.rep) for e in ereps}
+            modules += len(ereps)
+            for e in ereps:
+                for move in symdegen.sym_moves(e):
+                    apply_sym_move(e, move)
+                    moves += 1
+            for m in ereps:
+                for target in ereps:
+                    if m == target or not ranks[m].dominates(ranks[target]):
+                        continue
+                    steps = sym_degeneration_path(m, target)
+                    assert steps[0].Z == m and steps[-1].Z == target
+                    before = ranks[m]
+                    for step in steps[1:]:
+                        assert is_epsilon_rep(step.Z.rep, sym)
+                        here = ranks_of(step.Z.rep)
+                        assert here.diagonal() == before.diagonal()
+                        assert before.dominates(here)
+                        before = here
+                    pairs += 1
+    # 437 modules besides the six zero modules
+    assert (modules, moves, pairs) == (443, 1233, 1300)
