@@ -2,8 +2,9 @@
 
 One verb per library operation.  Inputs are JSON files, outputs are JSON
 on stdout unless a verb-specific renderer (--table, --dot, or the ASCII
-coefficient drawing) is selected.  Exit code 2 on argument errors, 1 on
-domain errors (the error class name is printed on stderr), 0 otherwise.
+coefficient drawing) is selected.  Exit code 2 on argument errors and on
+JSON input of the wrong shape, 1 on domain errors (the error class name
+is printed on stderr), 0 otherwise.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import List
 
 from . import core, degen, oracle, pbw, symdegen
 from .coxeter import WeylWord, evaluate, is_reduced, word_to_str
-from .errors import MismatchedType, SympdegError
+from .errors import MalformedInput, MismatchedType, SympdegError
 
 TYPE_NAMES = {
     "odd-neg": (1, -1),
@@ -530,6 +531,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
+    except MalformedInput as exc:
+        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
+        return 2
     except SympdegError as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 1

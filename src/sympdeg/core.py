@@ -23,7 +23,7 @@ from itertools import accumulate
 from operator import ge as _ge
 from typing import Dict, Iterator, List, Tuple
 
-from .errors import InvalidRankSequence, MismatchedQuiver
+from .errors import InvalidRankSequence, MalformedInput, MismatchedQuiver
 
 Segment = Tuple[int, int]
 DimVector = Tuple[int, ...]
@@ -386,12 +386,47 @@ def rep_to_json(rep: Representation) -> dict:
             "mult": [{"i": i, "j": j, "m": m} for (i, j), m in rep.segments()]}
 
 
+_JSON_KINDS = ((bool, "boolean"), (int, "integer"), (float, "number"),
+               (str, "string"), (list, "array"), (dict, "object"))
+
+
+def _json_kind(value) -> str:
+    return next((name for cls, name in _JSON_KINDS if isinstance(value, cls)), "null")
+
+
+def _json_expect(value, kind: str, name: str):
+    """value itself if it is a JSON value of the given kind (a boolean is
+    not an integer), else MalformedInput naming where it was found."""
+    if _json_kind(value) != kind:
+        raise MalformedInput("%s: expected %s, got %s" % (name, kind, _json_kind(value)))
+    return value
+
+
+def _json_field(obj, key: str, kind: str, path: str = ""):
+    """obj[key] of the given kind, where obj is the JSON object at path
+    ("" for the top level)."""
+    _json_expect(obj, "object", "field %r" % path if path else "top level")
+    path = "%s.%s" % (path, key) if path else key
+    if key not in obj:
+        raise MalformedInput("missing field %r" % path)
+    return _json_expect(obj[key], kind, "field %r" % path)
+
+
 def rep_from_json(data: dict) -> Representation:
+    """The module of {"n": int, "mult": [{"i": int, "j": int, "m": int >= 0}]};
+    repeated segments add up.  Raises MalformedInput on any other shape."""
+    n = _json_field(data, "n", "integer")
     mult: Dict[Segment, int] = {}
-    for entry in data["mult"]:
-        seg = (entry["i"], entry["j"])
-        mult[seg] = mult.get(seg, 0) + entry["m"]
-    return Representation(data["n"], mult)
+    for k, entry in enumerate(_json_field(data, "mult", "array")):
+        path = "mult[%d]" % k
+        seg = (_json_field(entry, "i", "integer", path),
+               _json_field(entry, "j", "integer", path))
+        m = _json_field(entry, "m", "integer", path)
+        if m < 0:
+            raise MalformedInput("field '%s.m': expected a non-negative integer, got %d"
+                                 % (path, m))
+        mult[seg] = mult.get(seg, 0) + m
+    return Representation(n, mult)
 
 
 def ranks_to_json(ranks: RankSequence) -> dict:
@@ -399,4 +434,12 @@ def ranks_to_json(ranks: RankSequence) -> dict:
 
 
 def ranks_from_json(data: dict) -> RankSequence:
-    return RankSequence(data["n"], data["rows"])
+    """The table of {"n": int, "rows": [[int, ...], ...]}.  Raises
+    MalformedInput on any other shape.  The staircase lengths are checked
+    by RankSequence, the rank inequalities by validate()."""
+    n = _json_field(data, "n", "integer")
+    rows = _json_field(data, "rows", "array")
+    for k, row in enumerate(rows):
+        for c, x in enumerate(_json_expect(row, "array", "field 'rows[%d]'" % k)):
+            _json_expect(x, "integer", "field 'rows[%d][%d]'" % (k, c))
+    return RankSequence(n, rows)

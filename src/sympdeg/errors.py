@@ -45,6 +45,11 @@ class NotEpsilon(SympdegError):
     """The module does not admit the requested bilinear structure."""
 
 
+class MalformedInput(SympdegError):
+    """A JSON input does not have the documented shape; the message names
+    the field.  The CLI exits 2 on it, as on any other bad argument."""
+
+
 class InstanceTooLarge(SympdegError):
     """A brute-force enumeration was asked to exceed its size guard."""
 

@@ -446,8 +446,22 @@ def fixed_point_chain(fp: FixedPoint) -> Tuple[Tuple[int, ...], ...]:
     return tuple(chain)
 
 
+class _Memo(dict):
+    """A dict that fills a missing key with fn(key) on first lookup."""
+
+    __slots__ = ("fn",)
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
 def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
-    """Enumerate the fixed coordinate flags of the Lagrangian part.
+    """Enumerate the fixed coordinate flags of the Lagrangian part, sorted.
 
     The middle member is any pairing-free n-subset of 1..2n; going down,
     each member drops one element of the previous one, except that at a
@@ -455,31 +469,89 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     projection.  The mirrored half is forced, and its compatibility with
     the mirrored projections comes for free; both facts are re-checked
     on every emitted point anyway.
+
+    The lower chains are shared: a recursion over (k, S_k), memoised for
+    the length of the call, builds the chains S_1, ..., S_k ending at
+    each S_k once, and every member above reuses them.  Every emitted
+    point still passes the self-check, whose bitmasks and cached
+    verdicts are built once per call (_fixed_point_checker).
     """
     n = subset.n
     chosen = set(subset.i)
-    out: List[FixedPoint] = []
+    check = _fixed_point_checker(n, subset)
+
+    def chains_to(sk: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], ...]]:
+        # every chain (S_1, ..., S_k) with S_k = sk; sk is sorted
+        k = len(sk)
+        pool = sorted(set(sk) | {k}) if k - 1 in chosen else sk
+        out = []
+        for sub in itertools.combinations(pool, k - 1):
+            out.extend([chain + (sk,) for chain in below[sub]])
+        return out
+
+    below = _Memo(chains_to)
+    below[()] = [()]
+
+    chains: List[Tuple[Tuple[int, ...], ...]] = []
     for sn in itertools.combinations(range(1, 2 * n + 1), n):
-        if any(2 * n + 1 - j in sn for j in sn):
-            continue
-        stack = [(tuple(sn),)]
-        for k in range(n - 1, 0, -1):
-            pool_extra = (k + 1,) if k in chosen else ()
-            nxt = []
-            for chain in stack:
-                pool = sorted(set(chain[0]) | set(pool_extra))
-                for sk in itertools.combinations(pool, k):
-                    nxt.append((sk,) + chain)
-            stack = nxt
-        for chain in stack:
-            fp = FixedPoint(n, chain)
-            _check_fixed_point(fp, subset)
-            out.append(fp)
-    out.sort()
-    return out
+        if not any(2 * n + 1 - j in sn for j in sn):
+            chains.extend(chains_to(sn))
+    chains.sort()
+    points = [FixedPoint(n, chain) for chain in chains]
+    for fp in points:
+        check(fp)
+    return points
 
 
-def _check_fixed_point(fp: FixedPoint, subset: PbwSubset) -> None:
+def _fixed_point_checker(n: int, subset: PbwSubset):
+    """The self-check of the fixed points of one locus, built once.
+
+    Returns check(fp), which raises AssertionError unless fp's chain has
+    2n-1 members, member v has v elements, the middle member is
+    self-dual, and every member v maps into member v+1 (dropping v+1 at
+    a degenerate wall v, one in iprime(subset)), in both halves.
+
+    Members are bitmasks, bit j for element j, and wall v keeps every bit
+    but v+1 when it is degenerate.  Once the stored members have the
+    right sizes, two consecutive ones S_k, S_{k+1} decide the size of
+    the mirrored member dual(S_k) and the links S_k -> S_{k+1} and
+    dual(S_{k+1}) -> dual(S_k), so that verdict is cached per pair; the
+    caches live as long as the checker.  A point that fails is checked
+    again condition by condition, in the order above, for the message.
+    """
+    top = 2 * n - 1
+    degenerate = set(iprime(subset))
+    keep = [~(1 << (v + 1)) if v in degenerate else -1 for v in range(top)]
+    sizes = list(range(1, n + 1))
+    # a member with an element outside 1..2n fails the self-dual check or
+    # a size check (its dual drops nothing for that element), so the
+    # masks need not hold it
+    ground = range(1, 2 * n + 1)
+    masks = _Memo(lambda s: sum(1 << j for j in set(s) if j in ground))
+    duals = _Memo(lambda s: _dual_subset(s, n))
+
+    def pair_holds(pair) -> bool:
+        # a is S_k; for k = n-1, dual(b) stands for the self-dual middle
+        a, b = pair
+        k = len(a)
+        da, db = duals[a], duals[b]
+        return (len(da) == 2 * n - k
+                and not masks[a] & keep[k] & ~masks[b]
+                and not masks[db] & keep[top - k] & ~masks[da])
+
+    pairs = _Memo(pair_holds)
+
+    def check(fp: FixedPoint) -> None:
+        half = fp.subsets
+        if not (list(map(len, half)) == sizes and duals[half[-1]] == half[-1]
+                and all(map(pairs.__getitem__, zip(half, half[1:])))):
+            _raise_first_fault(fp, subset)
+
+    return check
+
+
+def _raise_first_fault(fp: FixedPoint, subset: PbwSubset) -> None:
+    """The fixed-point conditions one by one, raising on the first that fails."""
     n = fp.n
     chain = fixed_point_chain(fp)
     if len(chain) != 2 * n - 1:
@@ -496,3 +568,8 @@ def _check_fixed_point(fp: FixedPoint, subset: PbwSubset) -> None:
             src.discard(v + 1)
         if not src <= set(chain[v]):
             raise AssertionError("member %d does not map into member %d" % (v, v + 1))
+
+
+def _check_fixed_point(fp: FixedPoint, subset: PbwSubset) -> None:
+    """Raise AssertionError unless fp is a fixed flag of the locus."""
+    _fixed_point_checker(fp.n, subset)(fp)

@@ -356,12 +356,14 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
         raise MismatchedType("cannot relate %r with %r" % (M.sym, N.sym))
     if not M.sym.split:
         raise NotSplitType("degeneration sequences need the split type")
-    if not sym_degenerates(M, N):
+    rM, rN = ranks_of(M.rep), ranks_of(N.rep)
+    # sym_degenerates(M, N) on the ranks (equal types give equal chains;
+    # the diagonal is the dimension vector)
+    if rM.diagonal() != rN.diagonal() or not rM.dominates(rN):
         raise NotComparable("target is not a degeneration of the source")
 
     sym = M.sym
     n = sym.n
-    rM, rN = ranks_of(M.rep), ranks_of(N.rep)
     peeled = _zero_ranks(n)
     steps: List[DegenStep] = []
     while True:

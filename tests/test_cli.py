@@ -204,3 +204,42 @@ def test_exit_codes(tmp_path, capsys):
     bad.write_text("{not json")
     assert _run(capsys, "ranks", "--rep", str(bad))[0] == 1
     assert _run(capsys, "--help")[0] == 0
+
+
+def _malformed(tmp_path, capsys, verb, obj):
+    """Exit code and the one stderr line of a verb fed malformed JSON."""
+    code, out, err = _run(capsys, verb, "--rep", _write(tmp_path, "in.json", obj))
+    assert out == "" and err.count("\n") == 1, err
+    assert err.startswith("MalformedInput: "), err
+    return code, err
+
+
+def test_malformed_top_level_list(tmp_path, capsys):
+    for verb in ("ranks", "rep-of-ranks"):
+        code, err = _malformed(tmp_path, capsys, verb, [5, []])
+        assert code == 2
+        assert "top level: expected object, got array" in err
+
+
+def test_malformed_missing_field(tmp_path, capsys):
+    for verb, obj, field in (("ranks", {"n": 3}, "'mult'"),
+                             ("ranks", {"mult": []}, "'n'"),
+                             ("ranks", {"n": 3, "mult": [{"i": 1, "j": 2}]}, "'mult[0].m'"),
+                             ("rep-of-ranks", {"n": 1}, "'rows'"),
+                             ("rep-of-ranks", {"rows": [[1]]}, "'n'")):
+        code, err = _malformed(tmp_path, capsys, verb, obj)
+        assert code == 2
+        assert "missing field %s" % field in err
+
+
+def test_malformed_boolean_multiplicity(tmp_path, capsys):
+    obj = {"n": 3, "mult": [{"i": 1, "j": 2, "m": True}]}
+    code, err = _malformed(tmp_path, capsys, "ranks", obj)
+    assert code == 2
+    assert "field 'mult[0].m': expected integer, got boolean" in err
+    # repeated entries still add up, but a negative one is refused
+    obj["mult"] = [{"i": 1, "j": 2, "m": 2}, {"i": 1, "j": 2, "m": 1}]
+    assert core.rep_from_json(obj) == core.Representation(3, {(1, 2): 3})
+    obj["mult"][1]["m"] = -1
+    code, err = _malformed(tmp_path, capsys, "ranks", obj)
+    assert code == 2 and "field 'mult[1].m'" in err

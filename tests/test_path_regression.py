@@ -14,7 +14,7 @@ import random
 
 from sympdeg.core import Representation, sigma
 from sympdeg.degen import apply_move, degeneration_path, single_moves
-from sympdeg.errors import InsufficientMultiplicity, SympdegError
+from sympdeg.errors import SympdegError
 from sympdeg.symdegen import (EpsilonRep, SymmetricType, apply_sym_move,
                               sym_degeneration_path, sym_moves)
 
@@ -68,12 +68,8 @@ def symmetric_pairs():
             for _ in range(rng.randint(2, 5)):
                 options = list(sym_moves(N))
                 rng.shuffle(options)
-                for move in options:
-                    try:
-                        N = apply_sym_move(N, move)
-                        break
-                    except InsufficientMultiplicity:
-                        continue
+                if options:
+                    N = apply_sym_move(N, options[0])
             yield M, N
 
 

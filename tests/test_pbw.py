@@ -4,17 +4,20 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
 import pytest
 
 import sympdeg
+from sympdeg import pbw
 from sympdeg.core import dim_vector
 from sympdeg.coxeter import evaluate, is_reduced
 from sympdeg.errors import Infeasible
 from sympdeg.pbw import (
-    CRootVector, FixedPoint, PbwSubset, build_Mi, canonical_root_keys,
+    CRootVector, FixedPoint, PbwSubset, _check_fixed_point,
+    _fixed_point_checker, build_Mi, canonical_root_keys,
     check_lemma_ui, dynkin_face_contains, dynkin_face_violations,
     ell_sequence, find_interior_point, fixed_point_chain, h_sequence,
     iprime, lagrangian_fixed_points, psi, sigma_i_map, theta, u_iprime_word,
@@ -22,6 +25,7 @@ from sympdeg.pbw import (
 )
 
 FACE_VIOLATIONS_DIGEST = "8115a810284f6f3b1ab75b0ac2f88c4743b80598ff08e2547e500cb97af7572a"
+FIXED_POINTS_DIGEST = "9abda2020c4ffe0d0bcb85bbcfbe80a1a2857b99d7451284bac089555fcd5d8f"
 
 
 def _all_subsets(n):
@@ -261,6 +265,139 @@ def test_fixed_points_match_brute():
             got = {fp.subsets for fp in lagrangian_fixed_points(s)}
             want = _brute_fixed_points(s)
             assert got == want, (n, s.i)
+
+
+def test_fixed_points_pinned():
+    """Every point and its place in the list, for every subset with n <= 5,
+    as enumerated before the chains below each member were shared."""
+    digest = hashlib.sha256()
+    for n in range(1, 6):
+        for s in _all_subsets(n):
+            points = [list(map(list, fp.subsets)) for fp in lagrangian_fixed_points(s)]
+            digest.update(json.dumps([n, list(s.i), points]).encode())
+    assert digest.hexdigest() == FIXED_POINTS_DIGEST
+
+
+def test_fixed_point_count_n6():
+    assert len(lagrangian_fixed_points(PbwSubset.make(6, []))) == 2 ** 6 * math.factorial(6)
+
+
+def _fault(fp, subset, check=None):
+    """The message the self-check (or a checker built for subset) raises
+    on fp, or None."""
+    try:
+        if check is None:
+            _check_fixed_point(fp, subset)
+        else:
+            check(fp)
+    except AssertionError as exc:
+        return str(exc)
+    return None
+
+
+def test_fixed_point_check_messages():
+    s2, s3 = PbwSubset.make(2, ()), PbwSubset.make(3, ())
+    assert _fault(FixedPoint(2, ((1,), (1, 3))), s2) is None
+    assert _fault(FixedPoint(2, ((1,), (1, 3), (1, 2, 3))), s2) == \
+        "chain has 4 members, not 3"
+    assert _fault(FixedPoint(3, ((1,), (1, 2))), s3) == "chain has 4 members, not 5"
+    assert _fault(FixedPoint(2, ((1, 3), (1, 3))), s2) == "member 1 has wrong size"
+    # 5 lies outside 1..4, so the mirrored member dual(S_1) keeps all four
+    assert _fault(FixedPoint(2, ((5,), (1, 3))), s2) == "member 3 has wrong size"
+    # -1 lies outside 1..6 as well
+    assert _fault(FixedPoint(3, ((1,), (-1, 1), (1, 2, 3))), s3) == \
+        "member 4 has wrong size"
+    # a repeated element: every link holds, but dual(S_2) has five elements
+    assert _fault(FixedPoint(3, ((1,), (1, 1), (1, 2, 3))), s3) == \
+        "member 4 has wrong size"
+    assert _fault(FixedPoint(2, ((1,), (1, 4))), s2) == "middle member is not self-dual"
+    # a broken link in the lower half: S_1 is not inside S_2
+    assert _fault(FixedPoint(3, ((3,), (1, 2), (1, 2, 3))), s3) == \
+        "member 1 does not map into member 2"
+
+
+def test_fixed_point_check_degenerate_wall():
+    """Wall 1 may drop element 2 only when it is degenerate."""
+    fp = FixedPoint(2, ((2,), (1, 3)))
+    assert fp in lagrangian_fixed_points(PbwSubset.make(2, [1]))
+    assert _fault(fp, PbwSubset.make(2, [1])) is None
+    assert _fault(fp, PbwSubset.make(2, [])) == "member 1 does not map into member 2"
+
+
+def test_fixed_point_check_mirrored_half():
+    """With the walls of its own locus, a mirrored link breaks exactly when
+    its lower mirror image does, and the lower one is reported first.
+    Against the walls of n = 4, i = {1} (iprime {1, 6}), a point of n = 3
+    may drop 2 at wall 1 but not 5 at wall 4, so only its mirrored half
+    breaks; with n = 3, i = {1} (iprime {1, 4}) it is a fixed point."""
+    fp = FixedPoint(3, ((2,), (1, 3), (1, 2, 3)))
+    assert _fault(fp, PbwSubset.make(3, [1])) is None
+    assert _fault(fp, PbwSubset.make(4, [1])) == "member 4 does not map into member 5"
+
+
+def test_fixed_point_check_accepts_without_fallback(monkeypatch):
+    """The cached verdicts accept every enumerated point by themselves; the
+    condition-by-condition pass runs only on a point that fails."""
+    def fallback(fp, subset):
+        raise RuntimeError("fallback reached on %r" % (fp,))
+    monkeypatch.setattr(pbw, "_raise_first_fault", fallback)
+    for n in range(1, 5):
+        for s in _all_subsets(n):
+            assert lagrangian_fixed_points(s)
+
+
+def _reference_fault(fp, subset):
+    """The conditions straight from their definitions, first failure first."""
+    n = fp.n
+    ground = range(1, 2 * n + 1)
+
+    def dual(s):
+        return tuple(x for x in ground if 2 * n + 1 - x not in s)
+
+    if len(fp.subsets) != n:
+        return "chain has %d members, not %d" % (len(fp.subsets) + n - 1, 2 * n - 1)
+    chain = list(fp.subsets) + [dual(fp.subsets[k - 1]) for k in range(n - 1, 0, -1)]
+    for v, member in enumerate(chain, 1):
+        if len(member) != v:
+            return "member %d has wrong size" % v
+    if dual(chain[n - 1]) != chain[n - 1]:
+        return "middle member is not self-dual"
+    degenerate = set(iprime(subset))
+    for v in range(1, 2 * n - 1):
+        if not set(chain[v - 1]) - ({v + 1} if v in degenerate else set()) <= set(chain[v]):
+            return "member %d does not map into member %d" % (v, v + 1)
+    return None
+
+
+def test_fixed_point_check_matches_reference():
+    """One checker per subset, as in the enumeration, run over its points
+    with one member replaced (other sizes, elements outside 1..2n,
+    repeated elements, members of other points) agrees with the
+    definitions, message for message."""
+    rng = random.Random(57)
+    faults = set()
+    for n in range(1, 5):
+        for s in _all_subsets(n):
+            points = lagrangian_fixed_points(s)
+            check = _fixed_point_checker(n, s)
+            for fp in rng.sample(points, min(len(points), 60)):
+                for _ in range(4):
+                    k = rng.randrange(n)
+                    size = rng.randint(k, k + 2)
+                    pick = rng.randrange(3)
+                    if pick == 0:
+                        member = tuple(sorted(rng.sample(range(-1, 2 * n + 2), size)))
+                    elif pick == 1:
+                        member = tuple(sorted(rng.choices(range(1, 2 * n + 1), k=size)))
+                    else:
+                        member = rng.choice(points).subsets[k]
+                    subsets = fp.subsets[:k] + (member,) + fp.subsets[k + 1:]
+                    bad = FixedPoint(n, subsets)
+                    want = _reference_fault(bad, s)
+                    assert _fault(bad, s, check) == want, (s, bad)
+                    faults.add(want and re.sub(r"\d+", "#", want))
+    assert faults == {None, "member # has wrong size", "middle member is not self-dual",
+                      "member # does not map into member #"}
 
 
 def test_fixed_point_count_grows():
