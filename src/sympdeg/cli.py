@@ -10,14 +10,15 @@ is printed on stderr), 0 otherwise.
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import random
 import sys
 from typing import List
 
-from . import core, degen, oracle, pbw, symdegen
+from . import core, degen, pbw, symdegen
 from .coxeter import WeylWord, evaluate, is_reduced, word_to_str
-from .errors import MalformedInput, MismatchedType, SympdegError
+from .errors import InstanceTooLarge, MalformedInput, MismatchedType, SympdegError
 
 TYPE_NAMES = {
     "odd-neg": (1, -1),
@@ -25,6 +26,35 @@ TYPE_NAMES = {
     "odd-pos": (1, 1),
     "even-neg": (0, -1),
 }
+
+
+def _lazy_module(name: str):
+    """The module `name`, registered in sys.modules but executed only on
+    its first attribute access (or already imported)."""
+    if name in sys.modules:
+        return sys.modules[name]
+    spec = importlib.util.find_spec(name)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    parent, _, child = name.rpartition(".")
+    setattr(sys.modules[parent], child, module)
+    return module
+
+
+# only oracle-verify uses the brute-force oracle, whose import loads
+# fractions and decimal; every other verb skips that cost.  The module is
+# still registered under its name, as a direct import would leave it:
+# perfbench/cli_child.py traces every layer module in sys.modules
+oracle = _lazy_module(__package__ + ".oracle")
+
+# pbw-fixed-points --list prints every point only up to this count; it
+# keeps n <= 5 and n = 6 with the empty subset (46,080 points) listable
+MAX_LISTED_POINTS = 250_000
+# poset refuses more epsilon modules than this before it compares every
+# pair and reduces the order transitively, in cubic time
+MAX_POSET_NODES = 100
 
 
 def _load(path: str):
@@ -66,9 +96,18 @@ def _dvec_to_json(d: pbw.CRootVector) -> dict:
 
 
 def _dvec_from_json(data: dict) -> pbw.CRootVector:
-    entries = {(row["kind"], row["i"], row["j"]): row["d"]
-               for row in data["entries"]}
-    return pbw.CRootVector(data["n"], entries)
+    """The vector of {"n": int, "entries": [{"kind": str, "i": int, "j": int,
+    "d": int}]}.  Raises MalformedInput on any other shape; the root keys
+    are checked by CRootVector."""
+    n = core._json_field(data, "n", "integer")
+    entries = {}
+    for k, row in enumerate(core._json_field(data, "entries", "array")):
+        path = "entries[%d]" % k
+        key = (core._json_field(row, "kind", "string", path),
+               core._json_field(row, "i", "integer", path),
+               core._json_field(row, "j", "integer", path))
+        entries[key] = core._json_field(row, "d", "integer", path)
+    return pbw.CRootVector(n, entries)
 
 
 # --- renderers ----------------------------------------------------------------
@@ -300,13 +339,16 @@ def _cmd_pbw_interior(args) -> int:
 
 def _cmd_pbw_fixed_points(args) -> int:
     subset = _parse_subset(args.n, args.i)
-    points = pbw.lagrangian_fixed_points(subset)
-    _emit({
-        "n": subset.n,
-        "i": list(subset.i),
-        "count": len(points),
-        "points": [[list(s) for s in fp.subsets] for fp in points],
-    })
+    count = pbw.count_lagrangian_fixed_points(subset)
+    report = {"n": subset.n, "i": list(subset.i), "count": count}
+    if args.list:
+        if count > MAX_LISTED_POINTS:
+            raise InstanceTooLarge(
+                "%d fixed points exceed the --list guard %d; drop --list "
+                "for the count alone" % (count, MAX_LISTED_POINTS))
+        report["points"] = [[list(s) for s in fp.subsets]
+                            for fp in pbw.lagrangian_fixed_points(subset)]
+    _emit(report)
     return 0
 
 
@@ -328,6 +370,10 @@ def _cmd_poset(args) -> int:
     sym = _sym_type(len(dims), args.type)
     nodes = [rep for rep in core.modules_with_dims(dims)
              if symdegen.is_epsilon_rep(rep, sym)]
+    if len(nodes) > MAX_POSET_NODES:
+        raise InstanceTooLarge(
+            "%d epsilon modules exceed the poset guard %d"
+            % (len(nodes), MAX_POSET_NODES))
     nodes.sort(key=lambda rep: rep.key())
     ranks = [core.ranks_of(rep) for rep in nodes]
     above = [[a != b and ranks[a].dominates(ranks[b])
@@ -395,136 +441,89 @@ def _cmd_render_coeff(args) -> int:
 
 # --- parser -------------------------------------------------------------------
 
-def _add_pbw_args(sub) -> None:
-    sub.add_argument("n", type=int, help="flag rank n")
-    sub.add_argument("i", nargs="?", default="",
-                     help="comma separated subset of 1..n-1, empty for none")
+_REP = ("--rep", {"required": True})
+_M_N = (("--m", {"required": True}), ("--n", {"required": True}))
+_TYPE = ("--type", {"required": True, "choices": sorted(TYPE_NAMES)})
+_PBW = (("n", {"type": int, "help": "flag rank n"}),
+        ("i", {"nargs": "?", "default": "",
+               "help": "comma separated subset of 1..n-1, empty for none"}))
+
+# verb -> (handler, help, arguments as (name, add_argument keywords))
+VERBS = {
+    "ranks": (_cmd_ranks, "rank matrix of a module", (_REP,)),
+    "rep-of-ranks": (_cmd_rep_of_ranks, "module of a rank matrix",
+                     (("--rep", {"required": True,
+                                 "help": "rank matrix JSON file"}),)),
+    "dual": (_cmd_dual, "reflection dual of a module", (_REP,)),
+    "hom": (_cmd_hom, "dimension of Hom(M, N)", _M_N),
+    "ext": (_cmd_ext, "dimension of Ext^1(M, N)", _M_N),
+    "check-eps": (_cmd_check_eps, "test compatibility with a symmetric type",
+                  (_REP, _TYPE)),
+    "degen-check": (_cmd_degen_check, "does M degenerate to N", _M_N),
+    "degen-path": (_cmd_degen_path, "cut/shift move chain from M to N", _M_N),
+    "sym-check": (_cmd_sym_check, "does M degenerate to N symmetrically",
+                  _M_N + (_TYPE,)),
+    "sym-path": (_cmd_sym_path, "peel sequence from M to N in a split type",
+                 _M_N + (_TYPE, ("--table", {
+                     "action": "store_true",
+                     "help": "render as a text table instead of JSON"}))),
+    "sym-moves": (_cmd_sym_moves, "symmetric move chain from M to N by search",
+                  _M_N + (_TYPE, ("--budget", {
+                      "type": int, "default": 5000,
+                      "help": "search expansion budget"}))),
+    "pbw-build": (_cmd_pbw_build, "distinguished module of a locus", _PBW),
+    "pbw-weyl": (_cmd_pbw_weyl, "index sequences and Weyl words of a locus",
+                 _PBW),
+    "pbw-face": (_cmd_pbw_face, "face membership of a root vector",
+                 _PBW + (("--rep", {"required": True,
+                                    "help": "root vector JSON file"}),)),
+    "pbw-interior": (_cmd_pbw_interior, "strict interior point of a face",
+                     _PBW),
+    "pbw-fixed-points": (_cmd_pbw_fixed_points,
+                         "fixed coordinate flags of the Lagrangian part",
+                         _PBW + (("--list", {
+                             "action": "store_true",
+                             "help": "print the points too (at most %d)"
+                                     % MAX_LISTED_POINTS}),)),
+    "pbw-lemma-ui": (_cmd_pbw_lemma_ui, "agreement report for the type-A word",
+                     _PBW),
+    "poset": (_cmd_poset, "symmetric degeneration order at fixed dims",
+              (_TYPE,
+               ("--dims", {"required": True, "help": "comma separated"}),
+               ("--dot", {"action": "store_true", "help": "emit DOT digraph"}))),
+    "oracle-verify": (_cmd_oracle_verify,
+                      "cross-check formulas against the matrix oracle",
+                      (("--seed", {"type": int, "default": 0}),
+                       ("--budget", {"type": int, "default": 50}))),
+    "render-coeff": (_cmd_render_coeff,
+                     "ASCII coefficient quiver, one row per segment", (_REP,)),
+}
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(only=None) -> argparse.ArgumentParser:
+    """The argument parser, with the subparser of verb `only` alone when
+    given.  Its usage line still lists every verb, so each message the
+    parser can print for a call naming that verb is the same."""
     parser = argparse.ArgumentParser(
         prog="sympdeg",
         description="degeneration calculus for type-A quiver "
                     "representations and their symmetric variants")
-    subs = parser.add_subparsers(dest="verb", required=True)
-
-    sub = subs.add_parser("ranks", help="rank matrix of a module")
-    sub.add_argument("--rep", required=True)
-    sub.set_defaults(func=_cmd_ranks)
-
-    sub = subs.add_parser("rep-of-ranks", help="module of a rank matrix")
-    sub.add_argument("--rep", required=True, help="rank matrix JSON file")
-    sub.set_defaults(func=_cmd_rep_of_ranks)
-
-    sub = subs.add_parser("dual", help="reflection dual of a module")
-    sub.add_argument("--rep", required=True)
-    sub.set_defaults(func=_cmd_dual)
-
-    sub = subs.add_parser("hom", help="dimension of Hom(M, N)")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.set_defaults(func=_cmd_hom)
-
-    sub = subs.add_parser("ext", help="dimension of Ext^1(M, N)")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.set_defaults(func=_cmd_ext)
-
-    sub = subs.add_parser("check-eps",
-                          help="test compatibility with a symmetric type")
-    sub.add_argument("--rep", required=True)
-    sub.add_argument("--type", required=True, choices=sorted(TYPE_NAMES))
-    sub.set_defaults(func=_cmd_check_eps)
-
-    sub = subs.add_parser("degen-check", help="does M degenerate to N")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.set_defaults(func=_cmd_degen_check)
-
-    sub = subs.add_parser("degen-path",
-                          help="cut/shift move chain from M to N")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.set_defaults(func=_cmd_degen_path)
-
-    sub = subs.add_parser("sym-check",
-                          help="does M degenerate to N symmetrically")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--type", required=True, choices=sorted(TYPE_NAMES))
-    sub.set_defaults(func=_cmd_sym_check)
-
-    sub = subs.add_parser("sym-path",
-                          help="peel sequence from M to N in a split type")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--type", required=True, choices=sorted(TYPE_NAMES))
-    sub.add_argument("--table", action="store_true",
-                     help="render as a text table instead of JSON")
-    sub.set_defaults(func=_cmd_sym_path)
-
-    sub = subs.add_parser("sym-moves",
-                          help="symmetric move chain from M to N by search")
-    sub.add_argument("--m", required=True)
-    sub.add_argument("--n", required=True)
-    sub.add_argument("--type", required=True, choices=sorted(TYPE_NAMES))
-    sub.add_argument("--budget", type=int, default=5000,
-                     help="search expansion budget")
-    sub.set_defaults(func=_cmd_sym_moves)
-
-    sub = subs.add_parser("pbw-build", help="distinguished module of a locus")
-    _add_pbw_args(sub)
-    sub.set_defaults(func=_cmd_pbw_build)
-
-    sub = subs.add_parser("pbw-weyl",
-                          help="index sequences and Weyl words of a locus")
-    _add_pbw_args(sub)
-    sub.set_defaults(func=_cmd_pbw_weyl)
-
-    sub = subs.add_parser("pbw-face",
-                          help="face membership of a root vector")
-    _add_pbw_args(sub)
-    sub.add_argument("--rep", required=True, help="root vector JSON file")
-    sub.set_defaults(func=_cmd_pbw_face)
-
-    sub = subs.add_parser("pbw-interior",
-                          help="strict interior point of a face")
-    _add_pbw_args(sub)
-    sub.set_defaults(func=_cmd_pbw_interior)
-
-    sub = subs.add_parser("pbw-fixed-points",
-                          help="fixed coordinate flags of the Lagrangian part")
-    _add_pbw_args(sub)
-    sub.set_defaults(func=_cmd_pbw_fixed_points)
-
-    sub = subs.add_parser("pbw-lemma-ui",
-                          help="agreement report for the type-A word")
-    _add_pbw_args(sub)
-    sub.set_defaults(func=_cmd_pbw_lemma_ui)
-
-    sub = subs.add_parser("poset",
-                          help="symmetric degeneration order at fixed dims")
-    sub.add_argument("--type", required=True, choices=sorted(TYPE_NAMES))
-    sub.add_argument("--dims", required=True, help="comma separated")
-    sub.add_argument("--dot", action="store_true", help="emit DOT digraph")
-    sub.set_defaults(func=_cmd_poset)
-
-    sub = subs.add_parser("oracle-verify",
-                          help="cross-check formulas against the matrix oracle")
-    sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--budget", type=int, default=50)
-    sub.set_defaults(func=_cmd_oracle_verify)
-
-    sub = subs.add_parser("render-coeff",
-                          help="ASCII coefficient quiver, one row per segment")
-    sub.add_argument("--rep", required=True)
-    sub.set_defaults(func=_cmd_render_coeff)
-
+    subs = parser.add_subparsers(
+        dest="verb", required=True,
+        metavar=None if only is None else "{%s}" % ",".join(VERBS))
+    for verb, (func, help_text, arguments) in VERBS.items():
+        if only in (None, verb):
+            sub = subs.add_parser(verb, help=help_text)
+            for name, options in arguments:
+                sub.add_argument(name, **options)
+            sub.set_defaults(func=func)
     return parser
 
 
 def run(argv) -> int:
-    parser = _build_parser()
+    # a call names its verb first; only --help, a missing or an unknown
+    # verb needs the subparsers of all of them
+    parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

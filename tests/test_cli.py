@@ -1,8 +1,13 @@
+import itertools
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from sympdeg import cli, core, oracle
+import sympdeg
+from sympdeg import cli, core, oracle, pbw
 from sympdeg.symdegen import EpsilonRep, SymmetricType
 
 EXAMPLE = core.Representation(5, {(1, 4): 1, (2, 5): 1, (3, 3): 2})
@@ -206,9 +211,9 @@ def test_exit_codes(tmp_path, capsys):
     assert _run(capsys, "--help")[0] == 0
 
 
-def _malformed(tmp_path, capsys, verb, obj):
+def _malformed(tmp_path, capsys, verb, obj, *args):
     """Exit code and the one stderr line of a verb fed malformed JSON."""
-    code, out, err = _run(capsys, verb, "--rep", _write(tmp_path, "in.json", obj))
+    code, out, err = _run(capsys, verb, *args, "--rep", _write(tmp_path, "in.json", obj))
     assert out == "" and err.count("\n") == 1, err
     assert err.startswith("MalformedInput: "), err
     return code, err
@@ -243,3 +248,96 @@ def test_malformed_boolean_multiplicity(tmp_path, capsys):
     obj["mult"][1]["m"] = -1
     code, err = _malformed(tmp_path, capsys, "ranks", obj)
     assert code == 2 and "field 'mult[1].m'" in err
+
+
+def test_malformed_root_vector(tmp_path, capsys):
+    code, err = _malformed(tmp_path, capsys, "pbw-face", {"n": 3}, "3", "1")
+    assert code == 2 and "missing field 'entries'" in err
+    entries = [{"kind": kind, "i": i, "j": j, "d": 0}
+               for kind, i, j in pbw.canonical_root_keys(3)]
+    entries[0]["d"] = True
+    code, err = _malformed(tmp_path, capsys, "pbw-face", {"n": 3, "entries": entries},
+                           "3", "1")
+    assert code == 2
+    assert "field 'entries[0].d': expected integer, got boolean" in err
+
+
+def _all_subsets(n):
+    return [",".join(map(str, i)) or "-"
+            for r in range(n) for i in itertools.combinations(range(1, n), r)]
+
+
+def test_pbw_fixed_points_counts_by_default(capsys):
+    for n in (2, 7):
+        for i in _all_subsets(n):
+            code, out, err = _run(capsys, "pbw-fixed-points", str(n), i)
+            subset = cli._parse_subset(n, i)
+            assert code == 0 and err == ""
+            assert json.loads(out) == {"n": n, "i": list(subset.i),
+                                       "count": pbw.count_lagrangian_fixed_points(subset)}
+
+
+def test_pbw_fixed_points_list(capsys):
+    """--list prints the count and every point, as the verb did before it
+    printed the count alone."""
+    for n in (2, 3, 4):
+        for i in _all_subsets(n):
+            subset = cli._parse_subset(n, i)
+            points = pbw.lagrangian_fixed_points(subset)
+            want = json.dumps({"n": n, "i": list(subset.i), "count": len(points),
+                               "points": [[list(s) for s in fp.subsets] for fp in points]},
+                              indent=2, sort_keys=True) + "\n"
+            assert _run(capsys, "pbw-fixed-points", str(n), i, "--list") == (0, want, "")
+
+
+def test_pbw_fixed_points_list_guard(capsys):
+    # 1,323,658 points
+    code, out, err = _run(capsys, "pbw-fixed-points", "6", "1,2,3,4,5", "--list")
+    assert (code, out) == (1, "")
+    assert err.startswith("InstanceTooLarge: 1323658 fixed points") and err.count("\n") == 1
+
+
+def test_poset_guard(capsys):
+    # 108 epsilon modules, found in well under a second
+    code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")
+    assert (code, out) == (1, "")
+    assert err.startswith("InstanceTooLarge: 108 epsilon modules") and err.count("\n") == 1
+
+
+def test_import_loads_no_oracle():
+    """Only oracle-verify uses the brute-force oracle, so importing the CLI
+    leaves the oracle's body unexecuted (its fractions import unloaded)
+    until the first attribute access."""
+    src = os.path.dirname(os.path.dirname(sympdeg.__file__))
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "import sympdeg.cli\n"
+            "lazy = sys.modules['sympdeg.oracle']\n"
+            "# read without triggering the load\n"
+            "ran = 'realize_matrices' in object.__getattribute__(lazy, '__dict__')\n"
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)), ran)\n"
+            "print(sympdeg.oracle.realize_matrices.__module__, 'fractions' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[] False", "sympdeg.oracle True"]
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["--help"], ["no-such-verb"], ["hom", "--m", "x.json"],
+    ["ranks", "--rep", "x.json", "extra"], ["ranks", "--help"],
+    ["pbw-fixed-points", "4", "1", "--lis", "x"], ["poset", "--type", "odd"],
+])
+def test_parser_messages_match_the_full_parser(argv, capsys):
+    """run() builds the chosen verb's subparser alone; whatever the parser
+    prints and exits with is what the parser of every verb gives."""
+    try:
+        cli._build_parser().parse_args(argv)
+        code = None
+    except SystemExit as exc:
+        code = int(exc.code or 0)
+    full = capsys.readouterr()
+    assert code is not None
+    assert _run(capsys, *argv) == (code, full.out, full.err)

@@ -18,10 +18,10 @@ from sympdeg.errors import Infeasible
 from sympdeg.pbw import (
     CRootVector, FixedPoint, PbwSubset, _check_fixed_point,
     _fixed_point_checker, build_Mi, canonical_root_keys,
-    check_lemma_ui, dynkin_face_contains, dynkin_face_violations,
-    ell_sequence, find_interior_point, fixed_point_chain, h_sequence,
-    iprime, lagrangian_fixed_points, psi, sigma_i_map, theta, u_iprime_word,
-    w_i_word, zero_root_vector,
+    check_lemma_ui, count_lagrangian_fixed_points, dynkin_face_contains,
+    dynkin_face_violations, ell_sequence, find_interior_point,
+    fixed_point_chain, h_sequence, iprime, lagrangian_fixed_points, psi,
+    sigma_i_map, theta, u_iprime_word, w_i_word, zero_root_vector,
 )
 
 FACE_VIOLATIONS_DIGEST = "8115a810284f6f3b1ab75b0ac2f88c4743b80598ff08e2547e500cb97af7572a"
@@ -249,6 +249,14 @@ def test_fixed_point_counts_no_degeneration():
     for n in range(1, 5):
         points = lagrangian_fixed_points(PbwSubset.make(n, []))
         assert len(points) == 2 ** n * math.factorial(n)
+    for n in range(1, 9):
+        assert count_lagrangian_fixed_points(PbwSubset.make(n, [])) == \
+            2 ** n * math.factorial(n)
+
+
+def test_package_exports():
+    assert "count_lagrangian_fixed_points" in sympdeg.__all__
+    assert all(hasattr(sympdeg, name) for name in sympdeg.__all__)
 
 
 def test_fixed_point_chain_duality():
@@ -265,6 +273,7 @@ def test_fixed_points_match_brute():
             got = {fp.subsets for fp in lagrangian_fixed_points(s)}
             want = _brute_fixed_points(s)
             assert got == want, (n, s.i)
+            assert count_lagrangian_fixed_points(s) == len(want), (n, s.i)
 
 
 def test_fixed_points_pinned():
@@ -274,6 +283,7 @@ def test_fixed_points_pinned():
     for n in range(1, 6):
         for s in _all_subsets(n):
             points = [list(map(list, fp.subsets)) for fp in lagrangian_fixed_points(s)]
+            assert count_lagrangian_fixed_points(s) == len(points), (n, s.i)
             digest.update(json.dumps([n, list(s.i), points]).encode())
     assert digest.hexdigest() == FIXED_POINTS_DIGEST
 
