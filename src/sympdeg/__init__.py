@@ -28,7 +28,6 @@ from .degen import (
 from .symdegen import (
     DegenStep,
     EpsilonRep,
-    INCONCLUSIVE,
     SymMove,
     SymmetricType,
     apply_sym_move,

@@ -26,6 +26,8 @@ TYPE_NAMES = {
     "odd-pos": (1, 1),
     "even-neg": (0, -1),
 }
+# every (n % 2, epsilon) pair names exactly one type
+_TYPE_OF = {key: name for name, key in TYPE_NAMES.items()}
 
 
 def _lazy_module(name: str):
@@ -75,16 +77,21 @@ def _sym_type(n: int, name: str) -> symdegen.SymmetricType:
 
 
 def _type_name(sym: symdegen.SymmetricType) -> str:
-    for name, (parity, eps) in TYPE_NAMES.items():
-        if sym.n % 2 == parity and sym.epsilon == eps:
-            return name
-    raise AssertionError("unreachable")
+    return _TYPE_OF[(sym.n % 2, sym.epsilon)]
 
 
-def _parse_subset(n: int, text: str) -> pbw.PbwSubset:
-    if text in ("", "-"):
-        return pbw.PbwSubset.make(n, ())
-    return pbw.PbwSubset.make(n, [int(x) for x in text.split(",")])
+def _int_list(text: str) -> tuple:
+    """Comma separated integers.  Other text is a bad argument: argparse
+    prints the usage and one error line and exits 2."""
+    try:
+        return tuple([int(x) for x in text.split(",")])
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            "expected comma separated integers, got %r" % text) from None
+
+
+def _subset_list(text: str) -> tuple:
+    return () if text in ("", "-") else _int_list(text)
 
 
 # --- rank matrix and root vector JSON ----------------------------------------
@@ -275,18 +282,13 @@ def _cmd_sym_path(args) -> int:
 
 
 def _cmd_sym_moves(args) -> int:
-    em, en = _sym_pair(args)
-    found = symdegen.sym_move_refinement(em, en, budget=args.budget)
-    if found is symdegen.INCONCLUSIVE:
-        _emit({"status": "inconclusive", "budget": args.budget})
-    else:
-        _emit({"status": "found",
-               "moves": [degen.move_to_json(mv) for mv in found]})
+    found = symdegen.sym_move_refinement(*_sym_pair(args))
+    _emit({"status": "found", "moves": [degen.move_to_json(mv) for mv in found]})
     return 0
 
 
 def _cmd_pbw_build(args) -> int:
-    subset = _parse_subset(args.n, args.i)
+    subset = pbw.PbwSubset.make(args.n, args.i)
     erep, e = pbw.build_Mi(subset)
     _emit({
         "n": subset.n,
@@ -301,7 +303,7 @@ def _cmd_pbw_build(args) -> int:
 
 
 def _cmd_pbw_weyl(args) -> int:
-    subset = _parse_subset(args.n, args.i)
+    subset = pbw.PbwSubset.make(args.n, args.i)
     _emit({
         "n": subset.n,
         "i": list(subset.i),
@@ -317,7 +319,7 @@ def _cmd_pbw_weyl(args) -> int:
 
 
 def _cmd_pbw_face(args) -> int:
-    subset = _parse_subset(args.n, args.i)
+    subset = pbw.PbwSubset.make(args.n, args.i)
     d = _dvec_from_json(_load(args.rep))
     _emit({
         "n": subset.n,
@@ -332,13 +334,13 @@ def _cmd_pbw_face(args) -> int:
 
 
 def _cmd_pbw_interior(args) -> int:
-    subset = _parse_subset(args.n, args.i)
+    subset = pbw.PbwSubset.make(args.n, args.i)
     _emit(_dvec_to_json(pbw.find_interior_point(subset)))
     return 0
 
 
 def _cmd_pbw_fixed_points(args) -> int:
-    subset = _parse_subset(args.n, args.i)
+    subset = pbw.PbwSubset.make(args.n, args.i)
     count = pbw.count_lagrangian_fixed_points(subset)
     report = {"n": subset.n, "i": list(subset.i), "count": count}
     if args.list:
@@ -353,7 +355,7 @@ def _cmd_pbw_fixed_points(args) -> int:
 
 
 def _cmd_pbw_lemma_ui(args) -> int:
-    subset = _parse_subset(args.n, args.i)
+    subset = pbw.PbwSubset.make(args.n, args.i)
     report = pbw.check_lemma_ui(subset)
     report["i"] = list(report["i"])
     report["u"] = list(report["u"])
@@ -366,9 +368,8 @@ def _cmd_pbw_lemma_ui(args) -> int:
 
 
 def _cmd_poset(args) -> int:
-    dims = tuple(int(x) for x in args.dims.split(","))
-    sym = _sym_type(len(dims), args.type)
-    nodes = [rep for rep in core.modules_with_dims(dims)
+    sym = _sym_type(len(args.dims), args.type)
+    nodes = [rep for rep in core.modules_with_dims(args.dims)
              if symdegen.is_epsilon_rep(rep, sym)]
     if len(nodes) > MAX_POSET_NODES:
         raise InstanceTooLarge(
@@ -400,7 +401,7 @@ def _cmd_poset(args) -> int:
         return 0
     _emit({
         "type": args.type,
-        "dims": list(dims),
+        "dims": list(args.dims),
         "nodes": [core.rep_to_json(rep) for rep in nodes],
         "edges": [list(edge) for edge in edges],
     })
@@ -445,7 +446,7 @@ _REP = ("--rep", {"required": True})
 _M_N = (("--m", {"required": True}), ("--n", {"required": True}))
 _TYPE = ("--type", {"required": True, "choices": sorted(TYPE_NAMES)})
 _PBW = (("n", {"type": int, "help": "flag rank n"}),
-        ("i", {"nargs": "?", "default": "",
+        ("i", {"nargs": "?", "default": "", "type": _subset_list,
                "help": "comma separated subset of 1..n-1, empty for none"}))
 
 # verb -> (handler, help, arguments as (name, add_argument keywords))
@@ -467,10 +468,8 @@ VERBS = {
                  _M_N + (_TYPE, ("--table", {
                      "action": "store_true",
                      "help": "render as a text table instead of JSON"}))),
-    "sym-moves": (_cmd_sym_moves, "symmetric move chain from M to N by search",
-                  _M_N + (_TYPE, ("--budget", {
-                      "type": int, "default": 5000,
-                      "help": "search expansion budget"}))),
+    "sym-moves": (_cmd_sym_moves, "symmetric move chain from M to N by paired-move walk",
+                  _M_N + (_TYPE,)),
     "pbw-build": (_cmd_pbw_build, "distinguished module of a locus", _PBW),
     "pbw-weyl": (_cmd_pbw_weyl, "index sequences and Weyl words of a locus",
                  _PBW),
@@ -489,7 +488,8 @@ VERBS = {
                      _PBW),
     "poset": (_cmd_poset, "symmetric degeneration order at fixed dims",
               (_TYPE,
-               ("--dims", {"required": True, "help": "comma separated"}),
+               ("--dims", {"required": True, "type": _int_list,
+                           "help": "comma separated"}),
                ("--dot", {"action": "store_true", "help": "emit DOT digraph"}))),
     "oracle-verify": (_cmd_oracle_verify,
                       "cross-check formulas against the matrix oracle",

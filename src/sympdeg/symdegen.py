@@ -11,11 +11,15 @@ dominated pair M >= N into peeling steps: each step splits off a final
 segment L together with its reflection, replacing M by the subquotient
 (generic isotropic copy of L)^perp / L.  The intermediate stages Z of the
 degeneration and the per-step rank tables are returned for rendering.
+
+sym_move_refinement writes such a pair as paired moves instead, by a walk
+that commits, at each step, the first paired move keeping the result
+above N.  It cannot stall: in the split types the closure of paired moves
+is exactly symmetric rank domination.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, ranks_of, rep_of,
@@ -413,28 +417,31 @@ def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
 
 # --- refinement into explicit paired moves -----------------------------------
 
-class _Inconclusive:
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "INCONCLUSIVE"
+# never returned; kept because perfbench/workloads.py compares against it
+INCONCLUSIVE = object()
 
 
-INCONCLUSIVE = _Inconclusive()
+def _fits(slack: RankSequence, boxes) -> bool:
+    """Is there room in slack for the drops of two moves added together:
+    one at every entry of either box, two where the boxes overlap?"""
+    (a0, a1, b0, b1), (c0, c1, d0, d1) = boxes
+    overlap = (max(a0, c0), min(a1, c1), max(b0, d0), min(b1, d1))
+    return all(min(slack._rows[k - 1][l0 - k:l1 - k + 1], default=need) >= need
+               for (k0, k1, l0, l1), need in ((boxes[0], 1), (boxes[1], 1), (overlap, 2))
+               for k in range(k0, k1 + 1))
 
 
-def sym_move_refinement(start: EpsilonRep, target: EpsilonRep, budget: int):
-    """Search for paired moves taking start to target.
+# budget is accepted and ignored: perfbench/workloads.py still passes it
+def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
+                        budget=None) -> List[SymMove]:
+    """Paired moves taking start to target, by a deterministic walk.
 
-    Breadth-first over apply_sym_move, pruning states that stop
-    dominating the target; budget bounds the number of states expanded.
-    Returns the move list (empty when start equals target) or the
-    INCONCLUSIVE sentinel when the budget runs out first.
+    Each step commits the first sym_moves entry whose two constituents'
+    drops, added together, fit inside ranks(cur) - ranks(target).  In the
+    split types paired moves generate symmetric rank domination, so some
+    entry always fits and the walk cannot stall; each step lowers the
+    ranks, so it ends.  Returns the moves, [] when start equals target;
+    raises NotComparable when target is not a degeneration of start.
     """
     if start.sym != target.sym:
         raise MismatchedType("cannot relate %r with %r" % (start.sym, target.sym))
@@ -446,22 +453,14 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep, budget: int):
         raise NotComparable("target is not a degeneration of the start point")
 
     tgt = ranks_of(target.rep)
-    frontier = deque([(start, [])])
-    seen = {start.rep}
-    expanded = 0
-    while frontier:
-        erep, trail = frontier.popleft()
-        if expanded >= budget:
-            return INCONCLUSIVE
-        expanded += 1
-        for move in sym_moves(erep):
-            child = apply_sym_move(erep, move)
-            if child.rep in seen:
-                continue
-            if not ranks_of(child.rep).dominates(tgt):
-                continue
-            if child.rep == target.rep:
-                return trail + [move]
-            seen.add(child.rep)
-            frontier.append((child, trail + [move]))
-    return INCONCLUSIVE
+    cur, moves = start, []
+    while cur.rep != target.rep:
+        slack = ranks_of(cur.rep).sub(tgt)
+        move = next((mv for mv in sym_moves(cur)
+                     if _fits(slack, [m._box() for m in mv.expand(cur.sym)])), None)
+        if move is None:
+            raise NotComparable("no paired move keeps the walk above the target, "
+                                "which contradicts rank domination")
+        cur = apply_sym_move(cur, move)
+        moves.append(move)
+    return moves

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import sympdeg
-from sympdeg import cli, core, oracle, pbw
+from sympdeg import cli, core, oracle, pbw, symdegen
 from sympdeg.symdegen import EpsilonRep, SymmetricType
 
 EXAMPLE = core.Representation(5, {(1, 4): 1, (2, 5): 1, (3, 3): 2})
@@ -115,10 +115,23 @@ def test_sym_path_table_stable(tmp_path, capsys):
 
 
 def test_sym_moves(tmp_path, capsys):
+    """sym-moves has no search budget: --budget is a bad argument, and
+    the pair is answered with a chain that replays to the target."""
     m, n = _ex1_files(tmp_path)
+    code, out, err = _run(capsys, "sym-moves", "--m", m, "--n", n,
+                          "--type", "odd-neg", "--budget", "0")
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: --budget 0" in err
     code, out, _ = _run(capsys, "sym-moves", "--m", m, "--n", n,
-                        "--type", "odd-neg", "--budget", "0")
-    assert json.loads(out)["status"] == "inconclusive"
+                        "--type", "odd-neg")
+    assert code == 0
+    data = json.loads(out)
+    assert data["status"] == "found"
+    sym = SymmetricType(5, -1)
+    cur = EpsilonRep(core.rep_from_json(cli._load(m)), sym)
+    for move in data["moves"]:
+        cur = symdegen.apply_sym_move(cur, symdegen.symmove_from_json(move))
+    assert cur.rep == core.rep_from_json(cli._load(n))
 
 
 def test_sym_moves_found(tmp_path, capsys):
@@ -271,7 +284,7 @@ def test_pbw_fixed_points_counts_by_default(capsys):
     for n in (2, 7):
         for i in _all_subsets(n):
             code, out, err = _run(capsys, "pbw-fixed-points", str(n), i)
-            subset = cli._parse_subset(n, i)
+            subset = pbw.PbwSubset.make(n, cli._subset_list(i))
             assert code == 0 and err == ""
             assert json.loads(out) == {"n": n, "i": list(subset.i),
                                        "count": pbw.count_lagrangian_fixed_points(subset)}
@@ -282,7 +295,7 @@ def test_pbw_fixed_points_list(capsys):
     printed the count alone."""
     for n in (2, 3, 4):
         for i in _all_subsets(n):
-            subset = cli._parse_subset(n, i)
+            subset = pbw.PbwSubset.make(n, cli._subset_list(i))
             points = pbw.lagrangian_fixed_points(subset)
             want = json.dumps({"n": n, "i": list(subset.i), "count": len(points),
                                "points": [[list(s) for s in fp.subsets] for fp in points]},
@@ -302,6 +315,20 @@ def test_poset_guard(capsys):
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")
     assert (code, out) == (1, "")
     assert err.startswith("InstanceTooLarge: 108 epsilon modules") and err.count("\n") == 1
+
+
+def test_non_integer_list_arguments(capsys):
+    """A subset or --dims entry that is not an integer is a bad argument:
+    exit 2 with argparse's usage and one error line, no ValueError."""
+    for argv, prog, name, text in (
+            (("pbw-weyl", "3", "a"), "pbw-weyl", "i", "a"),
+            (("poset", "--type", "odd-neg", "--dims", "1,x,1"), "poset", "--dims", "1,x,1")):
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sympdeg %s " % prog), err
+        assert err.splitlines()[-1] == (
+            "sympdeg %s: error: argument %s: expected comma separated integers, "
+            "got %r" % (prog, name, text)), err
 
 
 def test_import_loads_no_oracle():

@@ -1,17 +1,18 @@
 import itertools
+import random
 
 import pytest
 
 from sympdeg import symdegen
 from sympdeg.core import (Representation, RankSequence, modules_with_dims,
-                          ranks_of, rep_of)
+                          ranks_of, rep_of, sigma)
 from sympdeg.degen import Move, move_to_json
 from sympdeg.errors import (
     InvalidRankSequence, MismatchedType, NoEmbedding, NotComparable,
     NotEpsilon, NotSplitType,
 )
 from sympdeg.symdegen import (
-    INCONCLUSIVE, SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
+    SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
     apply_sym_move, is_epsilon_rank, is_epsilon_rep, peel_label,
     perp_quotient_ranks, reset_sym_audit, sym_degenerates,
     sym_degeneration_path, sym_move_refinement, symmove_from_json,
@@ -212,28 +213,73 @@ def test_path_trivial():
     assert steps[0].L is None
 
 
+def _replay(start, moves):
+    for move in moves:
+        start = apply_sym_move(start, move)
+    return start
+
+
 def test_refinement_found():
     start = EpsilonRep(Representation(3, {(1, 3): 2}), SymmetricType(3, -1))
     target = EpsilonRep(
         Representation(3, {(1, 1): 1, (2, 3): 1, (1, 2): 1, (3, 3): 1}),
         SymmetricType(3, -1))
-    moves = sym_move_refinement(start, target, budget=1000)
-    assert moves is not INCONCLUSIVE
-    cur = start
-    for move in moves:
-        cur = apply_sym_move(cur, move)
-    assert cur.rep == target.rep
+    assert _replay(start, sym_move_refinement(start, target)) == target
 
 
-def test_refinement_honest_budget():
+def test_refinement_ignores_budget():
+    """The walk has no search to bound: budget is accepted and ignored,
+    even at 0, and the chain still reaches the target."""
     em, en = _ex1_pair()
-    out = sym_move_refinement(em, en, budget=0)
-    assert out is INCONCLUSIVE
+    moves = sym_move_refinement(em, en, budget=0)
+    assert moves == sym_move_refinement(em, en)
+    assert _replay(em, moves) == en
 
 
 def test_refinement_identity():
     em, _ = _ex1_pair()
-    assert sym_move_refinement(em, em, budget=10) == []
+    assert sym_move_refinement(em, em) == []
+
+
+def test_refinement_stall(monkeypatch):
+    """A walk with no paired move left to try raises NotComparable instead
+    of looping or returning a partial chain."""
+    em, en = _ex1_pair()
+    monkeypatch.setattr(symdegen, "sym_moves", lambda erep: iter(()))
+    with pytest.raises(NotComparable, match="contradicts rank domination"):
+        sym_move_refinement(em, en)
+
+
+def _random_pair(n, seed):
+    """A split-type epsilon module with n // 2 random segments, each with
+    its reflection, and the module n random paired moves below it."""
+    rng = random.Random(seed)
+    sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
+    mult = {}
+    for _ in range(n // 2):
+        i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
+        for seg in ((i, j), (sigma(j, n), sigma(i, n))):
+            mult[seg] = mult.get(seg, 0) + 1
+    start = cur = EpsilonRep(Representation(n, mult), sym)
+    for _ in range(n):
+        options = list(symdegen.sym_moves(cur))
+        if not options:
+            break
+        cur = apply_sym_move(cur, rng.choice(options))
+    return start, cur
+
+
+@pytest.mark.parametrize("n", [9, 12, 17, 24, 33])
+def test_refinement_seeded(n):
+    """The walk reaches every seeded target.  At n = 12, seed 0 needs 10
+    paired moves; a breadth-first search over paired moves expands more
+    than 2000 states before it finds a chain there."""
+    for seed in range(4):
+        start, target = _random_pair(n, seed)
+        moves = sym_move_refinement(start, target)
+        assert _replay(start, moves) == target
+        if (n, seed) == (12, 0):
+            assert len(moves) == 10
 
 
 def test_sym_audit():
@@ -272,9 +318,10 @@ def test_choose_peel_errors_propagate(monkeypatch):
 
 def test_split_types_exhaustive():
     """Every epsilon module of the split types with n = 2..7 and entries
-    <= 2: each paired move from sym_moves applies, and every path of a
-    rank-dominated pair replays from M to N through epsilon stages with
-    one dimension vector, each dominated by the stage before it."""
+    <= 2: each paired move from sym_moves applies, every rank-dominated
+    pair M > N has a paired-move chain that replays from M to N, and its
+    path replays from M to N through epsilon stages with one dimension
+    vector, each dominated by the stage before it."""
     modules = moves = pairs = 0
     for n in range(2, 8):
         sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
@@ -292,6 +339,7 @@ def test_split_types_exhaustive():
                 for target in ereps:
                     if m == target or not ranks[m].dominates(ranks[target]):
                         continue
+                    assert _replay(m, sym_move_refinement(m, target)) == target
                     steps = sym_degeneration_path(m, target)
                     assert steps[0].Z == m and steps[-1].Z == target
                     before = ranks[m]
