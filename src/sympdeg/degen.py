@@ -3,8 +3,9 @@
 M degenerates to N (same dimension vector) exactly when the rank sequence
 of M dominates that of N entrywise.  This module provides the two
 elementary moves that generate the order, a generic-quotient construction
-that produces the moves witnessing one peeling step, and a path builder
-that factors an arbitrary degeneration into elementary moves.
+that produces the moves witnessing one peeling step (one move per corner
+of the staircase where a generic copy of the segment meets M), and a
+path builder that factors an arbitrary degeneration into elementary moves.
 
 Every move application is audited: the rank sequence of the result is
 recomputed from its multiplicities and checked against the input's ranks
@@ -190,8 +191,8 @@ class QuotientReport(NamedTuple):
     ranks_LQ  rank sequence of L + Q (the degeneration of M realised
               by the listed moves),
     moves     elementary moves taking M to L + Q (empty when L splits off),
-    markers   the marker tuple (t1, q1, t2, q2) steering the move choice,
-              or None in the split case,
+    markers   (t1, q1, t2, q2): the first and last corner (t, c) of the
+              staircase, one move per corner; None in the split case,
     stages    the module after each move, as the end-of-call check
               applied them (the last one is L + Q).
     """
@@ -209,8 +210,8 @@ def generic_quotient(M: Representation, q: int, s: int, *,
 
     Requires that U[q, s] embeds into M.  When the segment is a direct
     summand the quotient just drops it and no moves are needed.  Otherwise
-    the two-marker analysis below locates where a generic copy of U[q, s]
-    sits inside M, and emits one or two moves that degenerate M to
+    the staircase below locates where a generic copy of U[q, s] sits
+    inside M, and one move per staircase corner degenerates M to
     U[q, s] + Q.  The emitted moves are re-applied under audit and the
     result is checked against the predicted ranks before returning.
     The path builder passes _ranks = ranks_of(M), which it already holds.
@@ -237,35 +238,26 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     def f(k: int, l: int) -> int:
         return (r(q, l) - r(k, l)) - (r(q, s + 1) - r(k, s + 1))
 
-    # non-split embedding forces q >= 2 and f(q-1, s) = m_{q,s} = 0
-    q1 = min(l for l in range(q, s + 1) if f(q - 1, l) == 0)
-    t1 = min(k for k in range(1, q) if f(k, q1) == 0)
-    t2 = min(k for k in range(1, q) if f(k, s) == 0)
-    q2 = min(l for l in range(q, s + 1) if f(t2, l) == 0)
-    if not q <= q1 <= q2 <= s:
-        raise AssertionError("markers (%d, %d, %d, %d) out of order for U[%d,%d]"
-                             % (t1, q1, t2, q2, q, s))
-
-    if q1 == q2:
-        if q == q1:
-            moves = (Move.cut(t1, s, q),)
-        else:
-            moves = (Move.shift(t1, s, q, q1 - 1),)
-    else:
-        second = Move.shift(t2, s, q, q2 - 1)
-        if q == q1:
-            moves = (Move.cut(t1, q2 - 1, q), second)
-        else:
-            moves = (Move.shift(t1, q2 - 1, q, q1 - 1), second)
-
-    # only rows k < q and columns q..s can drop
-    lq_rows = list(rows)
-    for k in range(1, q):
-        row = list(rows[k - 1])
-        for l in range(q, s + 1):
-            if f(k, l) == 0:
-                row[l - k] -= 1
-        lq_rows[k - 1] = tuple(row)
+    # f shrinks as k or l grows, so its zeros form a staircase: walking
+    # l = q..s, record a corner (t, l) wherever t = min{k : f(k, l) = 0}
+    # drops.  A non-split embedding forces q >= 2 and f(q-1, s) = m_{q,s}
+    # = 0, so there is at least one corner.  L + Q has rank one less
+    # exactly on the staircase, at (k, l) with t <= k < q.
+    corners: List[Tuple[int, int]] = []
+    lq_rows = [list(row) for row in rows]
+    t = q
+    for l in range(q, s + 1):
+        above = t
+        while t > 1 and f(t - 1, l) == 0:
+            t -= 1
+        if t < above:
+            corners.append((t, l))
+        for k in range(t, q):
+            lq_rows[k - 1][l - k] -= 1
+    # one move per corner, on the segment ending just before the next one
+    ends = [c - 1 for _, c in corners[1:]] + [s]
+    moves = tuple(Move.cut(t, e, q) if c == q else Move.shift(t, e, q, c - 1)
+                  for (t, c), e in zip(corners, ends))
     ranks_LQ = RankSequence(n, lq_rows, validate=True)
     ranks_Q = ranks_LQ.sub(RL)
     ranks_Q.validate()
@@ -279,7 +271,7 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     if ranks != ranks_LQ:
         raise AssertionError("moves do not realise the predicted generic quotient")
     return QuotientReport(ranks_Q=ranks_Q, ranks_LQ=ranks_LQ, moves=moves,
-                          markers=(t1, q1, t2, q2), stages=tuple(stages))
+                          markers=corners[0] + corners[-1], stages=tuple(stages))
 
 
 # --- degeneration paths ------------------------------------------------------

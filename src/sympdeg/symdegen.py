@@ -24,7 +24,7 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, ranks_of, rep_of,
                    sigma)
-from .degen import Move, apply_moves, degenerates
+from .degen import Move, _apply_audited, degenerates
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -213,10 +213,18 @@ def apply_sym_move(erep: EpsilonRep, move: SymMove) -> EpsilonRep:
     SYM_AUDIT and is re-raised, since it would mean the constituents did
     not come in a reflection-dual pair.
     """
+    return _apply_sym_audited(erep, move, ranks_of(erep.rep))[0]
+
+
+def _apply_sym_audited(erep: EpsilonRep, move: SymMove,
+                       before: RankSequence) -> Tuple[EpsilonRep, RankSequence]:
+    """apply_sym_move for a caller that already holds before =
+    ranks_of(erep.rep); returns the result with its recomputed ranks."""
     if not erep.sym.split:
         raise NotSplitType("paired moves only exist in the split types")
-    first, second = move.expand(erep.sym)
-    rep = apply_moves(erep.rep, (first, second))
+    rep, ranks = erep.rep, before
+    for constituent in move.expand(erep.sym):
+        rep, ranks = _apply_audited(rep, constituent, ranks)
     SYM_AUDIT["applied"] += 1
     try:
         out = EpsilonRep(rep, erep.sym)
@@ -224,7 +232,7 @@ def apply_sym_move(erep: EpsilonRep, move: SymMove) -> EpsilonRep:
         SYM_AUDIT["violations"] += 1
         raise
     SYM_AUDIT["verified"] += 1
-    return out
+    return out, ranks
 
 
 def sym_degenerates(M: EpsilonRep, N: EpsilonRep) -> bool:
@@ -447,20 +455,19 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
         raise MismatchedType("cannot relate %r with %r" % (start.sym, target.sym))
     if not start.sym.split:
         raise NotSplitType("paired moves only exist in the split types")
-    if start.rep == target.rep:
-        return []
-    if not sym_degenerates(start, target):
+    R, tgt = ranks_of(start.rep), ranks_of(target.rep)
+    # sym_degenerates(start, target) on the ranks
+    if R.diagonal() != tgt.diagonal() or not R.dominates(tgt):
         raise NotComparable("target is not a degeneration of the start point")
 
-    tgt = ranks_of(target.rep)
     cur, moves = start, []
     while cur.rep != target.rep:
-        slack = ranks_of(cur.rep).sub(tgt)
+        slack = R.sub(tgt)
         move = next((mv for mv in sym_moves(cur)
                      if _fits(slack, [m._box() for m in mv.expand(cur.sym)])), None)
         if move is None:
             raise NotComparable("no paired move keeps the walk above the target, "
                                 "which contradicts rank domination")
-        cur = apply_sym_move(cur, move)
+        cur, R = _apply_sym_audited(cur, move, R)
         moves.append(move)
     return moves

@@ -19,9 +19,10 @@ from sympdeg.errors import (
 )
 
 
-def _random_rep(rng, n, picks=4):
+def _random_rep(rng, n, picks=4, count=None):
+    """count random segments, or 1 to picks of them if count is None."""
     mult = {}
-    for _ in range(rng.randint(1, picks)):
+    for _ in range(rng.randint(1, picks) if count is None else count):
         i = rng.randint(1, n)
         j = rng.randint(i, n)
         mult[(i, j)] = mult.get((i, j), 0) + 1
@@ -199,25 +200,72 @@ def test_degeneration_path_random():
         assert cur == n
 
 
+NESTED = Representation(6, {(1, 6): 1, (2, 5): 1, (3, 4): 1})
+NESTED_MOVES = (Move.cut(3, 4, 4), Move.shift(2, 5, 4, 4), Move.shift(1, 6, 4, 5))
+
+
+def test_generic_quotient_three_nested_segments():
+    """A generic U[4,6] passes through all three nested segments, so
+    the staircase has three corners and the quotient needs three moves."""
+    report = generic_quotient(NESTED, 4, 6)
+    assert report.moves == NESTED_MOVES
+    assert report.markers == (3, 4, 1, 6)
+    assert rep_of(report.ranks_Q) == Representation(
+        6, {(1, 5): 1, (2, 4): 1, (3, 3): 1})
+    assert report.stages == (
+        Representation(6, {(1, 6): 1, (2, 5): 1, (3, 3): 1, (4, 4): 1}),
+        Representation(6, {(1, 6): 1, (2, 4): 1, (3, 3): 1, (4, 5): 1}),
+        Representation(6, {(1, 5): 1, (2, 4): 1, (3, 3): 1, (4, 6): 1}))
+    assert ranks_of(report.stages[-1]) == report.ranks_LQ
+
+
 def test_generic_quotient_guard_survives_optimize():
     """The end-of-call check must not be an assert: under python -O the
-    nested-segment defect (three nested segments, quotient by U[4,6])
-    still raises instead of returning an inapplicable move list."""
+    three-nested-segment quotient still returns its three moves, and
+    moves that leave the ranks where they were still raise."""
     src = os.path.dirname(os.path.dirname(sympdeg.__file__))
-    code = ("from sympdeg.core import Representation\n"
-            "from sympdeg.degen import generic_quotient\n"
-            "from sympdeg.errors import InsufficientMultiplicity\n"
+    code = ("from sympdeg import degen\n"
+            "from sympdeg.core import Representation\n"
             "M = Representation(6, {(1, 6): 1, (2, 5): 1, (3, 4): 1})\n"
+            "print(repr(degen.generic_quotient(M, 4, 6).moves))\n"
+            "degen._apply_audited = lambda rep, move, before: (rep, before)\n"
             "try:\n"
-            "    generic_quotient(M, 4, 6)\n"
-            "except InsufficientMultiplicity:\n"
-            "    print('InsufficientMultiplicity')\n")
+            "    degen.generic_quotient(M, 4, 6)\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "InsufficientMultiplicity"
+    assert done.stdout.splitlines() == [
+        repr(NESTED_MOVES), "moves do not realise the predicted generic quotient"]
+
+
+@pytest.mark.parametrize("n, pairs", [(12, 10), (16, 10), (20, 10), (32, 6),
+                                      (48, 2), (64, 2)])
+def test_degeneration_path_seeded_large(monkeypatch, n, pairs):
+    """Seeded pairs well past the exhaustive sizes: n segments, 2n random
+    moves down, seed n.  Every path replays under audit to the target,
+    and some quotient on the way needs three or more moves."""
+    widest = [0]
+
+    def recording(*args, **kwargs):
+        report = generic_quotient(*args, **kwargs)
+        widest[0] = max(widest[0], len(report.moves))
+        return report
+
+    monkeypatch.setattr(degen, "generic_quotient", recording)
+    rng = random.Random(n)
+    for _ in range(pairs):
+        m = _random_rep(rng, n, count=n)
+        target = _random_walk(rng, m, 2 * n)
+        cur, ranks = m, ranks_of(m)
+        for move, shown in degeneration_path(m, target):
+            cur, ranks = degen._apply_audited(cur, move, ranks)
+            assert shown == cur
+        assert cur == target
+    assert widest[0] >= 3
 
 
 def test_ranks_computed_once_per_module_along_paths(monkeypatch):
@@ -236,10 +284,7 @@ def test_ranks_computed_once_per_module_along_paths(monkeypatch):
         m = _random_rep(rng, 16, picks=12)
         n = _random_walk(rng, m, rng.randint(4, 10))
         calls[0] = 0
-        try:
-            path = degeneration_path(m, n)
-        except InsufficientMultiplicity:   # the generic-quotient defect
-            continue
+        path = degeneration_path(m, n)
         total_calls += calls[0]
         total_moves += len(path)
     assert total_moves > 100

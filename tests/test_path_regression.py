@@ -5,7 +5,9 @@ were carried through path building (O(n^2 |segments|) ranks_of, every
 move applied twice).  Carrying ranks must not change a single move,
 stage or rank table.  Pairs on which degeneration_path raises are pinned
 by their error class; a fix of the generic-quotient defect changes those
-entries, and only those.
+entries, and only those.  The staircase rule in generic_quotient did so:
+record 11 of ordinary_records(), "InsufficientMultiplicity" before, is now
+a 13-move path, and no other record changed.
 """
 
 import hashlib
@@ -18,7 +20,7 @@ from sympdeg.errors import SympdegError
 from sympdeg.symdegen import (EpsilonRep, SymmetricType, apply_sym_move,
                               sym_degeneration_path, sym_moves)
 
-ORDINARY_DIGEST = "71cada828d11ecf47f5b1847ea83a90bdcb7746af7292168fe44b2df552143eb"
+ORDINARY_DIGEST = "bc5a86a2afa2973bf4fef809bb299e1112b0aa90ea22f7407a4d30d2577a8ee3"
 SYMMETRIC_DIGEST = "147c2cd5312daf6f15fb6cdabe3dc5e0a1818a8ca9fb8af3ff13f6529439c849"
 
 

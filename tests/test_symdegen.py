@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sympdeg import symdegen
+from sympdeg import degen, symdegen
 from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
 from sympdeg.degen import Move, move_to_json
@@ -280,6 +280,25 @@ def test_refinement_seeded(n):
         assert _replay(start, moves) == target
         if (n, seed) == (12, 0):
             assert len(moves) == 10
+
+
+def test_refinement_ranks_once_per_module(monkeypatch):
+    """The walk carries rank tables: one ranks_of for the start and one
+    for the target, then the audit's one per constituent move."""
+    calls = [0]
+
+    def counting(rep):
+        calls[0] += 1
+        return ranks_of(rep)
+
+    monkeypatch.setattr(symdegen, "ranks_of", counting)
+    monkeypatch.setattr(degen, "ranks_of", counting)
+    start, target = _random_pair(33, 0)
+    calls[0] = 0
+    reset_sym_audit()
+    moves = sym_move_refinement(start, target)
+    assert len(moves) == SYM_AUDIT["verified"] == 38
+    assert calls[0] == 2 + 2 * len(moves)
 
 
 def test_sym_audit():
