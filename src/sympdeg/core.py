@@ -282,6 +282,14 @@ def rep_of(ranks: RankSequence) -> Representation:
     the input guarantees the result is non-negative.
     """
     ranks.validate()
+    return _rep_of_valid(ranks)
+
+
+def _rep_of_valid(ranks: RankSequence) -> Representation:
+    """rep_of for a caller that knows ranks is valid, e.g. a sum of
+    valid tables: validate()'s conditions are integrality,
+    non-negativity and homogeneous linear inequalities, so they
+    survive addition."""
     mult: Dict[Segment, int] = {}
     for i, here, above in ranks._neighbours():
         for j, (v, right, up, up_right) in enumerate(

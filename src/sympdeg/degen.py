@@ -12,8 +12,11 @@ recomputed from its multiplicities and checked against the input's ranks
 minus the move's predicted entrywise drop.  apply_move computes the
 input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
-computed once.  The module-level AUDIT counters record how many checks
-ran and whether any failed.
+computed once.  The path builder also carries each quotient module as
+generic_quotient took it out of the last audited stage, so it never
+rebuilds a module from its ranks or re-validates a rank table.  The
+module-level AUDIT counters record how many checks ran and whether any
+failed.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, dim_vector,
-                   ranks_of, rep_of)
+                   ranks_of)
 from .errors import (InsufficientMultiplicity, MismatchedQuiver, NoEmbedding,
                      NotComparable)
 
@@ -193,6 +196,8 @@ class QuotientReport(NamedTuple):
     moves     elementary moves taking M to L + Q (empty when L splits off),
     markers   (t1, q1, t2, q2): the first and last corner (t, c) of the
               staircase, one move per corner; None in the split case,
+    Q         the quotient module itself: the last stage (M in the
+              split case) less one copy of L, so ranks_of(Q) == ranks_Q,
     stages    the module after each move, as the end-of-call check
               applied them (the last one is L + Q).
     """
@@ -201,6 +206,7 @@ class QuotientReport(NamedTuple):
     ranks_LQ: RankSequence
     moves: Tuple[Move, ...]
     markers: Optional[Tuple[int, int, int, int]]
+    Q: Representation
     stages: Tuple[Representation, ...] = ()
 
 
@@ -213,7 +219,11 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     the staircase below locates where a generic copy of U[q, s] sits
     inside M, and one move per staircase corner degenerates M to
     U[q, s] + Q.  The emitted moves are re-applied under audit and the
-    result is checked against the predicted ranks before returning.
+    result's ranks are checked against the predicted ranks of U[q, s] + Q
+    before returning.  That check is the validity guard: once it passes,
+    the predicted table is the rank table of a real module, so neither
+    it nor ranks_Q is validated separately.  The last move puts U[q, s],
+    and Q is the last stage without it.
     The path builder passes _ranks = ranks_of(M), which it already holds.
     """
     n = M.n
@@ -231,7 +241,8 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     RL = ranks_of(Representation(n, {(q, s): 1}))
 
     if M.m(q, s) > 0:
-        return QuotientReport(ranks_Q=R.sub(RL), ranks_LQ=R, moves=(), markers=None)
+        return QuotientReport(ranks_Q=R.sub(RL), ranks_LQ=R, moves=(), markers=None,
+                              Q=Representation(n, {**M.mult, (q, s): M.m(q, s) - 1}))
 
     # how far short of split the embedding is, measured at (k, l):
     # f counts segments [k', l'] with k < k' <= q and l <= l' <= s
@@ -254,13 +265,12 @@ def generic_quotient(M: Representation, q: int, s: int, *,
             corners.append((t, l))
         for k in range(t, q):
             lq_rows[k - 1][l - k] -= 1
-    # one move per corner, on the segment ending just before the next one
+    # one move per corner, on the segment ending just before the next one;
+    # the last ends at s, so it puts the copy of U[q, s] that Q lacks
     ends = [c - 1 for _, c in corners[1:]] + [s]
     moves = tuple(Move.cut(t, e, q) if c == q else Move.shift(t, e, q, c - 1)
                   for (t, c), e in zip(corners, ends))
-    ranks_LQ = RankSequence(n, lq_rows, validate=True)
-    ranks_Q = ranks_LQ.sub(RL)
-    ranks_Q.validate()
+    ranks_LQ = RankSequence._of_rows(n, [tuple(row) for row in lq_rows])
 
     # applying the moves is what raises InsufficientMultiplicity on a bad list
     stages = []
@@ -270,8 +280,11 @@ def generic_quotient(M: Representation, q: int, s: int, *,
         stages.append(cur)
     if ranks != ranks_LQ:
         raise AssertionError("moves do not realise the predicted generic quotient")
-    return QuotientReport(ranks_Q=ranks_Q, ranks_LQ=ranks_LQ, moves=moves,
-                          markers=corners[0] + corners[-1], stages=tuple(stages))
+    mult = dict(cur.mult)
+    _take(mult, (q, s), moves[-1])
+    return QuotientReport(ranks_Q=ranks_LQ.sub(RL), ranks_LQ=ranks_LQ, moves=moves,
+                          markers=corners[0] + corners[-1], stages=tuple(stages),
+                          Q=Representation(n, mult))
 
 
 # --- degeneration paths ------------------------------------------------------
@@ -313,7 +326,7 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
         for move, stage in zip(report.moves, report.stages):
             path.append((move, Representation(n, _merge(done, stage.mult))))
         R = report.ranks_Q
-        cur = rep_of(R)
+        cur = report.Q
         _put(done, (q, top))
         tgt = Representation(n, {**tgt.mult, (q, top): tgt.m(q, top) - 1})
     return path

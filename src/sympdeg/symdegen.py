@@ -22,8 +22,8 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, ranks_of, rep_of,
-                   sigma)
+from .core import (RankSequence, Representation, Segment, _rep_of_valid,
+                   ranks_of, sigma)
 from .degen import Move, _apply_audited, degenerates
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
@@ -379,8 +379,10 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     peeled = _zero_ranks(n)
     steps: List[DegenStep] = []
     while True:
+        # rM is valid (ranks_of or _choose_peel's check) and peeled is a
+        # sum of segment tables, so their sum needs no check of its own
         z_ranks = rM.add(peeled)
-        Z = EpsilonRep(rep_of(z_ranks), sym)
+        Z = EpsilonRep(_rep_of_valid(z_ranks), sym)
         span = _support(rM.diagonal())
         if rM == rN:
             steps.append(DegenStep(Z=Z, L=None, support_interval=span,

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import sympdeg
-from sympdeg import degen
+from sympdeg import core, degen
 from sympdeg.core import (RankSequence, Representation, modules_with_dims,
                           ranks_of, rep_of)
 from sympdeg.degen import (
@@ -104,6 +104,27 @@ def test_degenerates():
     assert not degenerates(m, Representation(3, {(1, 3): 1}))
 
 
+def _check_quotient(report):
+    """The carried quotient module is the one its rank table describes."""
+    assert report.Q == rep_of(report.ranks_Q)
+    assert ranks_of(report.Q) == report.ranks_Q
+
+
+def _checking_quotients(monkeypatch):
+    """Route degeneration_path's quotients through _check_quotient;
+    returns the list of reports seen."""
+    seen = []
+
+    def checked(*args, **kwargs):
+        report = generic_quotient(*args, **kwargs)
+        _check_quotient(report)
+        seen.append(report)
+        return report
+
+    monkeypatch.setattr(degen, "generic_quotient", checked)
+    return seen
+
+
 def test_generic_quotient_summand():
     m = Representation(3, {(1, 3): 1, (2, 3): 1})
     report = generic_quotient(m, 2, 3)
@@ -111,6 +132,13 @@ def test_generic_quotient_summand():
     assert report.markers is None
     assert report.ranks_LQ == ranks_of(m)
     assert rep_of(report.ranks_Q) == Representation(3, {(1, 3): 1})
+    assert report.Q == Representation(3, {(1, 3): 1})
+    _check_quotient(report)
+    # one copy of a repeated summand goes, the others stay
+    report = generic_quotient(Representation(3, {(2, 3): 3, (1, 1): 1}), 2, 3)
+    assert report.moves == ()
+    assert report.Q == Representation(3, {(2, 3): 2, (1, 1): 1})
+    _check_quotient(report)
 
 
 def test_generic_quotient_cut_case():
@@ -217,6 +245,8 @@ def test_generic_quotient_three_nested_segments():
         Representation(6, {(1, 6): 1, (2, 4): 1, (3, 3): 1, (4, 5): 1}),
         Representation(6, {(1, 5): 1, (2, 4): 1, (3, 3): 1, (4, 6): 1}))
     assert ranks_of(report.stages[-1]) == report.ranks_LQ
+    assert report.Q == Representation(6, {(1, 5): 1, (2, 4): 1, (3, 3): 1})
+    _check_quotient(report)
 
 
 def test_generic_quotient_guard_survives_optimize():
@@ -247,15 +277,9 @@ def test_generic_quotient_guard_survives_optimize():
 def test_degeneration_path_seeded_large(monkeypatch, n, pairs):
     """Seeded pairs well past the exhaustive sizes: n segments, 2n random
     moves down, seed n.  Every path replays under audit to the target,
-    and some quotient on the way needs three or more moves."""
-    widest = [0]
-
-    def recording(*args, **kwargs):
-        report = generic_quotient(*args, **kwargs)
-        widest[0] = max(widest[0], len(report.moves))
-        return report
-
-    monkeypatch.setattr(degen, "generic_quotient", recording)
+    and some quotient on the way needs three or more moves.  Each
+    quotient module the path carries is the one its ranks describe."""
+    reports = _checking_quotients(monkeypatch)
     rng = random.Random(n)
     for _ in range(pairs):
         m = _random_rep(rng, n, count=n)
@@ -265,7 +289,7 @@ def test_degeneration_path_seeded_large(monkeypatch, n, pairs):
             cur, ranks = degen._apply_audited(cur, move, ranks)
             assert shown == cur
         assert cur == target
-    assert widest[0] >= 3
+    assert max(len(report.moves) for report in reports) >= 3
 
 
 def test_ranks_computed_once_per_module_along_paths(monkeypatch):
@@ -314,9 +338,11 @@ def test_audit_recomputes_output_ranks(monkeypatch):
     reset_audit()
 
 
-def test_degeneration_path_exhaustive_n4():
+def test_degeneration_path_exhaustive_n4(monkeypatch):
     """Every rank-dominated pair at n = 4 with entries <= 2: the path
-    replays move by move from M and ends at N."""
+    replays move by move from M and ends at N, and each quotient module
+    it carries is the one its ranks describe."""
+    reports = _checking_quotients(monkeypatch)
     pairs = 0
     for dims in itertools.product(range(3), repeat=4):
         modules = modules_with_dims(dims)
@@ -332,6 +358,33 @@ def test_degeneration_path_exhaustive_n4():
                 assert cur == n
                 pairs += 1
     assert pairs == 1859
+    assert any(report.moves for report in reports)
+    assert any(not report.moves for report in reports)
+
+
+def test_path_builds_no_module_from_ranks(monkeypatch):
+    """A path carries its quotient modules: on a seeded n = 20 pair it
+    calls neither rep_of nor RankSequence.validate."""
+    calls = {"rep_of": 0, "validate": 0}
+    real_rep_of, real_validate = core.rep_of, RankSequence.validate
+
+    def counting_rep_of(ranks):
+        calls["rep_of"] += 1
+        return real_rep_of(ranks)
+
+    def counting_validate(self):
+        calls["validate"] += 1
+        return real_validate(self)
+
+    for module in (core, degen, sympdeg):
+        monkeypatch.setattr(module, "rep_of", counting_rep_of, raising=False)
+    monkeypatch.setattr(RankSequence, "validate", counting_validate)
+    rng = random.Random(20)
+    m = _random_rep(rng, 20, count=20)
+    target = _random_walk(rng, m, 40)
+    path = degeneration_path(m, target)
+    assert len(path) > 20 and path[-1][1] == target
+    assert calls == {"rep_of": 0, "validate": 0}
 
 
 def test_stalled_peel_raises_not_comparable(monkeypatch):

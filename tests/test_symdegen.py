@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from sympdeg import degen, symdegen
+from sympdeg import core, degen, symdegen
 from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
 from sympdeg.degen import Move, move_to_json
@@ -299,6 +299,30 @@ def test_refinement_ranks_once_per_module(monkeypatch):
     moves = sym_move_refinement(start, target)
     assert len(moves) == SYM_AUDIT["verified"] == 38
     assert calls[0] == 2 + 2 * len(moves)
+
+
+def test_sym_path_validates_once_per_peel(monkeypatch):
+    """Each Z is built from a sum of valid tables, so a seeded n = 20
+    path calls no rep_of and validates only the perpendicular quotient,
+    once per peel step."""
+    calls = {"rep_of": 0, "validate": 0}
+    real_rep_of, real_validate = rep_of, RankSequence.validate
+
+    def counting_rep_of(ranks):
+        calls["rep_of"] += 1
+        return real_rep_of(ranks)
+
+    def counting_validate(self):
+        calls["validate"] += 1
+        return real_validate(self)
+
+    for module in (core, symdegen):
+        monkeypatch.setattr(module, "rep_of", counting_rep_of, raising=False)
+    monkeypatch.setattr(RankSequence, "validate", counting_validate)
+    start, target = _random_pair(20, 0)
+    steps = sym_degeneration_path(start, target)
+    assert len(steps) > 5 and steps[-1].Z == target
+    assert calls == {"rep_of": 0, "validate": len(steps) - 1}
 
 
 def test_sym_audit():
