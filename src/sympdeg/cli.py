@@ -369,8 +369,7 @@ def _cmd_pbw_lemma_ui(args) -> int:
 
 def _cmd_poset(args) -> int:
     sym = _sym_type(len(args.dims), args.type)
-    nodes = [rep for rep in core.modules_with_dims(args.dims)
-             if symdegen.is_epsilon_rep(rep, sym)]
+    nodes = symdegen.epsilon_modules_with_dims(args.dims, sym)
     if len(nodes) > MAX_POSET_NODES:
         raise InstanceTooLarge(
             "%d epsilon modules exceed the poset guard %d"

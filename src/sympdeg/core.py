@@ -93,6 +93,18 @@ class Representation:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "mult", clean)
 
+    @classmethod
+    def _of_mult(cls, n: int, mult: Dict[Segment, int]) -> "Representation":
+        """Wrap a multiplicity map built inside the package, unchecked.
+
+        Every segment must lie in 1..n and every count be a positive int;
+        the map is taken over, so the caller must not change it later.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "mult", mult)
+        return self
+
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
 
@@ -240,6 +252,20 @@ class RankSequence:
             tuple([a - b for a, b in zip(ra, rb)])
             for ra, rb in zip(self._rows, other._rows)])
 
+    def _less_segment(self, q: int, s: int) -> "RankSequence":
+        """This table less the ranks of one U[q, s], unchecked.
+
+        Those ranks are 1 exactly on the block q <= i <= j <= s, so rows
+        q..s lose 1 on their first s - i + 1 entries and every other row
+        is reused as it is.
+        """
+        rows = list(self._rows)
+        for i in range(q, s + 1):
+            row = rows[i - 1]
+            cut = s - i + 1
+            rows[i - 1] = tuple([v - 1 for v in row[:cut]]) + row[cut:]
+        return RankSequence._of_rows(self.n, rows)
+
     def __eq__(self, other):
         return (isinstance(other, RankSequence)
                 and self.n == other.n and self._rows == other._rows)
@@ -297,7 +323,7 @@ def _rep_of_valid(ranks: RankSequence) -> Representation:
             m = v - right - up + up_right
             if m:
                 mult[(i, j)] = m
-    return Representation(ranks.n, mult)
+    return Representation._of_mult(ranks.n, mult)
 
 
 def dual(rep: Representation) -> Representation:

@@ -14,8 +14,11 @@ input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
 computed once.  The path builder also carries each quotient module as
 generic_quotient took it out of the last audited stage, so it never
-rebuilds a module from its ranks or re-validates a rank table.  The
-module-level AUDIT counters record how many checks ran and whether any
+rebuilds a module from its ranks or re-validates a rank table.  Modules
+built here are wrapped without re-checking their segments
+(Representation._of_mult), and a peeled segment comes off a rank table
+as one block (RankSequence._less_segment).  The module-level AUDIT
+counters record how many checks ran and whether any
 failed.
 """
 
@@ -93,11 +96,14 @@ def reset_audit() -> None:
         AUDIT[key] = 0
 
 
-def _take(mult: Dict[Segment, int], seg: Segment, move: Move) -> None:
+def _take(mult: Dict[Segment, int], seg: Segment, move: Optional[Move] = None) -> None:
+    """Take one copy of seg out of mult, dropping its key at 0; move, if
+    given, is the move that consumes it, for the error."""
     have = mult.get(seg, 0)
     if have < 1:
         raise InsufficientMultiplicity(
-            "move %r consumes U[%d,%d] but none is left" % (move, seg[0], seg[1]))
+            "%s consumes U[%d,%d] but none is left"
+            % ("move %r" % (move,) if move else "peeling", seg[0], seg[1]))
     if have == 1:
         del mult[seg]
     else:
@@ -139,7 +145,7 @@ def _apply_audited(rep: Representation, move: Move,
         _put(mult, (move.q, move.s))
     else:
         raise ValueError("unknown move kind %r" % (move.kind,))
-    out = Representation(rep.n, mult)
+    out = Representation._of_mult(rep.n, mult)
 
     AUDIT["applied"] += 1
     after = ranks_of(out)
@@ -238,11 +244,12 @@ def generic_quotient(M: Representation, q: int, s: int, *,
 
     if r(q, s) - r(q, s + 1) <= 0:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, s, M))
-    RL = ranks_of(Representation(n, {(q, s): 1}))
 
     if M.m(q, s) > 0:
-        return QuotientReport(ranks_Q=R.sub(RL), ranks_LQ=R, moves=(), markers=None,
-                              Q=Representation(n, {**M.mult, (q, s): M.m(q, s) - 1}))
+        mult = dict(M.mult)
+        _take(mult, (q, s))
+        return QuotientReport(ranks_Q=R._less_segment(q, s), ranks_LQ=R, moves=(),
+                              markers=None, Q=Representation._of_mult(n, mult))
 
     # how far short of split the embedding is, measured at (k, l):
     # f counts segments [k', l'] with k < k' <= q and l <= l' <= s
@@ -282,9 +289,9 @@ def generic_quotient(M: Representation, q: int, s: int, *,
         raise AssertionError("moves do not realise the predicted generic quotient")
     mult = dict(cur.mult)
     _take(mult, (q, s), moves[-1])
-    return QuotientReport(ranks_Q=ranks_LQ.sub(RL), ranks_LQ=ranks_LQ, moves=moves,
-                          markers=corners[0] + corners[-1], stages=tuple(stages),
-                          Q=Representation(n, mult))
+    return QuotientReport(ranks_Q=ranks_LQ._less_segment(q, s), ranks_LQ=ranks_LQ,
+                          moves=moves, markers=corners[0] + corners[-1],
+                          stages=tuple(stages), Q=Representation._of_mult(n, mult))
 
 
 # --- degeneration paths ------------------------------------------------------
@@ -319,16 +326,18 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
         # U[q, top] embeds: r_M(q, top) >= r_N(q, top) >= m_N(q, top) > 0
         # and r(q, top + 1) = 0
         report = generic_quotient(cur, q, top, _ranks=R)
-        RT = RT.sub(report.ranks_LQ.sub(report.ranks_Q))
+        RT = RT._less_segment(q, top)
         if not report.ranks_Q.dominates(RT):
             raise NotComparable("no final segment of the target can be peeled, "
                                 "which contradicts rank domination")
         for move, stage in zip(report.moves, report.stages):
-            path.append((move, Representation(n, _merge(done, stage.mult))))
+            path.append((move, Representation._of_mult(n, _merge(done, stage.mult))))
         R = report.ranks_Q
         cur = report.Q
         _put(done, (q, top))
-        tgt = Representation(n, {**tgt.mult, (q, top): tgt.m(q, top) - 1})
+        mult = dict(tgt.mult)
+        _take(mult, (q, top))
+        tgt = Representation._of_mult(n, mult)
     return path
 
 

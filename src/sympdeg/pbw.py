@@ -23,6 +23,7 @@ of that setup:
 
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -297,59 +298,55 @@ def zero_root_vector(n: int) -> CRootVector:
     return CRootVector(n, {key: 0 for key in canonical_root_keys(n)})
 
 
-def _pair_constraints(subset: PbwSubset) -> Iterator[tuple]:
-    """All additive pairs of positive roots, tagged by which inequality
-    family applies.
+@functools.lru_cache(maxsize=8)
+def _face_tables(n: int) -> Tuple[tuple, tuple]:
+    """The constraint rows of the face at n, shared by every subset.
 
-    Two positive roots sum to a root exactly when they share a cancelled
-    coordinate e_b: either {e_a - e_b, e_b - e_c} or {e_a - e_b, e_b +
-    e_c}.  The junction wall is b - 1: at a chosen wall the vector may
-    exceed additivity, elsewhere it must be exactly additive.
+    Pair rows are (wall, c >= b, (beta1, beta2, total)) for every
+    additive pair of positive roots.  Two positive roots sum to a root
+    exactly when they share a cancelled coordinate e_b: either {e_a -
+    e_b, e_b - e_c} (c > b) or {e_a - e_b, e_b + e_c} (any c).  The
+    junction wall is b - 1: at a chosen wall the vector may exceed
+    additivity, elsewhere it must be exactly additive; which wall is
+    chosen depends on the subset, so the rows carry no family tag.
+    Exchange rows are (family, (k1, k2, k3, k4)) for the equalities
+    d(k1) + d(k2) == d(k3) + d(k4).
     """
-    n = subset.n
-    chosen = set(subset.i)
+    pairs = []
     for b in range(2, n + 1):
         wall = b - 1
         for a in range(1, b):
             beta1 = _key_minus(a, b)
             for c in range(b + 1, n + 1):
-                if wall in chosen:
-                    tag = "bullet1"
-                else:
-                    tag = "bullet3"
-                yield ("pair", tag, wall, beta1, _key_minus(b, c),
-                       _key_minus(a, c))
+                pairs.append((wall, True, (beta1, _key_minus(b, c), _key_minus(a, c))))
             for c in range(1, n + 1):
-                beta2 = _key_plus(min(b, c), max(b, c), n)
-                total = _key_plus(min(a, c), max(a, c), n)
-                if wall in chosen:
-                    tag = "bullet1" if c >= b else "bullet2"
-                else:
-                    tag = "bullet3"
-                yield ("pair", tag, wall, beta1, beta2, total)
-
-
-def _exchange_constraints(n: int) -> Iterator[tuple]:
+                pairs.append((wall, c >= b, (beta1, _key_plus(min(b, c), max(b, c), n),
+                                             _key_plus(min(a, c), max(a, c), n))))
+    exchanges = []
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j, n + 1):
                 for l in range(k + 1, n + 1):
-                    yield ("exchange", "b4",
-                           ("u", i, k), ("u", j, l), ("u", i, l), ("u", j, k))
+                    exchanges.append(("b4", (("u", i, k), ("u", j, l),
+                                             ("u", i, l), ("u", j, k))))
     for i in range(1, n):
         for j in range(i + 1, n):
             for k in range(j, n):
                 for l in range(j, n + 1):
-                    yield ("exchange", "b5",
-                           ("b", i, k), ("u", j, l), ("u", i, l), ("b", j, k))
+                    exchanges.append(("b5", (("b", i, k), ("u", j, l),
+                                             ("u", i, l), ("b", j, k))))
     for i in range(1, n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for l in range(k + 1, n):
-                    yield ("exchange", "b6",
-                           ("b", i, j), ("b", k, l), ("b", i, k), ("b", j, l))
-                    yield ("exchange", "b6",
-                           ("b", i, j), ("b", k, l), ("b", i, l), ("b", j, k))
+                    exchanges.append(("b6", (("b", i, j), ("b", k, l),
+                                             ("b", i, k), ("b", j, l))))
+                    exchanges.append(("b6", (("b", i, j), ("b", k, l),
+                                             ("b", i, l), ("b", j, k))))
+    # the cache keeps one tuple per root, not one per mention
+    canon = {key: key for key in canonical_root_keys(n)}
+    return (tuple([(wall, ge, tuple([canon[k] for k in roots])) for wall, ge, roots in pairs]),
+            tuple([(family, tuple([canon[k] for k in roots])) for family, roots in exchanges]))
 
 
 def dynkin_face_violations(subset: PbwSubset, d: CRootVector,
@@ -372,29 +369,38 @@ def dynkin_face_contains(subset: PbwSubset, d: CRootVector,
 
 def _face_violations(subset: PbwSubset, d: CRootVector,
                      strict: bool) -> Iterator[dict]:
+    """The broken constraints, pair rows first, each in table order.
+
+    The rows come from _face_tables(n), built once per n; a pair row is
+    tagged here, from the subset: bullet1 (c >= b) or bullet2 at a chosen
+    wall, bullet3 elsewhere.
+    """
     if d.n != subset.n:
         raise ValueError("vector has n=%d, subset has n=%d" % (d.n, subset.n))
-    for _, tag, wall, b1, b2, total in _pair_constraints(subset):
-        lhs = d.d(b1) + d.d(b2)
-        rhs = d.d(total)
-        if tag == "bullet3":
-            ok = lhs == rhs
-            relation = "=="
-        elif strict:
-            ok = lhs > rhs
-            relation = ">"
+    pairs, exchanges = _face_tables(subset.n)
+    chosen = set(subset.i)
+    dd = d._d
+    exceeds = ">" if strict else ">="
+    for wall, ge, roots in pairs:
+        b1, b2, total = roots
+        lhs = dd[b1] + dd[b2]
+        rhs = dd[total]
+        if wall in chosen:
+            if lhs > rhs or (lhs == rhs and not strict):
+                continue
+            family, relation = ("bullet1" if ge else "bullet2"), exceeds
+        elif lhs == rhs:
+            continue
         else:
-            ok = lhs >= rhs
-            relation = ">="
-        if not ok:
-            yield {"family": tag, "wall": wall, "roots": (b1, b2, total),
-                   "lhs": lhs, "rhs": rhs, "relation": relation}
-    for _, name, k1, k2, k3, k4 in _exchange_constraints(subset.n):
-        lhs = d.d(k1) + d.d(k2)
-        rhs = d.d(k3) + d.d(k4)
+            family, relation = "bullet3", "=="
+        yield {"family": family, "wall": wall, "roots": roots,
+               "lhs": lhs, "rhs": rhs, "relation": relation}
+    for family, roots in exchanges:
+        k1, k2, k3, k4 = roots
+        lhs = dd[k1] + dd[k2]
+        rhs = dd[k3] + dd[k4]
         if lhs != rhs:
-            yield {"family": name, "wall": None,
-                   "roots": (k1, k2, k3, k4),
+            yield {"family": family, "wall": None, "roots": roots,
                    "lhs": lhs, "rhs": rhs, "relation": "=="}
 
 
@@ -487,11 +493,14 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     the mirrored projections comes for free; both facts are re-checked
     on every emitted point anyway.
 
-    The lower chains are shared: a recursion over (k, S_k), memoised for
-    the length of the call, builds the chains S_1, ..., S_k ending at
-    each S_k once, and every member above reuses them.  Every emitted
-    point still passes the self-check, whose bitmasks and cached
-    verdicts are built once per call (_fixed_point_checker).
+    The member graph is built once per call: walking down from the
+    middle members level by level collects every member some chain can
+    pass through, and above[S_k] lists the members S_{k+1} that S_k can
+    sit below, in sorted order.  A depth-first walk up from the sorted
+    1-element members then meets the chains in lexicographic order, so
+    the list comes out sorted without a sort.  Every emitted point still
+    passes the self-check, whose bitmasks and cached verdicts are built
+    once per call (_fixed_point_checker).
 
     The list has one entry per point, so its length is the Euler
     characteristic of the locus: 2^n n! for the empty subset, 60,134,210
@@ -502,20 +511,34 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     chosen = set(subset.i)
     check = _fixed_point_checker(n, subset)
 
-    def chains_to(sk: Tuple[int, ...]) -> List[Tuple[Tuple[int, ...], ...]]:
-        # every chain (S_1, ..., S_k) with S_k = sk; sk is sorted
-        out = []
-        for sub in _members_below(sk, chosen):
-            out.extend([chain + (sk,) for chain in below[sub]])
-        return out
-
-    below = _Memo(chains_to)
-    below[()] = [()]
+    # above[S_k]: the members S_{k+1} that S_k can sit below, with
+    # above[()] the 1-element members.  Each level is walked in sorted
+    # order, so every list is appended to in sorted order.
+    above: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    level = list(_middle_members(n))
+    for _ in range(n):
+        below: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+        for sk in level:
+            for sub in _members_below(sk, chosen):
+                below.setdefault(sub, []).append(sk)
+        above.update(below)
+        level = sorted(below)
 
     chains: List[Tuple[Tuple[int, ...], ...]] = []
-    for sn in _middle_members(n):
-        chains.extend(chains_to(sn))
-    chains.sort()
+    path: List[Tuple[int, ...]] = [()] * n
+
+    def walk(k: int, sk: Tuple[int, ...]) -> None:
+        # path[:k] holds S_1, ..., S_k, and sk is S_k
+        if k == n - 1:
+            for up in above[sk]:
+                path[k] = up
+                chains.append(tuple(path))
+            return
+        for up in above[sk]:
+            path[k] = up
+            walk(k + 1, up)
+
+    walk(0, ())
     points = [FixedPoint(n, chain) for chain in chains]
     for fp in points:
         check(fp)
@@ -527,10 +550,10 @@ def count_lagrangian_fixed_points(subset: PbwSubset) -> int:
     is len(lagrangian_fixed_points(subset)) and the Euler characteristic
     of the locus (2^n n! for the empty subset).
 
-    The same recursion over (k, S_k) as the enumeration, memoised for the
-    length of the call, but it adds up the chains ending at each S_k
-    instead of building them, so no point is materialised or self-checked;
-    n = 7 (60,134,210 points) takes tens of milliseconds.
+    A recursion over (k, S_k) down from the middle members, memoised for
+    the length of the call, adds up the chains ending at each S_k instead
+    of building them, so no point is materialised or self-checked; n = 7
+    (60,134,210 points) takes tens of milliseconds.
     """
     chosen = set(subset.i)
     below = _Memo(lambda sk: sum(map(below.__getitem__, _members_below(sk, chosen))))

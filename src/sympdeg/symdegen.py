@@ -99,6 +99,64 @@ def is_epsilon_rep(rep: Representation, sym: SymmetricType) -> bool:
     return True
 
 
+def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
+    """Every epsilon module of type sym with dimension vector dims, one per
+    isomorphism class: the modules of core.modules_with_dims(dims) that
+    is_epsilon_rep accepts, without listing the others.
+
+    A count is chosen only for the representative [i, j] of each
+    reflection pair, the one with i + j <= n + 1 (it starts no later than
+    its reflection), and its reflection gets the same count; a self-dual
+    segment takes even counts in the split types.  Dims that are not
+    symmetric have no epsilon module, and symmetric dims are met once the
+    left half 1..ceil(n/2) is.  Representatives go by start i, and no
+    later one or its reflection meets vertex i, so the dimension left at
+    i must be used up when the start-i group ends.
+    """
+    n = sym.n
+    dims = tuple(dims)
+    if len(dims) != n:
+        raise MismatchedQuiver("dimension vector and type have different sizes")
+    if dims != dims[::-1]:
+        return []
+    half = (n + 1) // 2
+    # (segment, its reflection, count step, [(vertex index, weight)] on the
+    # left half); the self-dual [i, sigma(i)] closes the start-i group
+    reps = []
+    for i in range(1, half + 1):
+        for j in range(i, n + 2 - i):
+            refl = (sigma(j, n), sigma(i, n))
+            weight = [(i <= v <= j) + (refl[0] <= v <= refl[1] and refl != (i, j))
+                      for v in range(1, half + 1)]
+            reps.append(((i, j), refl, 2 if sym.split and refl == (i, j) else 1,
+                         [(v, w) for v, w in enumerate(weight) if w]))
+    found: List[Representation] = []
+    remaining = list(dims[:half])
+    mult = {}
+
+    def descend(index: int) -> None:
+        if index == len(reps):
+            found.append(Representation._of_mult(n, dict(mult)))
+            return
+        seg, refl, step, cover = reps[index]
+        closes = seg == refl
+        cap = min(remaining[v] // w for v, w in cover)
+        for count in range(0, cap + 1, step):
+            for v, w in cover:
+                remaining[v] -= count * w
+            if not (closes and remaining[seg[0] - 1]):
+                if count:
+                    mult[seg] = mult[refl] = count
+                descend(index + 1)
+                mult.pop(seg, None)
+                mult.pop(refl, None)
+            for v, w in cover:
+                remaining[v] += count * w
+
+    descend(0)
+    return found
+
+
 class EpsilonRep:
     """A module together with the symmetric type it is compatible with.
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -315,6 +316,16 @@ def test_poset_guard(capsys):
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")
     assert (code, out) == (1, "")
     assert err.startswith("InstanceTooLarge: 108 epsilon modules") and err.count("\n") == 1
+
+
+def test_poset_guard_without_listing_every_module(capsys):
+    # 292 epsilon modules among 106,887 modules of the dims; only the
+    # epsilon ones are listed, so the guard fires at once
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "poset", "--type", "odd-neg", "--dims", "2,4,4,4,4,4,2")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (1, "")
+    assert err.startswith("InstanceTooLarge: 292 epsilon modules") and err.count("\n") == 1
 
 
 def test_non_integer_list_arguments(capsys):

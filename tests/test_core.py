@@ -283,3 +283,30 @@ def test_modules_with_dims_distinct_and_exact():
         assert modules
         assert len(set(modules)) == len(modules)
         assert all(dim_vector(rep) == dims for rep in modules)
+
+
+def test_less_segment_subtracts_one_segment():
+    """_less_segment(q, s) is sub(ranks_of(U[q, s])) and reuses every row
+    outside q..s."""
+    for rep in _seeded_modules():
+        if rep.n > 12:
+            continue
+        n = rep.n
+        ranks = ranks_of(rep)
+        for q in range(1, n + 1):
+            for s in range(q, n + 1):
+                got = ranks._less_segment(q, s)
+                assert got == ranks.sub(ranks_of(Representation(n, {(q, s): 1})))
+                assert all(got._rows[i - 1] is ranks._rows[i - 1]
+                           for i in range(1, n + 1) if not q <= i <= s)
+
+
+def test_unchecked_constructor_matches_checked():
+    mult = {(1, 2): 2, (3, 3): 1}
+    rep = Representation._of_mult(3, dict(mult))
+    assert rep == Representation(3, mult) and hash(rep) == hash(Representation(3, mult))
+    with pytest.raises(AttributeError):
+        rep.n = 4
+    # the public constructor keeps its checks
+    with pytest.raises(ValueError):
+        Representation(3, {(2, 4): 1})

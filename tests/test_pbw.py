@@ -292,6 +292,17 @@ def test_fixed_point_count_n6():
     assert len(lagrangian_fixed_points(PbwSubset.make(6, []))) == 2 ** 6 * math.factorial(6)
 
 
+def test_fixed_points_emitted_in_order_n6():
+    """The depth-first walk up the member graph meets the chains in
+    lexicographic order: the list is strictly increasing without a sort,
+    with one entry per counted point."""
+    for i in ((), (1,), (3,), (2, 5)):
+        s = PbwSubset.make(6, i)
+        points = lagrangian_fixed_points(s)
+        assert len(points) == count_lagrangian_fixed_points(s), i
+        assert all(a < b for a, b in zip(points, points[1:])), i
+
+
 def _fault(fp, subset, check=None):
     """The message the self-check (or a checker built for subset) raises
     on fp, or None."""
@@ -441,6 +452,58 @@ def test_face_contains_is_empty_violations():
                         (not dynkin_face_violations(s, d, strict))
                     checked += 1
     assert checked == 2 * 10 * sum(2 ** (n - 1) for n in range(1, 6))
+
+
+def _chosen_wall_pairs(n, walls):
+    """(all, bullet2) pair constraints at the given walls, counted from the
+    roots: at wall b - 1, each a < b pairs e_a - e_b with e_b - e_c for
+    c = b+1..n (bullet1) and with e_b + e_c for c = 1..n (bullet2 when
+    c < b)."""
+    bs = [w + 1 for w in walls]
+    return (sum((b - 1) * (2 * n - b) for b in bs),
+            sum((b - 1) * (b - 1) for b in bs))
+
+
+def test_zero_strict_violations_are_chosen_wall_pairs():
+    """The zero vector is exactly additive, so in strict mode it breaks
+    every pair constraint at a chosen wall and nothing else."""
+    rng = random.Random(58)
+    for n in (8, 9):
+        zero = zero_root_vector(n)
+        subsets = [PbwSubset.make(n, ()), PbwSubset.make(n, range(1, n))]
+        subsets += [PbwSubset.make(n, [w for w in range(1, n) if rng.random() < 0.5])
+                    for _ in range(6)]
+        for s in subsets:
+            rows = dynkin_face_violations(s, zero, strict=True)
+            total, bullet2 = _chosen_wall_pairs(n, s.i)
+            assert len(rows) == total, s
+            assert sum(row["family"] == "bullet2" for row in rows) == bullet2, s
+            for row in rows:
+                assert row["family"] in ("bullet1", "bullet2") and row["wall"] in s.i
+                assert (row["lhs"], row["rhs"], row["relation"]) == (0, 0, ">")
+            assert not dynkin_face_violations(s, zero)
+
+
+def test_face_results_independent_of_call_order():
+    """The constraint tables are shared by every subset of one n, so two
+    subsets give the same answers whichever is asked first."""
+    n = 6
+    first, second = PbwSubset.make(n, (1, 4)), PbwSubset.make(n, (2, 3, 5))
+    vectors = [zero_root_vector(n), find_interior_point(first),
+               find_interior_point(second)]
+
+    def answers(s):
+        return ([dynkin_face_violations(s, d, strict)
+                 for d in vectors for strict in (False, True)],
+                [dynkin_face_contains(s, d, True) for d in vectors],
+                find_interior_point(s))
+
+    pbw._face_tables.cache_clear()
+    forward = {s: answers(s) for s in (first, second)}
+    pbw._face_tables.cache_clear()
+    backward = {s: answers(s) for s in (second, first)}
+    assert forward == backward
+    assert forward[first] != forward[second]
 
 
 def test_face_violations_pinned():

@@ -395,3 +395,24 @@ def test_split_types_exhaustive():
                     pairs += 1
     # 437 modules besides the six zero modules
     assert (modules, moves, pairs) == (443, 1233, 1300)
+
+
+def test_epsilon_modules_listed_directly():
+    """For all four types, every symmetric dimension vector with n <= 6 and
+    entries <= 2 (and a few that are not symmetric): the epsilon modules
+    listed directly are the filtered modules_with_dims, each once."""
+    checked = 0
+    for n in range(1, 7):
+        for eps in (-1, 1):
+            sym = SymmetricType(n, eps)
+            dims_list = [half + half[:n // 2][::-1]
+                         for half in itertools.product(range(3), repeat=(n + 1) // 2)]
+            dims_list += [(1,) + (2,) * (n - 1)] if n > 1 else []
+            for dims in dims_list:
+                want = [rep for rep in modules_with_dims(dims) if is_epsilon_rep(rep, sym)]
+                got = symdegen.epsilon_modules_with_dims(dims, sym)
+                assert len(set(got)) == len(got)
+                assert sorted(got, key=Representation.key) == \
+                    sorted(want, key=Representation.key), (sym, dims)
+                checked += bool(want)
+    assert checked > 100
