@@ -529,15 +529,9 @@ def run(argv) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except MalformedInput as exc:
+    except (SympdegError, ValueError, OSError) as exc:
         print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
-    except SympdegError as exc:
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as exc:
-        print("%s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, MalformedInput) else 1
 
 
 def main() -> None:

@@ -341,18 +341,34 @@ def dim_vector(rep: Representation) -> DimVector:
     return tuple(d)
 
 
+def _depth_first(depth: int, level) -> Iterator[None]:
+    """Yield once per complete assignment of a depth-level search, walked
+    depth first with an explicit stack, so any depth stays clear of the
+    recursion limit.  level(index) is a generator that applies one choice
+    at that level per yield and undoes it before the next."""
+    if not depth:
+        yield
+        return
+    stack = [level(0)]
+    while stack:
+        for _ in stack[-1]:
+            if len(stack) == depth:
+                yield
+            else:
+                stack.append(level(len(stack)))
+                break
+        else:
+            stack.pop()
+
+
 def modules_with_dims(dims: DimVector) -> List[Representation]:
     """Every module with dimension vector dims, one per isomorphism class."""
     n = len(dims)
     segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    found: List[Representation] = []
+    remaining = list(dims)
+    acc: Dict[Segment, int] = {}
 
-    def descend(index: int, remaining: List[int],
-                acc: Dict[Segment, int]) -> None:
-        if index == len(segments):
-            if all(v == 0 for v in remaining):
-                found.append(Representation(n, dict(acc)))
-            return
+    def counts(index: int) -> Iterator[None]:
         i, j = segments[index]
         cap = min(remaining[v - 1] for v in range(i, j + 1))
         for count in range(cap + 1):
@@ -360,14 +376,15 @@ def modules_with_dims(dims: DimVector) -> List[Representation]:
                 acc[(i, j)] = count
                 for v in range(i, j + 1):
                     remaining[v - 1] -= count
-            descend(index + 1, remaining, acc)
+            yield
             if count:
                 for v in range(i, j + 1):
                     remaining[v - 1] += count
                 del acc[(i, j)]
 
-    descend(0, list(dims), {})
-    return found
+    return [Representation(n, dict(acc))
+            for _ in _depth_first(len(segments), counts)
+            if all(v == 0 for v in remaining)]
 
 
 # --- hom / ext -------------------------------------------------------------

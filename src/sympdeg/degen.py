@@ -27,8 +27,8 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, dim_vector,
-                   ranks_of)
+from .core import (RankSequence, Representation, Segment, _json_field,
+                   dim_vector, ranks_of)
 from .errors import (InsufficientMultiplicity, MismatchedQuiver, NoEmbedding,
                      NotComparable)
 
@@ -80,11 +80,20 @@ def move_to_json(move: Move) -> dict:
 
 
 def move_from_json(data: dict) -> Move:
-    if data["kind"] == "cut":
-        return Move.cut(data["t"], data["s"], data["q"])
-    if data["kind"] == "shift":
-        return Move.shift(data["t"], data["s"], data["q"], data["r"])
-    raise ValueError("unknown move kind %r" % (data["kind"],))
+    """The move of {"kind": "cut", "t", "s", "q"} or {"kind": "shift",
+    "t", "s", "q", "r"}, integers.  Raises MalformedInput on any other
+    shape, ValueError on an unknown kind or a field out of range."""
+    return _move_from_json(data, "move", {"cut": (Move.cut, "tsq"),
+                                          "shift": (Move.shift, "tsqr")})
+
+
+def _move_from_json(data: dict, what: str, makers: dict):
+    """makers[kind] = (constructor, the names of its integer fields)."""
+    kind = _json_field(data, "kind", "string")
+    if kind not in makers:
+        raise ValueError("unknown %s kind %r" % (what, kind))
+    make, keys = makers[kind]
+    return make(*[_json_field(data, key, "integer") for key in keys])
 
 
 # counters for the always-on post-application rank check

@@ -491,16 +491,25 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     chosen wall k the element k+1 may also be discarded by the
     projection.  The mirrored half is forced, and its compatibility with
     the mirrored projections comes for free; both facts are re-checked
-    on every emitted point anyway.
+    anyway, once per edge of the member graph.
 
     The member graph is built once per call: walking down from the
     middle members level by level collects every member some chain can
     pass through, and above[S_k] lists the members S_{k+1} that S_k can
     sit below, in sorted order.  A depth-first walk up from the sorted
     1-element members then meets the chains in lexicographic order, so
-    the list comes out sorted without a sort.  Every emitted point still
-    passes the self-check, whose bitmasks and cached verdicts are built
-    once per call (_fixed_point_checker).
+    the list comes out sorted without a sort.
+
+    The self-check runs on the graph, not on the points.  Each middle
+    member is checked to be self-dual, and each edge lo -> hi, as it is
+    added, for the sizes of hi and of the mirrored member dual(hi), and
+    above the bottom edges from () for the link lo -> hi at wall v =
+    len(lo) and the mirrored link dual(hi) -> dual(lo) at wall 2n-1-v
+    (_maps_into).  Every emitted chain is a path () -> S_1 -> ... -> S_n
+    through checked edges, and every condition of _check_fixed_point is
+    a condition on one such edge or on S_n, so every point is fully
+    covered, and each verdict is computed once instead of once per chain
+    through it.
 
     The list has one entry per point, so its length is the Euler
     characteristic of the locus: 2^n n! for the empty subset, 60,134,210
@@ -509,18 +518,34 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     """
     n = subset.n
     chosen = set(subset.i)
-    check = _fixed_point_checker(n, subset)
+    degenerate = set(iprime(subset))
 
+    level = list(_middle_members(n))
+    for sn in level:
+        if _dual_subset(sn, n) != sn:
+            raise AssertionError("middle member is not self-dual")
     # above[S_k]: the members S_{k+1} that S_k can sit below, with
     # above[()] the 1-element members.  Each level is walked in sorted
     # order, so every list is appended to in sorted order.
     above: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-    level = list(_middle_members(n))
-    for _ in range(n):
+    for k in range(n, 0, -1):
+        v = k - 1
         below: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
-        for sk in level:
-            for sub in _members_below(sk, chosen):
-                below.setdefault(sub, []).append(sk)
+        for hi in level:
+            dual_hi = _dual_subset(hi, n)
+            if len(hi) != k:
+                raise AssertionError("member %d has wrong size" % k)
+            if len(dual_hi) != 2 * n - k:
+                raise AssertionError("member %d has wrong size" % (2 * n - k))
+            for lo in _members_below(hi, chosen):
+                if v and not _maps_into(lo, hi, v, degenerate):
+                    raise AssertionError("member %d does not map into member %d"
+                                         % (v, k))
+                if v and not _maps_into(dual_hi, _dual_subset(lo, n),
+                                        2 * n - k, degenerate):
+                    raise AssertionError("member %d does not map into member %d"
+                                         % (2 * n - k, 2 * n - v))
+                below.setdefault(lo, []).append(hi)
         above.update(below)
         level = sorted(below)
 
@@ -539,10 +564,7 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
             walk(k + 1, up)
 
     walk(0, ())
-    points = [FixedPoint(n, chain) for chain in chains]
-    for fp in points:
-        check(fp)
-    return points
+    return [FixedPoint(n, chain) for chain in chains]
 
 
 def count_lagrangian_fixed_points(subset: PbwSubset) -> int:
@@ -561,55 +583,22 @@ def count_lagrangian_fixed_points(subset: PbwSubset) -> int:
     return sum(map(below.__getitem__, _middle_members(subset.n)))
 
 
-def _fixed_point_checker(n: int, subset: PbwSubset):
-    """The self-check of the fixed points of one locus, built once.
-
-    Returns check(fp), which raises AssertionError unless fp's chain has
-    2n-1 members, member v has v elements, the middle member is
-    self-dual, and every member v maps into member v+1 (dropping v+1 at
-    a degenerate wall v, one in iprime(subset)), in both halves.
-
-    Members are bitmasks, bit j for element j, and wall v keeps every bit
-    but v+1 when it is degenerate.  Once the stored members have the
-    right sizes, two consecutive ones S_k, S_{k+1} decide the size of
-    the mirrored member dual(S_k) and the links S_k -> S_{k+1} and
-    dual(S_{k+1}) -> dual(S_k), so that verdict is cached per pair; the
-    caches live as long as the checker.  A point that fails is checked
-    again condition by condition, in the order above, for the message.
-    """
-    top = 2 * n - 1
-    degenerate = set(iprime(subset))
-    keep = [~(1 << (v + 1)) if v in degenerate else -1 for v in range(top)]
-    sizes = list(range(1, n + 1))
-    # a member with an element outside 1..2n fails the self-dual check or
-    # a size check (its dual drops nothing for that element), so the
-    # masks need not hold it
-    ground = range(1, 2 * n + 1)
-    masks = _Memo(lambda s: sum(1 << j for j in set(s) if j in ground))
-    duals = _Memo(lambda s: _dual_subset(s, n))
-
-    def pair_holds(pair) -> bool:
-        # a is S_k; for k = n-1, dual(b) stands for the self-dual middle
-        a, b = pair
-        k = len(a)
-        da, db = duals[a], duals[b]
-        return (len(da) == 2 * n - k
-                and not masks[a] & keep[k] & ~masks[b]
-                and not masks[db] & keep[top - k] & ~masks[da])
-
-    pairs = _Memo(pair_holds)
-
-    def check(fp: FixedPoint) -> None:
-        half = fp.subsets
-        if not (list(map(len, half)) == sizes and duals[half[-1]] == half[-1]
-                and all(map(pairs.__getitem__, zip(half, half[1:])))):
-            _raise_first_fault(fp, subset)
-
-    return check
+def _maps_into(lo: Tuple[int, ...], hi: Tuple[int, ...], v: int, degenerate) -> bool:
+    """Does member v (lo) map into member v+1 (hi)?  The map at wall v is
+    the inclusion, except that it drops v+1 at a degenerate wall, one in
+    degenerate = set(iprime(subset))."""
+    src = set(lo)
+    if v in degenerate:
+        src.discard(v + 1)
+    return src <= set(hi)
 
 
-def _raise_first_fault(fp: FixedPoint, subset: PbwSubset) -> None:
-    """The fixed-point conditions one by one, raising on the first that fails."""
+def _check_fixed_point(fp: FixedPoint, subset: PbwSubset) -> None:
+    """Raise AssertionError unless fp is a fixed flag of the locus: its
+    chain has 2n-1 members, member v has v elements, the middle member is
+    self-dual, and every member v maps into member v+1 (_maps_into), in
+    both halves.  The conditions are tested in that order, and the first
+    that fails raises."""
     n = fp.n
     chain = fixed_point_chain(fp)
     if len(chain) != 2 * n - 1:
@@ -621,13 +610,5 @@ def _raise_first_fault(fp: FixedPoint, subset: PbwSubset) -> None:
     if _dual_subset(fp.subsets[n - 1], n) != fp.subsets[n - 1]:
         raise AssertionError("middle member is not self-dual")
     for v in range(1, 2 * n - 1):
-        src = set(chain[v - 1])
-        if v in degenerate:
-            src.discard(v + 1)
-        if not src <= set(chain[v]):
+        if not _maps_into(chain[v - 1], chain[v], v, degenerate):
             raise AssertionError("member %d does not map into member %d" % (v, v + 1))
-
-
-def _check_fixed_point(fp: FixedPoint, subset: PbwSubset) -> None:
-    """Raise AssertionError unless fp is a fixed flag of the locus."""
-    _fixed_point_checker(fp.n, subset)(fp)

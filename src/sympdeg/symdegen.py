@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _rep_of_valid,
-                   ranks_of, sigma)
-from .degen import Move, _apply_audited, degenerates
+from .core import (RankSequence, Representation, Segment, _depth_first,
+                   _rep_of_valid, ranks_of, sigma)
+from .degen import Move, _apply_audited, _move_from_json, degenerates
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -130,14 +130,10 @@ def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
                       for v in range(1, half + 1)]
             reps.append(((i, j), refl, 2 if sym.split and refl == (i, j) else 1,
                          [(v, w) for v, w in enumerate(weight) if w]))
-    found: List[Representation] = []
     remaining = list(dims[:half])
     mult = {}
 
-    def descend(index: int) -> None:
-        if index == len(reps):
-            found.append(Representation._of_mult(n, dict(mult)))
-            return
+    def counts(index: int) -> Iterator[None]:
         seg, refl, step, cover = reps[index]
         closes = seg == refl
         cap = min(remaining[v] // w for v, w in cover)
@@ -147,14 +143,14 @@ def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
             if not (closes and remaining[seg[0] - 1]):
                 if count:
                     mult[seg] = mult[refl] = count
-                descend(index + 1)
+                yield
                 mult.pop(seg, None)
                 mult.pop(refl, None)
             for v, w in cover:
                 remaining[v] += count * w
 
-    descend(0)
-    return found
+    return [Representation._of_mult(n, dict(mult))
+            for _ in _depth_first(len(reps), counts)]
 
 
 class EpsilonRep:
@@ -227,11 +223,13 @@ class SymMove(NamedTuple):
 
 
 def symmove_from_json(data: dict) -> SymMove:
-    if data["kind"] == "symcut":
-        return SymMove.symcut(data["t"], data["s"], data["q"])
-    if data["kind"] == "symshift":
-        return SymMove.symshift(data["t"], data["s"], data["q"], data["r"])
-    raise ValueError("unknown symmetric move kind %r" % (data["kind"],))
+    """The move of {"kind": "symcut", "t", "s", "q"} or {"kind":
+    "symshift", "t", "s", "q", "r"}, integers.  Raises MalformedInput on
+    any other shape, ValueError on an unknown kind or a field out of
+    range."""
+    return _move_from_json(data, "symmetric move",
+                           {"symcut": (SymMove.symcut, "tsq"),
+                            "symshift": (SymMove.symshift, "tsqr")})
 
 
 def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:

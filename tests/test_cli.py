@@ -225,6 +225,27 @@ def test_exit_codes(tmp_path, capsys):
     assert _run(capsys, "--help")[0] == 0
 
 
+def test_error_line_per_exception_family(tmp_path, capsys):
+    """A malformed input exits 2; a domain, value or OS error exits 1; each
+    prints one 'Type: message' line and nothing on stdout."""
+    bad = tmp_path / "bad.json"
+    bad.write_text("{not json")
+    missing = str(tmp_path / "nope.json")
+    for obj_or_path, code, line in (
+            ({"n": 3}, 2, "MalformedInput: missing field 'mult'"),
+            ({"n": 3, "mult": [{"i": 3, "j": 1, "m": 1}]}, 1,
+             "ValueError: segment (3, 1) out of range for n=3"),
+            (str(bad), 1, "JSONDecodeError: Expecting property name enclosed in "
+                          "double quotes: line 1 column 2 (char 1)"),
+            (missing, 1, "FileNotFoundError: [Errno 2] No such file or directory: %r"
+                         % missing)):
+        path = obj_or_path if isinstance(obj_or_path, str) else \
+            _write(tmp_path, "in.json", obj_or_path)
+        assert _run(capsys, "ranks", "--rep", path) == (code, "", line + "\n")
+    assert _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1") == \
+        (1, "", "InstanceTooLarge: 108 epsilon modules exceed the poset guard 100\n")
+
+
 def _malformed(tmp_path, capsys, verb, obj, *args):
     """Exit code and the one stderr line of a verb fed malformed JSON."""
     code, out, err = _run(capsys, verb, *args, "--rep", _write(tmp_path, "in.json", obj))
@@ -326,6 +347,15 @@ def test_poset_guard_without_listing_every_module(capsys):
     assert time.perf_counter() - start < 2
     assert (code, out) == (1, "")
     assert err.startswith("InstanceTooLarge: 292 epsilon modules") and err.count("\n") == 1
+
+
+def test_poset_zero_dims_past_recursion_limit(capsys):
+    """62 zero dims used to end in a RecursionError traceback; the only
+    epsilon module is the zero module."""
+    code, out, err = _run(capsys, "poset", "--type", "even-pos", "--dims", ",".join("0" * 62))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["nodes"] == [{"n": 62, "mult": []}] and data["edges"] == []
 
 
 def test_non_integer_list_arguments(capsys):

@@ -1,3 +1,6 @@
+import hashlib
+import itertools
+import json
 import random
 
 import pytest
@@ -283,6 +286,21 @@ def test_modules_with_dims_distinct_and_exact():
         assert modules
         assert len(set(modules)) == len(modules)
         assert all(dim_vector(rep) == dims for rep in modules)
+
+
+def test_modules_with_dims_order_pinned():
+    """The modules of every dims with n <= 4 and entries <= 2, in the
+    order listed before the search kept its own stack."""
+    records = [[sorted(rep.mult.items()) for rep in modules_with_dims(dims)]
+               for n in range(1, 5) for dims in itertools.product(range(3), repeat=n)]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "d6b50457677965e26c1090b803d2c745137e32e93d1852f292fd2f19e7fb5362"
+
+
+def test_modules_with_dims_deep_search():
+    """100 zero dims mean 5,050 segments, one search level each, far past
+    the recursion limit: the answer is the zero module alone."""
+    assert modules_with_dims((0,) * 100) == [Representation(100, {})]
 
 
 def test_less_segment_subtracts_one_segment():

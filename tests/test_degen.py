@@ -15,7 +15,7 @@ from sympdeg.degen import (
     generic_quotient, move_from_json, move_to_json, reset_audit,
 )
 from sympdeg.errors import (
-    InsufficientMultiplicity, NoEmbedding, NotComparable,
+    InsufficientMultiplicity, MalformedInput, NoEmbedding, NotComparable,
 )
 
 
@@ -64,6 +64,15 @@ def test_move_drops():
 def test_move_json():
     for move in (Move.cut(1, 3, 2), Move.shift(2, 5, 3, 4)):
         assert move_from_json(move_to_json(move)) == move
+    for data in ([], {"kind": "cut"}, {"t": 1, "s": 3, "q": 2},
+                 {"kind": "shift", "t": 2, "s": 5, "q": 3},
+                 {"kind": "cut", "t": 1, "s": 3.0, "q": 2}, {"kind": ["cut"]}):
+        with pytest.raises(MalformedInput):
+            move_from_json(data)
+    with pytest.raises(ValueError, match="unknown move kind 'symcut'"):
+        move_from_json({"kind": "symcut", "t": 1, "s": 3, "q": 2})
+    with pytest.raises(ValueError, match="cut needs"):
+        move_from_json({"kind": "cut", "t": 3, "s": 1, "q": 2})
 
 
 def test_apply_cut():

@@ -17,7 +17,7 @@ from sympdeg.coxeter import evaluate, is_reduced
 from sympdeg.errors import Infeasible
 from sympdeg.pbw import (
     CRootVector, FixedPoint, PbwSubset, _check_fixed_point,
-    _fixed_point_checker, build_Mi, canonical_root_keys,
+    build_Mi, canonical_root_keys,
     check_lemma_ui, count_lagrangian_fixed_points, dynkin_face_contains,
     dynkin_face_violations, ell_sequence, find_interior_point,
     fixed_point_chain, h_sequence, iprime, lagrangian_fixed_points, psi,
@@ -303,14 +303,10 @@ def test_fixed_points_emitted_in_order_n6():
         assert all(a < b for a, b in zip(points, points[1:])), i
 
 
-def _fault(fp, subset, check=None):
-    """The message the self-check (or a checker built for subset) raises
-    on fp, or None."""
+def _fault(fp, subset):
+    """The message the self-check raises on fp, or None."""
     try:
-        if check is None:
-            _check_fixed_point(fp, subset)
-        else:
-            check(fp)
+        _check_fixed_point(fp, subset)
     except AssertionError as exc:
         return str(exc)
     return None
@@ -356,15 +352,49 @@ def test_fixed_point_check_mirrored_half():
     assert _fault(fp, PbwSubset.make(4, [1])) == "member 4 does not map into member 5"
 
 
-def test_fixed_point_check_accepts_without_fallback(monkeypatch):
-    """The cached verdicts accept every enumerated point by themselves; the
-    condition-by-condition pass runs only on a point that fails."""
-    def fallback(fp, subset):
-        raise RuntimeError("fallback reached on %r" % (fp,))
-    monkeypatch.setattr(pbw, "_raise_first_fault", fallback)
-    for n in range(1, 5):
-        for s in _all_subsets(n):
-            assert lagrangian_fixed_points(s)
+def _inject_below(monkeypatch, target, extra):
+    """Make _members_below also offer extra as a member below target."""
+    real = pbw._members_below
+
+    def members_below(sk, chosen):
+        yield from real(sk, chosen)
+        if sk == target:
+            yield extra
+
+    monkeypatch.setattr(pbw, "_members_below", members_below)
+
+
+@pytest.mark.parametrize("extra, message", [
+    ((1, 2, 3), "member 2 has wrong size"),
+    # a repeated element: the link holds, but dual((1, 1)) has five elements
+    ((1, 1), "member 4 has wrong size"),
+    ((1, 4), "member 2 does not map into member 3"),
+])
+def test_enumeration_rejects_bad_member_below(monkeypatch, extra, message):
+    """A bad member offered below the middle member (1, 2, 3) of n = 3
+    fails the check of its edge, before any point is built."""
+    _inject_below(monkeypatch, (1, 2, 3), extra)
+    with pytest.raises(AssertionError, match=re.escape(message)):
+        lagrangian_fixed_points(PbwSubset.make(3, ()))
+
+
+def test_enumeration_rejects_bad_middle_member(monkeypatch):
+    real = pbw._middle_members
+    monkeypatch.setattr(pbw, "_middle_members",
+                        lambda n: itertools.chain(real(n), [(1, 3, 4)]))
+    with pytest.raises(AssertionError, match="middle member is not self-dual"):
+        lagrangian_fixed_points(PbwSubset.make(3, ()))
+
+
+def test_enumeration_rejects_broken_mirrored_link(monkeypatch):
+    """With the doubled subset's walls, a mirrored link holds exactly when
+    its lower mirror image does, so it can only break on its own when the
+    degenerate walls are not symmetric.  Keeping wall 1 but not its mirror
+    4 for n = 3, i = {1}, the member (2,) below (1, 3) passes its lower
+    link and breaks the mirrored one, as in the mirrored-half test."""
+    monkeypatch.setattr(pbw, "iprime", lambda subset: subset.i)
+    with pytest.raises(AssertionError, match="member 4 does not map into member 5"):
+        lagrangian_fixed_points(PbwSubset.make(3, [1]))
 
 
 def _reference_fault(fp, subset):
@@ -391,16 +421,15 @@ def _reference_fault(fp, subset):
 
 
 def test_fixed_point_check_matches_reference():
-    """One checker per subset, as in the enumeration, run over its points
-    with one member replaced (other sizes, elements outside 1..2n,
-    repeated elements, members of other points) agrees with the
-    definitions, message for message."""
+    """The self-check, run over the points of every subset with one member
+    replaced (other sizes, elements outside 1..2n, repeated elements,
+    members of other points), agrees with the definitions, message for
+    message."""
     rng = random.Random(57)
     faults = set()
     for n in range(1, 5):
         for s in _all_subsets(n):
             points = lagrangian_fixed_points(s)
-            check = _fixed_point_checker(n, s)
             for fp in rng.sample(points, min(len(points), 60)):
                 for _ in range(4):
                     k = rng.randrange(n)
@@ -415,7 +444,7 @@ def test_fixed_point_check_matches_reference():
                     subsets = fp.subsets[:k] + (member,) + fp.subsets[k + 1:]
                     bad = FixedPoint(n, subsets)
                     want = _reference_fault(bad, s)
-                    assert _fault(bad, s, check) == want, (s, bad)
+                    assert _fault(bad, s) == want, (s, bad)
                     faults.add(want and re.sub(r"\d+", "#", want))
     assert faults == {None, "member # has wrong size", "middle member is not self-dual",
                       "member # does not map into member #"}
@@ -521,12 +550,20 @@ def test_face_violations_pinned():
 
 
 def test_fixed_point_check_survives_optimize():
-    """The fixed-point self-check raises under python -O as well."""
+    """The fixed-point self-check, and the edge checks of the enumeration,
+    raise under python -O as well."""
     src = os.path.dirname(os.path.dirname(sympdeg.__file__))
-    code = ("from sympdeg.pbw import FixedPoint, PbwSubset, _check_fixed_point\n"
+    code = ("from sympdeg import pbw\n"
+            "from sympdeg.pbw import FixedPoint, PbwSubset, _check_fixed_point\n"
             "bad = FixedPoint(2, ((1,), (1, 4)))\n"
             "try:\n"
             "    _check_fixed_point(bad, PbwSubset.make(2, ()))\n"
+            "except AssertionError as exc:\n"
+            "    print(exc)\n"
+            "real = pbw._members_below\n"
+            "pbw._members_below = lambda sk, chosen: list(real(sk, chosen)) + [(1, 4)]\n"
+            "try:\n"
+            "    pbw.lagrangian_fixed_points(PbwSubset.make(3, ()))\n"
             "except AssertionError as exc:\n"
             "    print(exc)\n")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -534,4 +571,5 @@ def test_fixed_point_check_survives_optimize():
     done = subprocess.run([sys.executable, "-O", "-c", code], env=env,
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "middle member is not self-dual"
+    assert done.stdout.split("\n") == ["middle member is not self-dual",
+                                       "member 2 does not map into member 3", ""]

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -8,8 +10,8 @@ from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
 from sympdeg.degen import Move, move_to_json
 from sympdeg.errors import (
-    InvalidRankSequence, MismatchedType, NoEmbedding, NotComparable,
-    NotEpsilon, NotSplitType,
+    InvalidRankSequence, MalformedInput, MismatchedType, NoEmbedding,
+    NotComparable, NotEpsilon, NotSplitType,
 )
 from sympdeg.symdegen import (
     SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
@@ -132,6 +134,15 @@ def test_sym_move_validation():
 def test_sym_move_json():
     for move in (SymMove.symcut(1, 4, 2), SymMove.symshift(1, 5, 2, 3)):
         assert symmove_from_json(move_to_json(move)) == move
+    for data in ([], {"t": 1}, {"kind": "symcut", "t": 1, "s": 4},
+                 {"kind": "symshift", "t": 1, "s": 5, "q": 2, "r": "3"},
+                 {"kind": "symcut", "t": 1, "s": 4, "q": True}, {"kind": None}):
+        with pytest.raises(MalformedInput):
+            symmove_from_json(data)
+    with pytest.raises(ValueError, match="unknown symmetric move kind 'cut'"):
+        symmove_from_json({"kind": "cut", "t": 1, "s": 4, "q": 2})
+    with pytest.raises(ValueError, match="symcut needs"):
+        symmove_from_json({"kind": "symcut", "t": 4, "s": 1, "q": 2})
 
 
 def test_apply_sym_move():
@@ -416,3 +427,24 @@ def test_epsilon_modules_listed_directly():
                     sorted(want, key=Representation.key), (sym, dims)
                 checked += bool(want)
     assert checked > 100
+
+
+def test_epsilon_modules_order_pinned():
+    """The epsilon modules of every dims with n <= 6 and entries <= 2, in
+    both types of each n, in the order listed before the search kept its
+    own stack."""
+    records = [[sorted(rep.mult.items())
+                for rep in symdegen.epsilon_modules_with_dims(dims, SymmetricType(n, eps))]
+               for n in range(1, 7) for eps in (-1, 1)
+               for dims in itertools.product(range(3), repeat=n)]
+    digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
+    assert digest == "145447a9351a11f9c5151af6b735b85fb73889fd202a0e9e3e0367789c5ea699"
+
+
+def test_epsilon_modules_deep_search():
+    """100 and 101 zero dims, one search level per reflection pair, far past
+    the recursion limit: each type gives the zero module alone."""
+    for n in (100, 101):
+        for eps in (-1, 1):
+            got = symdegen.epsilon_modules_with_dims((0,) * n, SymmetricType(n, eps))
+            assert got == [Representation(n, {})], (n, eps)
