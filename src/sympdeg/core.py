@@ -141,7 +141,7 @@ class RankSequence:
 
     __slots__ = ("n", "_rows")
 
-    def __init__(self, n: int, rows, validate: bool = False):
+    def __init__(self, n: int, rows):
         if n < 1:
             raise ValueError("need at least one vertex")
         rows = [tuple(row) for row in rows]
@@ -149,8 +149,6 @@ class RankSequence:
             raise ValueError("expected a staircase of rows of lengths n, n-1, ..., 1")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_rows", tuple(rows))
-        if validate:
-            self.validate()
 
     @classmethod
     def _of_rows(cls, n: int, rows) -> "RankSequence":

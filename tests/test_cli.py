@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -332,6 +333,30 @@ def test_pbw_fixed_points_list_guard(capsys):
     assert err.startswith("InstanceTooLarge: 1323658 fixed points") and err.count("\n") == 1
 
 
+def _fresh_python(*args):
+    """Run a fresh interpreter on this package, failing instead of hanging."""
+    src = os.path.dirname(os.path.dirname(sympdeg.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, *args], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+def test_pbw_fixed_points_count_large_n():
+    """The count takes polynomial time, so n = 60 answers at once."""
+    done = _fresh_python("-m", "sympdeg.cli", "pbw-fixed-points", "60", "-")
+    assert (done.returncode, done.stderr) == (0, "")
+    assert json.loads(done.stdout) == {"n": 60, "i": [],
+                                       "count": 2 ** 60 * math.factorial(60)}
+
+
+def test_pbw_fixed_points_list_guard_large_n():
+    walls = ",".join(map(str, range(1, 30)))
+    done = _fresh_python("-m", "sympdeg.cli", "pbw-fixed-points", "30", walls, "--list")
+    assert (done.returncode, done.stdout) == (1, "")
+    assert done.stderr.startswith("InstanceTooLarge: ") and done.stderr.count("\n") == 1
+
+
 def test_poset_guard(capsys):
     # 108 epsilon modules, found in well under a second
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")
@@ -376,7 +401,6 @@ def test_import_loads_no_oracle():
     """Only oracle-verify uses the brute-force oracle, so importing the CLI
     leaves the oracle's body unexecuted (its fractions import unloaded)
     until the first attribute access."""
-    src = os.path.dirname(os.path.dirname(sympdeg.__file__))
     code = ("import sys\n"
             "before = set(sys.modules)\n"
             "import sympdeg.cli\n"
@@ -385,10 +409,7 @@ def test_import_loads_no_oracle():
             "ran = 'realize_matrices' in object.__getattribute__(lazy, '__dict__')\n"
             "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)), ran)\n"
             "print(sympdeg.oracle.realize_matrices.__module__, 'fractions' in sys.modules)\n")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
-    done = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=60)
+    done = _fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["[] False", "sympdeg.oracle True"]
 

@@ -7,6 +7,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -245,13 +246,44 @@ def _brute_fixed_points(subset):
     return result
 
 
+def _recursive_count(subset):
+    """The chains counted by a recursion over (k, S_k) down from the middle
+    members, memoised per S_k: exponential in n, kept as a reference."""
+    chosen = set(subset.i)
+    below = {(): 1}
+
+    def count(sk):
+        if sk not in below:
+            below[sk] = sum(map(count, pbw._members_below(sk, chosen)))
+        return below[sk]
+
+    return sum(map(count, pbw._middle_members(subset.n)))
+
+
 def test_fixed_point_counts_no_degeneration():
     for n in range(1, 5):
         points = lagrangian_fixed_points(PbwSubset.make(n, []))
         assert len(points) == 2 ** n * math.factorial(n)
-    for n in range(1, 9):
+    for n in range(1, 61):
         assert count_lagrangian_fixed_points(PbwSubset.make(n, [])) == \
             2 ** n * math.factorial(n)
+
+
+def test_fixed_point_count_matches_recursion():
+    """The O(n^2) recurrence against the recursion over every member, on
+    every subset with n <= 7."""
+    for n in range(1, 8):
+        for s in _all_subsets(n):
+            assert count_lagrangian_fixed_points(s) == _recursive_count(s), (n, s.i)
+
+
+def test_fixed_point_count_large_n():
+    assert count_lagrangian_fixed_points(PbwSubset.make(12, range(1, 12))) == \
+        309_483_997_093_321_210
+    start = time.perf_counter()
+    count = count_lagrangian_fixed_points(PbwSubset.make(200, range(1, 200)))
+    assert time.perf_counter() - start < 1
+    assert count > 2 ** 200 * math.factorial(200)
 
 
 def test_package_exports():
@@ -318,6 +350,11 @@ def test_fixed_point_check_messages():
     assert _fault(FixedPoint(2, ((1,), (1, 3), (1, 2, 3))), s2) == \
         "chain has 4 members, not 3"
     assert _fault(FixedPoint(3, ((1,), (1, 2))), s3) == "chain has 4 members, not 5"
+    # fewer than n - 1 stored members, and n + 1 of them
+    assert _fault(FixedPoint(3, ((1,),)), s3) == "chain has 3 members, not 5"
+    assert _fault(FixedPoint(2, ()), s2) == "chain has 1 members, not 3"
+    assert _fault(FixedPoint(3, ((1,), (1, 2), (1, 2, 3), (1, 2, 3, 4))), s3) == \
+        "chain has 6 members, not 5"
     assert _fault(FixedPoint(2, ((1, 3), (1, 3))), s2) == "member 1 has wrong size"
     # 5 lies outside 1..4, so the mirrored member dual(S_1) keeps all four
     assert _fault(FixedPoint(2, ((5,), (1, 3))), s2) == "member 3 has wrong size"
@@ -331,6 +368,14 @@ def test_fixed_point_check_messages():
     # a broken link in the lower half: S_1 is not inside S_2
     assert _fault(FixedPoint(3, ((3,), (1, 2), (1, 2, 3))), s3) == \
         "member 1 does not map into member 2"
+
+
+def test_fixed_point_chain_needs_n_members():
+    for fp in (FixedPoint(3, ((1,),)), FixedPoint(2, ()),
+               FixedPoint(2, ((1,), (1, 3), (1, 2, 3)))):
+        with pytest.raises(ValueError, match="stores %d members, not %d"
+                           % (len(fp.subsets), fp.n)):
+            fixed_point_chain(fp)
 
 
 def test_fixed_point_check_degenerate_wall():
@@ -555,11 +600,11 @@ def test_fixed_point_check_survives_optimize():
     src = os.path.dirname(os.path.dirname(sympdeg.__file__))
     code = ("from sympdeg import pbw\n"
             "from sympdeg.pbw import FixedPoint, PbwSubset, _check_fixed_point\n"
-            "bad = FixedPoint(2, ((1,), (1, 4)))\n"
-            "try:\n"
-            "    _check_fixed_point(bad, PbwSubset.make(2, ()))\n"
-            "except AssertionError as exc:\n"
-            "    print(exc)\n"
+            "for bad in (FixedPoint(2, ((1,), (1, 4))), FixedPoint(3, ((1,),))):\n"
+            "    try:\n"
+            "        _check_fixed_point(bad, PbwSubset.make(bad.n, ()))\n"
+            "    except AssertionError as exc:\n"
+            "        print(exc)\n"
             "real = pbw._members_below\n"
             "pbw._members_below = lambda sk, chosen: list(real(sk, chosen)) + [(1, 4)]\n"
             "try:\n"
@@ -572,4 +617,5 @@ def test_fixed_point_check_survives_optimize():
                           capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.split("\n") == ["middle member is not self-dual",
+                                       "chain has 3 members, not 5",
                                        "member 2 does not map into member 3", ""]
