@@ -129,11 +129,11 @@ class WeylWord(NamedTuple):
         letters = tuple(letters)
         if kind not in ("A", "C"):
             raise ValueError("kind must be 'A' or 'C', got %r" % (kind,))
-        if m < 1:
-            raise ValueError("rank must be positive")
+        if type(m) is not int or m < 1:
+            raise ValueError("rank must be a positive integer, got %r" % (m,))
         top = m - 1 if kind == "A" else m
         for a in letters:
-            if not (isinstance(a, int) and 1 <= a <= top):
+            if not (type(a) is int and 1 <= a <= top):
                 raise ValueError("letter %r out of range 1..%d" % (a, top))
         return cls(kind, m, letters)
 

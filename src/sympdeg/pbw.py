@@ -44,13 +44,13 @@ class PbwSubset(NamedTuple):
 
     @classmethod
     def make(cls, n: int, i) -> "PbwSubset":
-        i = tuple(sorted(set(i)))
-        if n < 1:
-            raise ValueError("need n >= 1")
+        if type(n) is not int or n < 1:
+            raise ValueError("need an integer n >= 1, got %r" % (n,))
+        i = tuple(i)
         for x in i:
-            if not (isinstance(x, int) and 1 <= x <= n - 1):
+            if not (type(x) is int and 1 <= x <= n - 1):
                 raise ValueError("subset entry %r outside 1..%d" % (x, n - 1))
-        return cls(n, i)
+        return cls(n, tuple(sorted(set(i))))
 
     @property
     def t(self) -> int:
@@ -262,6 +262,8 @@ class CRootVector:
     __slots__ = ("n", "_d")
 
     def __init__(self, n: int, entries: Dict[RootKey, int]):
+        if type(n) is not int or n < 1:
+            raise ValueError("need an integer n >= 1, got %r" % (n,))
         need = canonical_root_keys(n)
         entries = dict(entries)
         if set(entries) != set(need):
@@ -270,7 +272,7 @@ class CRootVector:
             raise ValueError("bad root keys: missing %r, extra %r"
                              % (missing[:4], extra[:4]))
         for key, value in entries.items():
-            if not isinstance(value, int):
+            if type(value) is not int:
                 raise ValueError("entry %r is not an integer" % (key,))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_d", entries)
@@ -485,20 +487,24 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     The member graph is built once per call: walking down from the
     middle members level by level collects every member some chain can
     pass through, and above[S_k] lists the members S_{k+1} that S_k can
-    sit below, in sorted order.  A depth-first walk up from the sorted
-    1-element members then meets the chains in lexicographic order, so
-    the list comes out sorted without a sort.
+    sit below, as sorted 1-tuples (S_{k+1},).  Each member's set and the
+    set of its dual are computed once, when the member is first met.
 
     The self-check runs on the graph, not on the points.  Each middle
     member is checked to be self-dual, and each edge lo -> hi, as it is
     added, for the sizes of hi and of the mirrored member dual(hi), and
     above the bottom edges from () for the link lo -> hi at wall v =
     len(lo) and the mirrored link dual(hi) -> dual(lo) at wall 2n-1-v
-    (_maps_into).  Every emitted chain is a path () -> S_1 -> ... -> S_n
-    through checked edges, and every condition of _check_fixed_point is
-    a condition on one such edge or on S_n, so every point is fully
-    covered, and each verdict is computed once instead of once per chain
-    through it.
+    (the test of _maps_into, on the stored sets).
+
+    The chains are then built level by level: every prefix S_1, ..., S_k
+    in the sorted list of prefixes is extended by each entry of
+    above[S_k], in order.  So the prefixes stay sorted at every level,
+    and the list comes out in lexicographic order without a sort.  Every
+    emitted chain is a path () -> S_1 -> ... -> S_n through checked
+    edges, and every condition of _check_fixed_point is a condition on
+    one such edge or on S_n, so every point is fully covered, and each
+    verdict is computed once instead of once per chain through it.
 
     The list has one entry per point, so its length is the Euler
     characteristic of the locus: 2^n n! for the empty subset, 60,134,210
@@ -513,47 +519,48 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     for sn in level:
         if _dual_subset(sn, n) != sn:
             raise AssertionError("middle member is not self-dual")
-    # above[S_k]: the members S_{k+1} that S_k can sit below, with
+    # sets[S] = (set(S), set(dual(S))); a middle member is its own dual
+    sets = {sn: (set(sn), set(sn)) for sn in level}
+    # above[S_k]: the 1-tuples (S_{k+1},) that S_k can sit below, with
     # above[()] the 1-element members.  Each level is walked in sorted
     # order, so every list is appended to in sorted order.
-    above: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+    above: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
     for k in range(n, 0, -1):
-        v = k - 1
-        below: Dict[Tuple[int, ...], List[Tuple[int, ...]]] = {}
+        v, w = k - 1, 2 * n - k
+        below: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
         for hi in level:
-            dual_hi = _dual_subset(hi, n)
+            hi_set, dual_hi = sets[hi]
             if len(hi) != k:
                 raise AssertionError("member %d has wrong size" % k)
-            if len(dual_hi) != 2 * n - k:
-                raise AssertionError("member %d has wrong size" % (2 * n - k))
+            if len(dual_hi) != w:
+                raise AssertionError("member %d has wrong size" % w)
+            # lo maps into hi at wall v iff lo lies in hi plus the element
+            # the wall may drop; likewise dual(hi) into dual(lo) at wall w
+            if v in degenerate:
+                hi_set = hi_set | {v + 1}
+            if w in degenerate:
+                dual_hi = dual_hi - {w + 1}
+            up = (hi,)
             for lo in _members_below(hi, chosen):
-                if v and not _maps_into(lo, hi, v, degenerate):
+                if lo not in sets:
+                    sets[lo] = (set(lo), set(_dual_subset(lo, n)))
+                lo_set, dual_lo = sets[lo]
+                if v and not lo_set <= hi_set:
                     raise AssertionError("member %d does not map into member %d"
                                          % (v, k))
-                if v and not _maps_into(dual_hi, _dual_subset(lo, n),
-                                        2 * n - k, degenerate):
+                if v and not dual_hi <= dual_lo:
                     raise AssertionError("member %d does not map into member %d"
-                                         % (2 * n - k, 2 * n - v))
-                below.setdefault(lo, []).append(hi)
+                                         % (w, 2 * n - v))
+                below.setdefault(lo, []).append(up)
         above.update(below)
         level = sorted(below)
 
-    chains: List[Tuple[Tuple[int, ...], ...]] = []
-    path: List[Tuple[int, ...]] = [()] * n
-
-    def walk(k: int, sk: Tuple[int, ...]) -> None:
-        # path[:k] holds S_1, ..., S_k, and sk is S_k
-        if k == n - 1:
-            for up in above[sk]:
-                path[k] = up
-                chains.append(tuple(path))
-            return
-        for up in above[sk]:
-            path[k] = up
-            walk(k + 1, up)
-
-    walk(0, ())
-    return [FixedPoint(n, chain) for chain in chains]
+    chains: List[Tuple[Tuple[int, ...], ...]] = [()]
+    for _ in range(n - 1):
+        chains = [c + up for c in chains for up in above[c[-1] if c else ()]]
+    # tuple.__new__ skips the namedtuple's own __new__, a Python call per point
+    wrap = tuple.__new__
+    return [wrap(FixedPoint, (n, c + up)) for c in chains for up in above[c[-1] if c else ()]]
 
 
 def count_lagrangian_fixed_points(subset: PbwSubset) -> int:

@@ -84,6 +84,15 @@ def test_word_make_validation():
         WeylWord.make("A", 3, [0])
 
 
+@pytest.mark.parametrize("kind, m, letters", [
+    ("A", 3, [True, 2]), ("C", 3, [1, 2.0]), ("C", True, [1]),
+    ("A", 3.0, [1]), ("C", 2.5, []),
+])
+def test_word_make_rejects_bools_and_non_integers(kind, m, letters):
+    with pytest.raises(ValueError):
+        WeylWord.make(kind, m, letters)
+
+
 def test_evaluate_type_a():
     w = WeylWord.make("A", 3, [1, 2])
     p = evaluate(w)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import itertools
 import json
@@ -42,6 +43,18 @@ def test_subset_validation():
         PbwSubset.make(3, [3])
     with pytest.raises(ValueError):
         PbwSubset.make(0, [])
+
+
+@pytest.mark.parametrize("n, i", [
+    (3, [True]), (True, ()), (2.5, ()), (3.0, [1]),
+    # the types are checked before the entries are deduplicated
+    (3, [1, 1.0]), (3, [1.0, 1]),
+])
+def test_subset_rejects_bools_and_non_integers(n, i):
+    """A bool would count as wall 1 and print as true in JSON, and a float
+    n would fail later, inside the count."""
+    with pytest.raises(ValueError):
+        PbwSubset.make(n, i)
 
 
 def test_build_module_anchor():
@@ -157,6 +170,17 @@ def test_root_vector_validation():
     good = zero_root_vector(2)
     with pytest.raises(AttributeError):
         good.n = 3
+
+
+def test_root_vector_rejects_bools_and_non_integers():
+    entries = {key: 0 for key in canonical_root_keys(1)}
+    assert CRootVector(1, entries).n == 1
+    for n in (True, 1.0, 0):
+        with pytest.raises(ValueError, match="need an integer n >= 1"):
+            CRootVector(n, entries)
+    for value in (True, False, 0.0):
+        with pytest.raises(ValueError, match="is not an integer"):
+            CRootVector(1, {key: value for key in entries})
 
 
 def test_zero_vector_membership():
@@ -310,11 +334,17 @@ def test_fixed_points_match_brute():
 
 def test_fixed_points_pinned():
     """Every point and its place in the list, for every subset with n <= 5,
-    as enumerated before the chains below each member were shared."""
+    as enumerated before the chains below each member were shared.  Each
+    point is a FixedPoint itself, storing a tuple of tuples."""
     digest = hashlib.sha256()
     for n in range(1, 6):
         for s in _all_subsets(n):
-            points = [list(map(list, fp.subsets)) for fp in lagrangian_fixed_points(s)]
+            found = lagrangian_fixed_points(s)
+            for fp in found:
+                assert type(fp) is FixedPoint and fp.n == n, (n, s.i)
+                assert type(fp.subsets) is tuple, (n, s.i)
+                assert all(type(member) is tuple for member in fp.subsets), (n, s.i)
+            points = [list(map(list, fp.subsets)) for fp in found]
             assert count_lagrangian_fixed_points(s) == len(points), (n, s.i)
             digest.update(json.dumps([n, list(s.i), points]).encode())
     assert digest.hexdigest() == FIXED_POINTS_DIGEST
@@ -325,14 +355,31 @@ def test_fixed_point_count_n6():
 
 
 def test_fixed_points_emitted_in_order_n6():
-    """The depth-first walk up the member graph meets the chains in
-    lexicographic order: the list is strictly increasing without a sort,
-    with one entry per counted point."""
+    """Extending the sorted prefixes level by level, each through its
+    sorted list in the member graph, keeps the chains in lexicographic
+    order: the list is strictly increasing without a sort, with one entry
+    per counted point."""
     for i in ((), (1,), (3,), (2, 5)):
         s = PbwSubset.make(6, i)
         points = lagrangian_fixed_points(s)
         assert len(points) == count_lagrangian_fixed_points(s), i
         assert all(a < b for a, b in zip(points, points[1:])), i
+
+
+def test_fixed_points_leave_no_cyclic_garbage():
+    """The enumeration holds no reference cycle, so the graph and the
+    chains are freed when the call returns, not at the next full
+    collection."""
+    s = PbwSubset.make(5, range(1, 5))
+    gc.collect()
+    gc.disable()
+    try:
+        points = lagrangian_fixed_points(s)
+        assert len(points) == count_lagrangian_fixed_points(s)
+        del points
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def _fault(fp, subset):
