@@ -17,7 +17,7 @@ import sys
 from typing import List
 
 from . import core, degen, pbw, symdegen
-from .coxeter import WeylWord, evaluate, is_reduced, word_to_str
+from .coxeter import WeylWord, evaluate, word_to_str
 from .errors import InstanceTooLarge, MalformedInput, MismatchedType, SympdegError
 
 TYPE_NAMES = {
@@ -169,14 +169,16 @@ def _render_coeff(rep: core.Representation) -> str:
 
 def _word_report(word: WeylWord) -> dict:
     perm = evaluate(word)
+    length = perm.length()
     return {
         "kind": word.kind,
         "m": word.m,
         "letters": list(word.letters),
         "word": word_to_str(word),
         "images": list(perm.images),
-        "length": perm.length(),
-        "reduced": is_reduced(word),
+        "length": length,
+        # is_reduced, without evaluating the word a second time
+        "reduced": length == len(word.letters),
     }
 
 

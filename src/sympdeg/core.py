@@ -80,13 +80,13 @@ class Representation:
     __slots__ = ("n", "mult")
 
     def __init__(self, n: int, mult: Dict[Segment, int] | None = None):
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("need at least one vertex, got n=%r" % (n,))
         clean: Dict[Segment, int] = {}
         for (i, j), m in (mult or {}).items():
-            if not (1 <= i <= j <= n):
+            if not (type(i) is int and type(j) is int and 1 <= i <= j <= n):
                 raise ValueError("segment (%r, %r) out of range for n=%r" % (i, j, n))
-            if not isinstance(m, int) or m < 0:
+            if type(m) is not int or m < 0:
                 raise ValueError("multiplicity of (%r, %r) must be a non-negative int" % (i, j))
             if m:
                 clean[(i, j)] = m
@@ -142,7 +142,7 @@ class RankSequence:
     __slots__ = ("n", "_rows")
 
     def __init__(self, n: int, rows):
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("need at least one vertex")
         rows = [tuple(row) for row in rows]
         if len(rows) != n or any(len(rows[i]) != n - i for i in range(n)):
@@ -193,7 +193,7 @@ class RankSequence:
         for i, here, above in self._neighbours():
             for j, (v, right, up, up_right) in enumerate(
                     zip(here, here[1:], above, above[1:]), i):
-                if not isinstance(v, int) or v < 0:
+                if type(v) is not int or v < 0:
                     raise InvalidRankSequence(
                         "entry r[%d,%d] is not a non-negative integer" % (i, j),
                         indices=(i, j))

@@ -303,7 +303,8 @@ def zero_root_vector(n: int) -> CRootVector:
 
 @functools.lru_cache(maxsize=8)
 def _face_tables(n: int) -> Tuple[tuple, tuple]:
-    """The constraint rows of the face at n, shared by every subset.
+    """The constraint rows of the face at n, shared by every subset:
+    every pair row, and a spanning set of the exchange rows.
 
     Pair rows are (wall, c >= b, (beta1, beta2, total)) for every
     additive pair of positive roots.  Two positive roots sum to a root
@@ -312,8 +313,53 @@ def _face_tables(n: int) -> Tuple[tuple, tuple]:
     junction wall is b - 1: at a chosen wall the vector may exceed
     additivity, elsewhere it must be exactly additive; which wall is
     chosen depends on the subset, so the rows carry no family tag.
-    Exchange rows are (family, (k1, k2, k3, k4)) for the equalities
-    d(k1) + d(k2) == d(k3) + d(k4).
+
+    The exchange rows (_exchange_rows) are O(n^4) equalities, but their
+    rank is O(n^2).  The second table holds O(n^2) of them, as root
+    tuples (k1, k2, k3, k4) for d(k1) + d(k2) == d(k3) + d(k4), whose
+    span contains every exchange row, so d satisfies them all exactly
+    when it satisfies these.  Write u(p, q) and b(p, q) for d at ("u",
+    p, q) and ("b", p, q), and for an exchange row E for the difference
+    of its two sides, a linear form in d.  The spanning rows are
+
+      A4(p, q) = E4(p, p+1, q, q+1)   for p + 1 <= q <= n - 1,
+      A5(p, k) = E5(p, p+1, k, p+1)   for p + 1 <= k <= n - 1,
+      A6(p, q), A6'(p, q) = E6, E6'(p, p+1, q, q+1)
+                                      for p + 2 <= q <= n - 2,
+
+    where, with the index ranges of _exchange_rows,
+
+      E4(i, j, k, l)  = u(i, k) + u(j, l) - u(i, l) - u(j, k),
+      E5(i, j, k, l)  = b(i, k) + u(j, l) - u(i, l) - b(j, k),
+      E6(i, j, k, l)  = b(i, j) + b(k, l) - b(i, k) - b(j, l),
+      E6'(i, j, k, l) = b(i, j) + b(k, l) - b(i, l) - b(j, k).
+
+    Each row of _exchange_rows is a sum of spanning rows, for every n,
+    and every E term below is a row of _exchange_rows (its indices are
+    in range), so all its keys are roots:
+
+      * E4 is the mixed difference of u over rows {i, j} and columns
+        {k, l}, so it telescopes over the rectangle:
+        E4(i, j, k, l) = sum of A4(p, q) for i <= p < j, k <= q < l.
+        Every term has p + 1 <= j <= k <= q and q + 1 <= l <= n.
+      * E5 telescopes in its first two indices: E5(i, j, k, l) = sum of
+        E5(p, p+1, k, l) for i <= p < j, where p + 1 <= j <= k and
+        p + 1 <= l.  Moving l down to p + 1 changes only the u terms:
+        E5(p, p+1, k, l) = A5(p, k) + E4(p, p+1, p+1, l) for l > p + 1,
+        and that E4 has p < p + 1 <= p + 1 < l <= n.
+      * With D(i, j, k, l) = E6'(i, j, k, l) - E6(i, j, k, l), the mixed
+        difference b(i, k) + b(j, l) - b(i, l) - b(j, k) of b over rows
+        {i, j} and columns {k, l} with j < k, the same rectangle sum
+        gives D(i, j, k, l) = sum of A6'(p, q) - A6(p, q) for
+        i <= p < j, k <= q < l, where p + 1 <= j < k <= q.  Then, for
+        i < j < k < l <= n - 1,
+        E6(i, j, k, l) = A6(j-1, k) + D(i, j-1, j, k) + D(j, k, k+1, l),
+        where the first D is left out when i = j - 1 and the second when
+        l = k + 1 (expand both sides: the b terms cancel pairwise), and
+        E6' = E6 + D(i, j, k, l).
+
+    So the table holds (n-1)(n-2) rows of the first two families and
+    (n-3)(n-4) of the third: 62 at n = 8 against 448 exchange rows.
     """
     pairs = []
     for b in range(2, n + 1):
@@ -325,31 +371,44 @@ def _face_tables(n: int) -> Tuple[tuple, tuple]:
             for c in range(1, n + 1):
                 pairs.append((wall, c >= b, (beta1, _key_plus(min(b, c), max(b, c), n),
                                              _key_plus(min(a, c), max(a, c), n))))
-    exchanges = []
+    spanning = []
+    for p in range(1, n):
+        for q in range(p + 1, n):
+            spanning.append((("u", p, q), ("u", p + 1, q + 1),
+                             ("u", p, q + 1), ("u", p + 1, q)))
+            spanning.append((("b", p, q), ("u", p + 1, p + 1),
+                             ("u", p, p + 1), ("b", p + 1, q)))
+        for q in range(p + 2, n - 1):
+            spanning.append((("b", p, p + 1), ("b", q, q + 1),
+                             ("b", p, q), ("b", p + 1, q + 1)))
+            spanning.append((("b", p, p + 1), ("b", q, q + 1),
+                             ("b", p, q + 1), ("b", p + 1, q)))
+    # the cache keeps one tuple per root, not one per mention
+    canon = {key: key for key in canonical_root_keys(n)}
+    return (tuple([(wall, ge, tuple([canon[k] for k in roots])) for wall, ge, roots in pairs]),
+            tuple([tuple([canon[k] for k in roots]) for roots in spanning]))
+
+
+def _exchange_rows(n: int) -> Iterator[Tuple[str, Tuple[RootKey, ...]]]:
+    """Every exchange row at n, as (family, (k1, k2, k3, k4)) for the
+    equality d(k1) + d(k2) == d(k3) + d(k4), in table order, built on
+    demand: O(n^4) rows, so nothing keeps them."""
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             for k in range(j, n + 1):
                 for l in range(k + 1, n + 1):
-                    exchanges.append(("b4", (("u", i, k), ("u", j, l),
-                                             ("u", i, l), ("u", j, k))))
+                    yield ("b4", (("u", i, k), ("u", j, l), ("u", i, l), ("u", j, k)))
     for i in range(1, n):
         for j in range(i + 1, n):
             for k in range(j, n):
                 for l in range(j, n + 1):
-                    exchanges.append(("b5", (("b", i, k), ("u", j, l),
-                                             ("u", i, l), ("b", j, k))))
+                    yield ("b5", (("b", i, k), ("u", j, l), ("u", i, l), ("b", j, k)))
     for i in range(1, n):
         for j in range(i + 1, n):
             for k in range(j + 1, n):
                 for l in range(k + 1, n):
-                    exchanges.append(("b6", (("b", i, j), ("b", k, l),
-                                             ("b", i, k), ("b", j, l))))
-                    exchanges.append(("b6", (("b", i, j), ("b", k, l),
-                                             ("b", i, l), ("b", j, k))))
-    # the cache keeps one tuple per root, not one per mention
-    canon = {key: key for key in canonical_root_keys(n)}
-    return (tuple([(wall, ge, tuple([canon[k] for k in roots])) for wall, ge, roots in pairs]),
-            tuple([(family, tuple([canon[k] for k in roots])) for family, roots in exchanges]))
+                    yield ("b6", (("b", i, j), ("b", k, l), ("b", i, k), ("b", j, l)))
+                    yield ("b6", (("b", i, j), ("b", k, l), ("b", i, l), ("b", j, k)))
 
 
 def dynkin_face_violations(subset: PbwSubset, d: CRootVector,
@@ -376,11 +435,14 @@ def _face_violations(subset: PbwSubset, d: CRootVector,
 
     The rows come from _face_tables(n), built once per n; a pair row is
     tagged here, from the subset: bullet1 (c >= b) or bullet2 at a chosen
-    wall, bullet3 elsewhere.
+    wall, bullet3 elsewhere.  The exchange rows are checked on the
+    spanning rows of the table: if those hold, every exchange row holds
+    and there is nothing left to report.  Only when one fails are the
+    full rows of _exchange_rows walked, to report each broken one.
     """
     if d.n != subset.n:
         raise ValueError("vector has n=%d, subset has n=%d" % (d.n, subset.n))
-    pairs, exchanges = _face_tables(subset.n)
+    pairs, spanning = _face_tables(subset.n)
     chosen = set(subset.i)
     dd = d._d
     exceeds = ">" if strict else ">="
@@ -398,7 +460,12 @@ def _face_violations(subset: PbwSubset, d: CRootVector,
             family, relation = "bullet3", "=="
         yield {"family": family, "wall": wall, "roots": roots,
                "lhs": lhs, "rhs": rhs, "relation": relation}
-    for family, roots in exchanges:
+    for k1, k2, k3, k4 in spanning:
+        if dd[k1] + dd[k2] != dd[k3] + dd[k4]:
+            break
+    else:
+        return
+    for family, roots in _exchange_rows(subset.n):
         k1, k2, k3, k4 = roots
         lhs = dd[k1] + dd[k2]
         rhs = dd[k3] + dd[k4]
@@ -418,10 +485,13 @@ def find_interior_point(subset: PbwSubset) -> CRootVector:
     """
     n = subset.n
     ip = set(iprime(subset))
+    # below[x] counts the doubled-subset walls < x, so the walls in
+    # [x, y) number below[y] - below[x]
+    below = list(itertools.accumulate((v in ip for v in range(2 * n)), initial=0))
     entries = {}
     for key in canonical_root_keys(n):
         x, y = _segment_of_root(key, n)
-        entries[key] = -len(ip & set(range(x, y)))
+        entries[key] = below[x] - below[y]
     d = CRootVector(n, entries)
     if not dynkin_face_contains(subset, d, strict=True):
         raise Infeasible("closed-form point fails the strict check")

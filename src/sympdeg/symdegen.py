@@ -39,9 +39,9 @@ class SymmetricType:
     __slots__ = ("n", "epsilon")
 
     def __init__(self, n: int, epsilon: int):
-        if n < 1:
+        if type(n) is not int or n < 1:
             raise ValueError("need at least one vertex")
-        if epsilon not in (-1, 1):
+        if type(epsilon) is not int or epsilon not in (-1, 1):
             raise ValueError("epsilon must be -1 or +1, got %r" % (epsilon,))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "epsilon", epsilon)

@@ -77,10 +77,32 @@ def test_validate_rejects_bad_rows():
         RankSequence(3, [[1, 2, 0], [1, 0], [0]]).validate()
     with pytest.raises(ValueError):
         RankSequence(3, [[1, 1], [1, 0], [0]])
+    with pytest.raises(ValueError):
+        RankSequence(True, [[1]])
     bad = RankSequence(2, [[0, 1], [1]])
     with pytest.raises(InvalidRankSequence) as info:
         bad.validate()
     assert info.value.indices
+
+
+@pytest.mark.parametrize("n, mult", [
+    (True, {}), (2.5, {}), (3.0, {(1, 2): 1}), (3, {(1, 2): True}),
+    (3, {(1, 2): 1.0}), (3, {(True, 2): 1}), (3, {(1, 2.0): 1}),
+])
+def test_representation_rejects_bools_and_non_integers(n, mult):
+    """isinstance(True, int) holds, so a bool size or multiplicity used to
+    be kept as given."""
+    with pytest.raises(ValueError):
+        Representation(n, mult)
+
+
+@pytest.mark.parametrize("n, rows", [
+    (2, [[True, True], [True]]), (2, [[1, 1], [True]]), (2, [[1.0, 1], [1]]),
+])
+def test_rank_sequence_validate_rejects_bools_and_non_integers(n, rows):
+    with pytest.raises(InvalidRankSequence) as info:
+        RankSequence(n, rows).validate()
+    assert str(info.value).startswith("entry r[")
 
 
 def test_ext_role_convention():
@@ -163,7 +185,8 @@ def _ranks_reference(rep):
 
 def _validate_reference(n, rows):
     """Entry-by-entry validate through the boundary conventions; returns
-    None or (error class, message, indices) of the first failure."""
+    None or (error class, message, indices) of the first failure.  An
+    entry must be an int proper: a bool is not a rank."""
     def r(i, j):
         if i == 0 or j == n + 1:
             return 0
@@ -172,7 +195,7 @@ def _validate_reference(n, rows):
     try:
         for i in range(1, n + 1):
             for j in range(i, n + 1):
-                if not isinstance(r(i, j), int) or r(i, j) < 0:
+                if type(r(i, j)) is not int or r(i, j) < 0:
                     raise InvalidRankSequence(
                         "entry r[%d,%d] is not a non-negative integer" % (i, j),
                         indices=(i, j))

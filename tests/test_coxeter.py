@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -142,10 +143,41 @@ def test_parse_roundtrip():
 
 
 def test_signed_length_matches_brute():
-    for images in itertools.permutations(range(1, 4)):
-        for signs in itertools.product((1, -1), repeat=3):
-            signed = tuple(v * s for v, s in zip(images, signs))
-            assert SignedPermutation(signed).length() == _c_length(signed)
+    """The O(1)-per-root sign rule of length against the root vectors
+    themselves: every signed permutation with m <= 6."""
+    for m in range(1, 7):
+        for images in itertools.permutations(range(1, m + 1)):
+            for signs in itertools.product((1, -1), repeat=m):
+                signed = tuple(v * s for v, s in zip(images, signs))
+                assert SignedPermutation(signed).length() == _c_length(signed)
+
+
+def test_signed_length_matches_brute_seeded():
+    rng = random.Random(1407)
+    for _ in range(500):
+        m = rng.randint(7, 30)
+        images = list(range(1, m + 1))
+        rng.shuffle(images)
+        signed = tuple(v * rng.choice((1, -1)) for v in images)
+        assert SignedPermutation(signed).length() == _c_length(signed)
+
+
+@pytest.mark.parametrize("images", [
+    [True, 2], [2, True], [1.0, 2], [2.0, 1.0], ["1"],
+])
+def test_permutation_rejects_bools_and_non_integers(images):
+    """sorted() compares True and 1.0 equal to 1, so these looked like
+    permutations and kept the bool or float as an image."""
+    with pytest.raises(ValueError):
+        PermutationA(images)
+
+
+@pytest.mark.parametrize("images", [
+    [-2, True], [True], [-1.0], [2, -1.0], ["1"],
+])
+def test_signed_permutation_rejects_bools_and_non_integers(images):
+    with pytest.raises(ValueError):
+        SignedPermutation(images)
 
 
 def test_a_length_matches_inversions():

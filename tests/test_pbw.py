@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -625,6 +626,95 @@ def test_face_results_independent_of_call_order():
     backward = {s: answers(s) for s in (second, first)}
     assert forward == backward
     assert forward[first] != forward[second]
+
+
+def _rank(rows):
+    """Rank of the forms d(k1) + d(k2) - d(k3) - d(k4), by exact
+    elimination on sparse Fraction rows."""
+    pivots = {}
+    for k1, k2, k3, k4 in rows:
+        v = {}
+        for key, c in ((k1, 1), (k2, 1), (k3, -1), (k4, -1)):
+            v[key] = v.get(key, 0) + c
+        v = {key: Fraction(c) for key, c in v.items() if c}
+        while v:
+            lead = min(v)
+            if lead not in pivots:
+                pivots[lead] = v
+                break
+            row = pivots[lead]
+            f = v[lead] / row[lead]
+            for key, c in row.items():
+                x = v.get(key, 0) - f * c
+                if x:
+                    v[key] = x
+                else:
+                    v.pop(key, None)
+    return len(pivots)
+
+
+def test_spanning_rows_have_full_exchange_rank():
+    """The spanning rows are exchange rows, and no fewer independent
+    ones: so they span every exchange row (the argument for every n is
+    in the _face_tables docstring)."""
+    ranks = []
+    for n in range(3, 11):
+        spanning = pbw._face_tables(n)[1]
+        full = [roots for _, roots in pbw._exchange_rows(n)]
+        assert set(spanning) <= set(full)
+        assert len(spanning) == (n - 1) * (n - 2) + max(0, (n - 3) * (n - 4))
+        rank = _rank(full)
+        assert _rank(spanning) == rank
+        ranks.append(rank)
+    assert ranks == [2, 6, 13, 22, 33, 46, 61, 78]
+
+
+def test_spanning_rows_hold_iff_exchange_rows_hold():
+    rng = random.Random(57)
+    seen = set()
+    for n in range(1, 8):
+        spanning = pbw._face_tables(n)[1]
+        full = [roots for _, roots in pbw._exchange_rows(n)]
+        for s in _all_subsets(n):
+            for d in _perturbed_vectors(s, rng):
+                def holds(rows):
+                    return all(d.d(k1) + d.d(k2) == d.d(k3) + d.d(k4)
+                               for k1, k2, k3, k4 in rows)
+                verdict = holds(spanning)
+                assert verdict == holds(full), (s, d)
+                seen.add(verdict)
+    assert seen == {False, True}
+
+
+def test_face_checks_skip_full_exchange_rows(monkeypatch):
+    """At n = 40 (30,400 exchange rows) membership, the interior point and
+    the zero vector's report read only the pair and spanning rows."""
+    n = 40
+
+    def refuse(n):
+        raise AssertionError("full exchange rows walked")
+
+    monkeypatch.setattr(pbw, "_exchange_rows", refuse)
+    zero = zero_root_vector(n)
+    rng = random.Random(59)
+    subsets = [PbwSubset.make(n, ()), PbwSubset.make(n, range(1, n)),
+               PbwSubset.make(n, [w for w in range(1, n) if rng.random() < 0.5])]
+    for s in subsets:
+        d = find_interior_point(s)
+        assert dynkin_face_contains(s, d, strict=True)
+        assert dynkin_face_contains(s, zero)
+        assert dynkin_face_contains(s, zero, strict=True) == (not s.i)
+        rows = dynkin_face_violations(s, zero, strict=True)
+        total, bullet2 = _chosen_wall_pairs(n, s.i)
+        assert len(rows) == total
+        assert sum(row["family"] == "bullet2" for row in rows) == bullet2
+        assert all(row["family"] in ("bullet1", "bullet2") and row["wall"] in s.i
+                   for row in rows)
+    # a broken exchange row does reach the full rows
+    entries = dict(zero.items())
+    entries[("u", 1, 2)] = 1
+    with pytest.raises(AssertionError, match="full exchange rows walked"):
+        dynkin_face_violations(subsets[0], CRootVector(n, entries))
 
 
 def test_face_violations_pinned():

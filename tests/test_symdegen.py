@@ -106,6 +106,16 @@ def test_is_epsilon_rank_matches_rep():
     assert not is_epsilon_rank(ranks_of(bad), sym)
 
 
+@pytest.mark.parametrize("n, epsilon", [
+    (True, 1), (3, True), (3.0, -1), (3, -1.0), (2.5, 1), (3, "1"),
+])
+def test_symmetric_type_rejects_bools_and_non_integers(n, epsilon):
+    """True in (-1, 1) holds and True >= 1, so a bool passed both range
+    checks and was kept."""
+    with pytest.raises(ValueError):
+        SymmetricType(n, epsilon)
+
+
 def test_epsilon_rep_constructor():
     with pytest.raises(NotEpsilon):
         EpsilonRep(Representation(3, {(1, 2): 1}), SymmetricType(3, -1))
