@@ -323,14 +323,16 @@ def _cmd_pbw_weyl(args) -> int:
 def _cmd_pbw_face(args) -> int:
     subset = pbw.PbwSubset.make(args.n, args.i)
     d = _dvec_from_json(_load(args.rep))
+    # the face contains d exactly when d breaks none of its constraints
+    violations = pbw.dynkin_face_violations(subset, d)
+    violations_strict = pbw.dynkin_face_violations(subset, d, strict=True)
     _emit({
         "n": subset.n,
         "i": list(subset.i),
-        "contains": pbw.dynkin_face_contains(subset, d),
-        "contains_strict": pbw.dynkin_face_contains(subset, d, strict=True),
-        "violations": pbw.dynkin_face_violations(subset, d),
-        "violations_strict": pbw.dynkin_face_violations(subset, d,
-                                                        strict=True),
+        "contains": not violations,
+        "contains_strict": not violations_strict,
+        "violations": violations,
+        "violations_strict": violations_strict,
     })
     return 0
 

@@ -250,18 +250,19 @@ class RankSequence:
             tuple([a - b for a, b in zip(ra, rb)])
             for ra, rb in zip(self._rows, other._rows)])
 
-    def _less_segment(self, q: int, s: int) -> "RankSequence":
-        """This table less the ranks of one U[q, s], unchecked.
+    def _less_segment(self, q: int, s: int, count: int = 1) -> "RankSequence":
+        """This table less the ranks of count copies of U[q, s] (plus
+        -count copies when count is negative), unchecked.
 
-        Those ranks are 1 exactly on the block q <= i <= j <= s, so rows
-        q..s lose 1 on their first s - i + 1 entries and every other row
-        is reused as it is.
+        Those ranks are count exactly on the block q <= i <= j <= s, so
+        rows q..s lose count on their first s - i + 1 entries and every
+        other row is reused as it is.
         """
         rows = list(self._rows)
         for i in range(q, s + 1):
             row = rows[i - 1]
             cut = s - i + 1
-            rows[i - 1] = tuple([v - 1 for v in row[:cut]]) + row[cut:]
+            rows[i - 1] = tuple([v - count for v in row[:cut]]) + row[cut:]
         return RankSequence._of_rows(self.n, rows)
 
     def __eq__(self, other):

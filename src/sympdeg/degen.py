@@ -51,12 +51,17 @@ class Move(NamedTuple):
 
     @classmethod
     def cut(cls, t: int, s: int, q: int) -> "Move":
+        if not (type(t) is type(s) is type(q) is int):
+            raise ValueError("cut needs integer vertices, got (%r, %r, %r)" % (t, s, q))
         if not t < q <= s:
             raise ValueError("cut needs t < q <= s, got (%d, %d, %d)" % (t, s, q))
         return cls("cut", t, s, q)
 
     @classmethod
     def shift(cls, t: int, s: int, q: int, r: int) -> "Move":
+        if not (type(t) is type(s) is type(q) is type(r) is int):
+            raise ValueError("shift needs integer vertices, got (%r, %r, %r, %r)"
+                             % (t, s, q, r))
         if not t < q <= r < s:
             raise ValueError("shift needs t < q <= r < s, got (%d, %d, %d, %d)"
                              % (t, s, q, r))

@@ -201,12 +201,18 @@ class SymMove(NamedTuple):
 
     @classmethod
     def symcut(cls, t: int, s: int, q: int) -> "SymMove":
+        if not (type(t) is type(s) is type(q) is int):
+            raise ValueError("symcut needs integer vertices, got (%r, %r, %r)"
+                             % (t, s, q))
         if not t <= q < s:
             raise ValueError("symcut needs t <= q < s, got (%d, %d, %d)" % (t, s, q))
         return cls("symcut", t, s, q)
 
     @classmethod
     def symshift(cls, t: int, s: int, q: int, r: int) -> "SymMove":
+        if not (type(t) is type(s) is type(q) is type(r) is int):
+            raise ValueError("symshift needs integer vertices, got (%r, %r, %r, %r)"
+                             % (t, s, q, r))
         if not t < q <= r < s:
             raise ValueError("symshift needs t < q <= r < s, got (%d, %d, %d, %d)"
                              % (t, s, q, r))
@@ -339,6 +345,8 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
     Only meaningful in the split types.  The result is returned in the
     coordinates of the full chain, with zeros outside the support block.
     """
+    if type(q) is not int:
+        raise ValueError("vertex must be an int, got %r" % (q,))
     if not erep.sym.split:
         raise NotSplitType("perpendicular quotients need the split type")
     n = erep.sym.n
@@ -397,10 +405,6 @@ def peel_label(seg: Segment, n: int) -> str:
     return "U[%d,%d]" % (q, j)
 
 
-def _segment_ranks(n: int, seg: Segment) -> RankSequence:
-    return ranks_of(Representation(n, {seg: 1}))
-
-
 def _zero_ranks(n: int) -> RankSequence:
     return RankSequence(n, [[0] * (n - i + 1) for i in range(1, n + 1)])
 
@@ -414,7 +418,11 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     isotropic copy of L.  L is the final segment with odd multiplicity
     and maximal q, or with maximal q if every multiplicity is even.
     Rank domination carries over to the remaining pair; a step where it
-    does not raises NotComparable.
+    does not raises NotComparable.  The target and the peeled part
+    change by the two segment blocks of L and its reflection
+    (RankSequence._less_segment), and the source only on the support
+    block, so a step builds no module for L and never subtracts whole
+    tables.
 
     Returns the list of steps, terminal step included.  Raises
     NotSplitType outside the split types and NotComparable when N is not
@@ -445,40 +453,44 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
                                    m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
             return steps
         a, top = span
-        seg, pair, rM1, rN1 = _choose_peel(rM, rN, a, top, n)
+        seg, rM1, rN1 = _choose_peel(rM, rN, a, top, n)
         steps.append(DegenStep(Z=Z, L=seg, support_interval=span,
                                m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
-        peeled = peeled.add(pair)
+        q = seg[0]
+        peeled = peeled._less_segment(q, top, -1)._less_segment(a, sigma(q, n), -1)
         rM, rN = rM1, rN1
 
 
 def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
     """The peel L = U[q, top] of the next step: the final segment of the
     target with odd multiplicity and maximal q, else the one with
-    maximal q.  Returns L, the ranks of L + L*, and the ranks of the
-    remaining source and target.  Raises InvalidRankSequence if the
-    perpendicular quotient formula yields no rank table, and
-    NotComparable if the remaining source does not dominate the
-    remaining target; rank domination rules out both."""
-
-    def mult_at(i: int) -> int:
-        return (rN.r(i, top) - rN.r(i - 1, top)
-                - rN.r(i, top + 1) + rN.r(i - 1, top + 1))
-
-    cands = [i for i in range(a, top + 1) if mult_at(i) > 0]
-    q = max([i for i in cands if mult_at(i) % 2 == 1] or cands)
+    maximal q.  Returns L and the ranks of the remaining source and
+    target: the perpendicular quotient of the source, and the target
+    less the two segment blocks of L and its reflection U[a, sigma(q)].
+    Raises InvalidRankSequence if the perpendicular quotient formula
+    yields no rank table, and NotComparable if the remaining source
+    does not dominate the remaining target; rank domination rules out
+    both."""
+    rows = rN._rows
+    # r_{i,top} and r_{i,top+1} of the target for i = a-1..top, zero on
+    # the boundary, give the multiplicity of U[i, top] for i = a..top
+    at = [rows[i - 1][top - i] if i else 0 for i in range(a - 1, top + 1)]
+    past = [rows[i - 1][top + 1 - i] if i and top < n else 0
+            for i in range(a - 1, top + 1)]
+    mult = {i: at[k + 1] - at[k] - past[k + 1] + past[k]
+            for k, i in enumerate(range(a, top + 1))}
+    cands = [i for i, m in mult.items() if m > 0]
+    q = max([i for i in cands if mult[i] % 2 == 1] or cands)
     seg = (q, top)
-    # rN1 is N without two of its summands, so it needs no validation;
-    # the two tables are added, not built as one module, so that a
-    # self-dual L counts twice
-    pair = _segment_ranks(n, seg).add(_segment_ranks(n, (a, sigma(q, n))))
     rM1 = _perp_ranks(rM, q, a, top)
     rM1.validate()
-    rN1 = rN.sub(pair)
+    # rN1 is N without two of its summands, so it needs no validation;
+    # the blocks come off one by one, so a self-dual L comes off twice
+    rN1 = rN._less_segment(q, top)._less_segment(a, sigma(q, n))
     if not rM1.dominates(rN1):
         raise NotComparable("no final segment of the target can be peeled, "
                             "which contradicts rank domination")
-    return seg, pair, rM1, rN1
+    return seg, rM1, rN1
 
 
 # --- refinement into explicit paired moves -----------------------------------

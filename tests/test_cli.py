@@ -1,7 +1,9 @@
+import hashlib
 import itertools
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 import time
@@ -174,6 +176,49 @@ def test_pbw_verbs(capsys, tmp_path):
     code, out, _ = _run(capsys, "pbw-lemma-ui", "3", "1")
     data = json.loads(out)
     assert data["summary"]["rows"] == 6
+
+
+# sha256 of the pbw-face stdout below, as printed when each of contains,
+# contains_strict, violations and violations_strict walked the face itself
+FACE_STDOUT_DIGEST = "720a8965f920aa830505e50de5107c10fb9471d3953fabf191ae269c290700c5"
+
+
+def _face_vectors(subset, rng):
+    """The zero vector, the interior point, and a seeded +-1
+    perturbation of each at one to three entries."""
+    keys = pbw.canonical_root_keys(subset.n)
+    for base in (pbw.zero_root_vector(subset.n), pbw.find_interior_point(subset)):
+        yield base
+        entries = dict(base.items())
+        for key in rng.sample(keys, min(len(keys), rng.randint(1, 3))):
+            entries[key] += rng.choice((-1, 1))
+        yield pbw.CRootVector(subset.n, entries)
+
+
+def test_pbw_face_stdout_pinned(tmp_path, capsys):
+    """pbw-face reads contains off its violation lists; over every subset
+    with n <= 6 and seeded vectors, zero and perturbed, its stdout is
+    byte for byte the pinned output of the four separate face walks."""
+    rng = random.Random(15)
+    digest = hashlib.sha256()
+    runs, seen = 0, set()
+    for n in range(1, 7):
+        for r in range(n):
+            for combo in itertools.combinations(range(1, n), r):
+                subset = pbw.PbwSubset.make(n, combo)
+                for d in _face_vectors(subset, rng):
+                    path = _write(tmp_path, "d.json", cli._dvec_to_json(d))
+                    code, out, _ = _run(capsys, "pbw-face", str(n),
+                                        ",".join(map(str, combo)), "--rep", path)
+                    assert code == 0
+                    data = json.loads(out)
+                    assert data["contains"] == (not data["violations"])
+                    seen.add((data["contains"], data["contains_strict"]))
+                    digest.update(out.encode())
+                    runs += 1
+    assert runs == 4 * 63
+    assert seen == {(True, True), (True, False), (False, False)}
+    assert digest.hexdigest() == FACE_STDOUT_DIGEST
 
 
 def test_poset_matches_closure(capsys):

@@ -54,6 +54,20 @@ def test_move_validation():
         Move.shift(1, 4, 3, 2)
 
 
+@pytest.mark.parametrize("make, args", [
+    (Move.cut, (True, 3, 2)), (Move.cut, (1, 3.0, 2)), (Move.cut, (1, 3, 2.0)),
+    (Move.shift, (1, 4, 2, True)), (Move.shift, (1.0, 4, 2, 3)),
+    (Move.shift, (1, 4, 2.5, 3)),
+    # out of range too: the type is checked first
+    (Move.cut, (3.0, 1, 2)), (Move.shift, (4, 1, 2, False)),
+])
+def test_move_rejects_bools_and_floats(make, args):
+    """A bool or float vertex is a ValueError, not a key (True, 1) in the
+    result or a TypeError from ranks_of."""
+    with pytest.raises(ValueError, match="needs integer vertices"):
+        make(*args)
+
+
 def test_move_drops():
     cut = Move.cut(1, 3, 2)
     assert cut.drops() == frozenset({(1, 2), (1, 3)})

@@ -221,6 +221,23 @@ def test_perp_quotient_errors():
         perp_quotient_ranks(nonsplit, 1)
 
 
+@pytest.mark.parametrize("make, args", [
+    (SymMove.symcut, (True, 3, 1)), (SymMove.symcut, (1, 3.0, 1)),
+    (SymMove.symcut, (1, 3, 1.5)), (SymMove.symshift, (1, 5, 2, True)),
+    (SymMove.symshift, (1, 5.0, 2, 3)), (SymMove.symshift, (5, 1, 2.0, 3)),
+])
+def test_symmove_rejects_bools_and_floats(make, args):
+    with pytest.raises(ValueError, match="needs integer vertices"):
+        make(*args)
+
+
+@pytest.mark.parametrize("q", [3.0, True, 2.5])
+def test_perp_quotient_rejects_non_int_vertex(q):
+    em, _ = _ex2_pair()
+    with pytest.raises(ValueError, match="must be an int"):
+        perp_quotient_ranks(em, q)
+
+
 def test_path_needs_comparability():
     em, en = _ex1_pair()
     with pytest.raises(NotComparable):
@@ -344,6 +361,51 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
     steps = sym_degeneration_path(start, target)
     assert len(steps) > 5 and steps[-1].Z == target
     assert calls == {"rep_of": 0, "validate": len(steps) - 1}
+
+
+def test_sym_path_tables_by_blocks(monkeypatch):
+    """A seeded odd-neg n = 31 path computes ranks only for M and N and
+    never subtracts whole tables: each step updates the target and the
+    peeled part by the blocks of L and its reflection."""
+    calls = {"ranks_of": 0, "sub": 0}
+    real_sub = RankSequence.sub
+
+    def counting_ranks_of(rep):
+        calls["ranks_of"] += 1
+        return ranks_of(rep)
+
+    def counting_sub(self, other):
+        calls["sub"] += 1
+        return real_sub(self, other)
+
+    for module in (core, symdegen, degen):
+        monkeypatch.setattr(module, "ranks_of", counting_ranks_of)
+    monkeypatch.setattr(RankSequence, "sub", counting_sub)
+    start, target = _random_pair(31, 0)
+    calls["ranks_of"] = 0
+    steps = sym_degeneration_path(start, target)
+    assert len(steps) > 10 and steps[-1].Z == target
+    assert calls == {"ranks_of": 2, "sub": 0}
+
+
+@pytest.mark.parametrize("n, seed", [(47, 0), (63, 1), (64, 2)])
+def test_sym_path_scale(n, seed):
+    """Seeded paths at the sizes of the rank work (odd-neg n = 47, 63,
+    even-pos n = 64), checked against ranks recomputed from each stage:
+    M to N through epsilon stages with one dimension vector, each
+    dominated by the stage before it."""
+    start, target = _random_pair(n, seed)
+    steps = sym_degeneration_path(start, target)
+    assert steps[0].Z == start and steps[-1].Z == target
+    assert steps[-1].L is None and all(step.L for step in steps[:-1])
+    before = ranks_of(start.rep)
+    for step in steps:
+        assert is_epsilon_rep(step.Z.rep, start.sym)
+        here = ranks_of(step.Z.rep)
+        assert step.z_ranks == here
+        assert here.diagonal() == before.diagonal()
+        assert before.dominates(here)
+        before = here
 
 
 def test_sym_audit():
