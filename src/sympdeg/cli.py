@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import importlib.util
 import json
+import math
 import random
 import sys
 from typing import List
@@ -343,9 +344,26 @@ def _cmd_pbw_interior(args) -> int:
     return 0
 
 
+def _count_too_long(n: int, digits: int) -> InstanceTooLarge:
+    return InstanceTooLarge(
+        "the fixed-point count for n=%d has more than %d digits, the "
+        "interpreter's limit for printing an integer" % (n, digits))
+
+
 def _cmd_pbw_fixed_points(args) -> int:
     subset = pbw.PbwSubset.make(args.n, args.i)
+    n = subset.n
+    # 0 where the interpreter has no int-to-string limit (or lifts it)
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    # no subset has fewer than the empty one's 2^n n! fixed points (see
+    # count_lagrangian_fixed_points), so where that bound's log10 clears
+    # the limit by a digit, kept for rounding, no count is needed
+    if digits and (n * math.log10(2) + math.lgamma(n + 1) / math.log(10)
+                   >= digits + 1):
+        raise _count_too_long(n, digits)
     count = pbw.count_lagrangian_fixed_points(subset)
+    if digits and count >= 10 ** digits:
+        raise _count_too_long(n, digits)
     report = {"n": subset.n, "i": list(subset.i), "count": count}
     if args.list:
         if count > MAX_LISTED_POINTS:

@@ -190,7 +190,25 @@ class RankSequence:
 
         Raises InvalidRankSequence naming the first offending (i, j).
         """
-        for i, here, above in self._neighbours():
+        self._validate_block(1, self.n)
+
+    def _validate_block(self, first: int, last: int) -> None:
+        """validate() on the rows first..last and the columns up to last,
+        reading every entry outside them as 0.  Raises the same
+        InvalidRankSequence, with the same global indices, on the first
+        offending (i, j) of the block.
+
+        On a table that is 0 outside the block this decides the validity
+        of the whole table.  The inequalities at (i, j) read r_{i,j},
+        r_{i,j+1}, r_{i-1,j} and r_{i-1,j+1} only, so one that reads no
+        block entry compares zeros and holds; one that reads a block entry
+        has first <= i <= last + 1 and j <= last, hence i <= j <= last
+        (row last + 1 starts past column last), which the block covers.
+        A valid table whose diagonal vanishes outside [first, last] is 0
+        outside the block, since r_{i,j} <= r_{i,i} and r_{i,j} <= r_{j,j};
+        a change of block entries alone leaves it so.
+        """
+        for i, here, above in self._neighbours(first, last):
             for j, (v, right, up, up_right) in enumerate(
                     zip(here, here[1:], above, above[1:]), i):
                 if type(v) is not int or v < 0:
@@ -210,12 +228,16 @@ class RankSequence:
                         % (i, j, i - 1, j, i - 1, j + 1, i, j, i, j + 1),
                         indices=(i, j))
 
-    def _neighbours(self) -> Iterator[Tuple[int, tuple, tuple]]:
-        """Per row i: (i, (r_{i,i}, ..., r_{i,n+1}), (r_{i-1,i}, ..., r_{i-1,n+1})),
-        boundary zeros included, so entry j of a row sits at index j - i."""
-        above = (0,) * (self.n + 1)
-        for i, row in enumerate(self._rows, 1):
-            here = row + (0,)
+    def _neighbours(self, first: int, last: int) -> Iterator[Tuple[int, tuple, tuple]]:
+        """Per row i = first..last: (i, (r_{i,i}, ..., r_{i,last+1}),
+        (r_{i-1,i}, ..., r_{i-1,last+1})), reading row first - 1 and column
+        last + 1 as 0, so entry j of a row sits at index j - i.  The whole
+        table (first = 1, last = n) takes every row as it is stored."""
+        rows, whole = self._rows, last == self.n
+        above = (0,) * (last - first + 2)
+        for i in range(first, last + 1):
+            row = rows[i - 1]
+            here = (row if whole else row[:last - i + 1]) + (0,)
             yield i, here, above
             above = here[1:]
 
@@ -307,22 +329,23 @@ def rep_of(ranks: RankSequence) -> Representation:
     the input guarantees the result is non-negative.
     """
     ranks.validate()
-    return _rep_of_valid(ranks)
+    return Representation._of_mult(ranks.n, _block_mult(ranks, 1, ranks.n))
 
 
-def _rep_of_valid(ranks: RankSequence) -> Representation:
-    """rep_of for a caller that knows ranks is valid, e.g. a sum of
-    valid tables: validate()'s conditions are integrality,
-    non-negativity and homogeneous linear inequalities, so they
-    survive addition."""
+def _block_mult(ranks: RankSequence, first: int, last: int) -> Dict[Segment, int]:
+    """The nonzero multiplicities of rep_of, read off the rows first..last
+    and the columns up to last of a table the caller knows is valid.  On
+    a table that is 0 outside that block they are all of them: m_{i,j}
+    reads the four entries that inequality (c) of validate() at (i, j)
+    reads (see RankSequence._validate_block)."""
     mult: Dict[Segment, int] = {}
-    for i, here, above in ranks._neighbours():
+    for i, here, above in ranks._neighbours(first, last):
         for j, (v, right, up, up_right) in enumerate(
                 zip(here, here[1:], above, above[1:]), i):
             m = v - right - up + up_right
             if m:
                 mult[(i, j)] = m
-    return Representation._of_mult(ranks.n, mult)
+    return mult
 
 
 def dual(rep: Representation) -> Representation:

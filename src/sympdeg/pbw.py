@@ -637,6 +637,9 @@ def count_lagrangian_fixed_points(subset: PbwSubset) -> int:
     """The number of fixed coordinate flags of the Lagrangian part, which
     is len(lagrangian_fixed_points(subset)) and the Euler characteristic
     of the locus (2^n n! for the empty subset), in O(n^2) integer steps.
+    No subset has fewer: a chosen wall only widens the members below
+    (_members_below), so every chain of the empty subset is one of every
+    subset.
 
     Going down from S_k, only the element k is special: a chosen wall
     k-1 may discard it (_members_below), and elements above k are never

@@ -20,10 +20,10 @@ is exactly symmetric rank domination.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _depth_first,
-                   _rep_of_valid, ranks_of, sigma)
+from .core import (RankSequence, Representation, Segment, _block_mult,
+                   _depth_first, ranks_of, sigma)
 from .degen import Move, _apply_audited, _move_from_json, degenerates
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
@@ -90,11 +90,12 @@ def is_epsilon_rep(rep: Representation, sym: SymmetricType) -> bool:
     """Multiplicity-level twin of is_epsilon_rank (equivalent, cheaper)."""
     if rep.n != sym.n:
         raise MismatchedQuiver("module and type have different sizes")
-    n = sym.n
-    for (i, j), m in rep.mult.items():
-        if m != rep.m(sigma(j, n), sigma(i, n)):
+    n1, split, mult = sym.n + 1, sym.split, rep.mult
+    for (i, j), m in mult.items():
+        # U[i,j] reflects to U[n+1-j, n+1-i]; it is self-dual iff i + j = n + 1
+        if m != mult.get((n1 - j, n1 - i), 0):
             return False
-        if sym.split and (i, j) == (sigma(j, n), sigma(i, n)) and m % 2 != 0:
+        if split and i + j == n1 and m % 2:
             return False
     return True
 
@@ -361,7 +362,8 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, top, erep.rep))
 
     out = _perp_ranks(R, q, a, top)
-    out.validate()
+    # R is 0 outside the block and _perp_ranks changes only block entries
+    out._validate_block(a, top)
     sq = sigma(q, n)
     for k in range(1, n + 1):
         want = (R.r(k, k) - (1 if q <= k <= top else 0)
@@ -418,11 +420,20 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     isotropic copy of L.  L is the final segment with odd multiplicity
     and maximal q, or with maximal q if every multiplicity is even.
     Rank domination carries over to the remaining pair; a step where it
-    does not raises NotComparable.  The target and the peeled part
-    change by the two segment blocks of L and its reflection
-    (RankSequence._less_segment), and the source only on the support
-    block, so a step builds no module for L and never subtracts whole
-    tables.
+    does not raises NotComparable.
+
+    A step works on the support block [a, top] of the remaining pair
+    only (rows a..top, columns up to top): the remaining source and
+    target are 0 outside it, L and its reflection lie in it, and the
+    perpendicular quotient changes nothing outside it.  So the quotient
+    is validated on the block (RankSequence._validate_block), the target
+    and the peeled part change by the two segment blocks of L and its
+    reflection (RankSequence._less_segment), and z_ranks changes on rows
+    a..top alone.  Z is the remaining source's multiplicities, read off
+    the block, plus the counts of the segments peeled so far, carried
+    from step to step: multiplicities are linear in ranks, so this is
+    exactly the module of z_ranks.  A step builds no module for L and
+    makes no whole-table pass besides the domination check.
 
     Returns the list of steps, terminal step included.  Raises
     NotSplitType outside the split types and NotComparable when N is not
@@ -440,14 +451,18 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
 
     sym = M.sym
     n = sym.n
-    peeled = _zero_ranks(n)
+    # the ranks and the multiplicities of the segments peeled so far
+    peeled, counts = _zero_ranks(n), {}
+    z_ranks = rM
     steps: List[DegenStep] = []
     while True:
-        # rM is valid (ranks_of or _choose_peel's check) and peeled is a
-        # sum of segment tables, so their sum needs no check of its own
-        z_ranks = rM.add(peeled)
-        Z = EpsilonRep(_rep_of_valid(z_ranks), sym)
         span = _support(rM.diagonal())
+        # rM is valid (ranks_of or _choose_peel's check) and 0 outside its
+        # support block, so the block holds all of its multiplicities
+        mult: Dict[Segment, int] = _block_mult(rM, *span) if span else {}
+        for seg, m in counts.items():
+            mult[seg] = mult.get(seg, 0) + m
+        Z = EpsilonRep(Representation._of_mult(n, mult), sym)
         if rM == rN:
             steps.append(DegenStep(Z=Z, L=None, support_interval=span,
                                    m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
@@ -456,8 +471,16 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
         seg, rM1, rN1 = _choose_peel(rM, rN, a, top, n)
         steps.append(DegenStep(Z=Z, L=seg, support_interval=span,
                                m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
-        q = seg[0]
-        peeled = peeled._less_segment(q, top, -1)._less_segment(a, sigma(q, n), -1)
+        # L = U[q, top] and its reflection U[a, sigma(q)] lie in the block,
+        # as top = sigma(a); a self-dual L is counted twice
+        for block in (seg, (a, sigma(seg[0], n))):
+            counts[block] = counts.get(block, 0) + 1
+            peeled = peeled._less_segment(*block, -1)
+        # z_ranks = rM + peeled changes on rows a..top alone
+        rows, source, done = list(z_ranks._rows), rM1._rows, peeled._rows
+        for i in range(a - 1, top):
+            rows[i] = tuple([x + y for x, y in zip(source[i], done[i])])
+        z_ranks = RankSequence._of_rows(n, rows)
         rM, rN = rM1, rN1
 
 
@@ -470,7 +493,13 @@ def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
     Raises InvalidRankSequence if the perpendicular quotient formula
     yields no rank table, and NotComparable if the remaining source
     does not dominate the remaining target; rank domination rules out
-    both."""
+    both.
+
+    The quotient's validity is decided on the support block alone
+    (RankSequence._validate_block(a, top)), with the same answer and the
+    same indices as validate(): rM is valid with its diagonal 0 outside
+    [a, top], so every entry outside the block is 0, and _perp_ranks
+    changes block entries only."""
     rows = rN._rows
     # r_{i,top} and r_{i,top+1} of the target for i = a-1..top, zero on
     # the boundary, give the multiplicity of U[i, top] for i = a..top
@@ -483,7 +512,7 @@ def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
     q = max([i for i in cands if mult[i] % 2 == 1] or cands)
     seg = (q, top)
     rM1 = _perp_ranks(rM, q, a, top)
-    rM1.validate()
+    rM1._validate_block(a, top)
     # rN1 is N without two of its summands, so it needs no validation;
     # the blocks come off one by one, so a self-dual L comes off twice
     rN1 = rN._less_segment(q, top)._less_segment(a, sigma(q, n))

@@ -378,6 +378,38 @@ def test_pbw_fixed_points_list_guard(capsys):
     assert err.startswith("InstanceTooLarge: 1323658 fixed points") and err.count("\n") == 1
 
 
+def test_pbw_fixed_points_digit_limit(capsys, monkeypatch):
+    """A count past the interpreter's int-to-string limit (lowered here to
+    its minimum, 640 digits) is one InstanceTooLarge line and exit 1, not
+    a ValueError from printing it.  It is raised before the count where
+    2^n n! already clears the limit, else right after counting."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        # 2^276 276! has 639 digits, so it prints
+        code, out, err = _run(capsys, "pbw-fixed-points", "276", "-")
+        assert (code, err) == (0, "")
+        assert json.loads(out)["count"] == 2 ** 276 * math.factorial(276)
+        # 645 digits, though 2^180 180! has only 384
+        full = ",".join(map(str, range(1, 180)))
+        code, out, err = _run(capsys, "pbw-fixed-points", "180", full)
+        assert (code, out) == (1, "") and err.count("\n") == 1
+        assert err.startswith("InstanceTooLarge: the fixed-point count for n=180 "
+                              "has more than 640 digits")
+
+        def uncounted(subset):
+            raise AssertionError("counted although 2^n n! clears the limit")
+
+        monkeypatch.setattr(pbw, "count_lagrangian_fixed_points", uncounted)
+        for argv in (("278", "-"), ("1600", "-"), ("1600", "-", "--list")):
+            code, out, err = _run(capsys, "pbw-fixed-points", *argv)
+            assert (code, out) == (1, "") and err.count("\n") == 1
+            assert err.startswith("InstanceTooLarge: the fixed-point count for n=%s "
+                                  % argv[0])
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def _fresh_python(*args):
     """Run a fresh interpreter on this package, failing instead of hanging."""
     src = os.path.dirname(os.path.dirname(sympdeg.__file__))

@@ -326,6 +326,67 @@ def test_modules_with_dims_deep_search():
     assert modules_with_dims((0,) * 100) == [Representation(100, {})]
 
 
+@st.composite
+def blocked_tables(draw):
+    """(a, b, table): the ranks of a module supported in [a, b], so 0
+    outside rows a..b and columns up to b, with up to four block entries
+    moved by -2..2 or replaced by a value that is not a non-negative int."""
+    n = draw(st.integers(1, 9))
+    a = draw(st.integers(1, n))
+    b = draw(st.integers(a, n))
+    block = [(i, j) for i in range(a, b + 1) for j in range(i, b + 1)]
+    mult = {}
+    for seg in draw(st.lists(st.sampled_from(block), max_size=8)):
+        mult[seg] = mult.get(seg, 0) + 1
+    rows = ranks_of(Representation(n, mult)).rows()
+    for _ in range(draw(st.integers(0, 4))):
+        i, j = draw(st.sampled_from(block))
+        rows[i - 1][j - i] = draw(st.one_of(
+            st.integers(-2, 2).map(lambda d: rows[i - 1][j - i] + d),
+            st.sampled_from([True, 0.5, -1])))
+    return a, b, RankSequence(n, rows)
+
+
+def _verdict(check):
+    try:
+        check()
+    except InvalidRankSequence as exc:
+        return exc.indices, str(exc)
+    return None
+
+
+@given(blocked_tables())
+@settings(max_examples=400)
+def test_validate_block_matches_validate(case):
+    """On a table that is 0 outside rows a..b and columns up to b, the
+    block check raises exactly when validate() does, with the same
+    indices and message."""
+    a, b, table = case
+    assert _verdict(lambda: table._validate_block(a, b)) == _verdict(table.validate)
+
+
+def test_validate_block_seeded_verdicts():
+    """Seeded blocked tables with one block entry moved by one reach a
+    valid table and each of the three inequalities, with the same
+    verdict from the block check as from validate()."""
+    rng = random.Random(5)
+    kinds = set()
+    for _ in range(600):
+        n = rng.randint(2, 9)
+        a = rng.randint(1, n - 1)
+        b = rng.randint(a + 1, n)
+        rows = ranks_of(Representation(n, {(a, b): rng.randint(1, 3),
+                                           (rng.randint(a, b), b): 1})).rows()
+        i = rng.randint(a, b)
+        j = rng.randint(i, b)
+        rows[i - 1][j - i] += rng.choice((-1, 1))
+        table = RankSequence(n, rows)
+        got = _verdict(lambda: table._validate_block(a, b))
+        assert got == _verdict(table.validate)
+        kinds.add(got and next(k for k in ("corner", "<", ">") if k in got[1]))
+    assert kinds == {None, "<", ">", "corner"}
+
+
 def test_less_segment_subtracts_one_segment():
     """_less_segment(q, s) is sub(ranks_of(U[q, s])) and reuses every row
     outside q..s."""

@@ -549,6 +549,19 @@ def test_fixed_point_count_grows():
     assert base == 8 and degen == 10
 
 
+def test_fixed_point_count_bounded_below():
+    """Every fixed point of the empty subset is one of every subset (all
+    subsets with n <= 4), so no count falls below 2^n n! (n <= 8): the
+    bound pbw-fixed-points uses to refuse a count too long to print."""
+    for n in range(1, 5):
+        base = set(lagrangian_fixed_points(PbwSubset.make(n, [])))
+        for s in _all_subsets(n):
+            assert base <= set(lagrangian_fixed_points(s)), (n, s.i)
+    for n in range(1, 9):
+        for s in _all_subsets(n):
+            assert count_lagrangian_fixed_points(s) >= 2 ** n * math.factorial(n)
+
+
 def _perturbed_vectors(subset, rng, count=4):
     """The zero vector, the interior point, and seeded +-1 perturbations
     of both at one to three entries."""

@@ -340,23 +340,25 @@ def test_refinement_ranks_once_per_module(monkeypatch):
 
 
 def test_sym_path_validates_once_per_peel(monkeypatch):
-    """Each Z is built from a sum of valid tables, so a seeded n = 20
-    path calls no rep_of and validates only the perpendicular quotient,
-    once per peel step."""
+    """Each Z is built from carried counts, so a seeded n = 20 path calls
+    no rep_of and makes one validity decision per peel step: the
+    perpendicular quotient's, on the support block.  validate() runs
+    through the same block check, so counting that check counts every
+    validation."""
     calls = {"rep_of": 0, "validate": 0}
-    real_rep_of, real_validate = rep_of, RankSequence.validate
+    real_rep_of, real_check = rep_of, RankSequence._validate_block
 
     def counting_rep_of(ranks):
         calls["rep_of"] += 1
         return real_rep_of(ranks)
 
-    def counting_validate(self):
+    def counting_check(self, first, last):
         calls["validate"] += 1
-        return real_validate(self)
+        return real_check(self, first, last)
 
     for module in (core, symdegen):
         monkeypatch.setattr(module, "rep_of", counting_rep_of, raising=False)
-    monkeypatch.setattr(RankSequence, "validate", counting_validate)
+    monkeypatch.setattr(RankSequence, "_validate_block", counting_check)
     start, target = _random_pair(20, 0)
     steps = sym_degeneration_path(start, target)
     assert len(steps) > 5 and steps[-1].Z == target
@@ -408,6 +410,22 @@ def test_sym_path_scale(n, seed):
         before = here
 
 
+def test_sym_path_steps_on_support_block():
+    """Seeded paths at n = 15, 22, ..., 64 (odd-neg for odd n, even-pos
+    for even n): each step's remaining source and target are 0 outside
+    its support block, and each Z, built from carried counts, is the
+    module of its z_ranks."""
+    for n in range(15, 65, 7):
+        start, target = _random_pair(n, n)
+        steps = sym_degeneration_path(start, target)
+        assert steps[0].Z == start and steps[-1].Z == target
+        for step in steps:
+            a, top = step.support_interval or (1, 0)
+            for table in (step.m_ranks, step.n_ranks):
+                assert all(a <= i <= j <= top for i, j, v in table.entries() if v)
+            assert step.Z.rep == rep_of(step.z_ranks)
+
+
 def test_sym_audit():
     reset_sym_audit()
     erep = EpsilonRep(Representation(3, {(1, 3): 2}), SymmetricType(3, -1))
@@ -425,19 +443,15 @@ def test_peel_label():
 
 def test_choose_peel_errors_propagate(monkeypatch):
     """The one peel of a step is committed or fails: an error from the
-    perpendicular quotient's validation, a rank-table error included,
-    propagates instead of moving on to another segment."""
-    class Broken:
-        def __init__(self, error):
-            self.error = error
-
-        def validate(self):
-            raise self.error
-
+    perpendicular quotient's block validation, a rank-table error
+    included, propagates instead of moving on to another segment."""
     em, en = _ex1_pair()
     for error in (ZeroDivisionError("not a rank-table problem"),
                   InvalidRankSequence("bad perpendicular quotient")):
-        monkeypatch.setattr(symdegen, "_perp_ranks", lambda *args: Broken(error))
+        def broken(self, first, last, error=error):
+            raise error
+
+        monkeypatch.setattr(RankSequence, "_validate_block", broken)
         with pytest.raises(type(error)):
             sym_degeneration_path(em, en)
 
