@@ -192,11 +192,13 @@ class RankSequence:
         """
         self._validate_block(1, self.n)
 
-    def _validate_block(self, first: int, last: int) -> None:
+    def _validate_block(self, first: int, last: int) -> Dict[Segment, int]:
         """validate() on the rows first..last and the columns up to last,
         reading every entry outside them as 0.  Raises the same
         InvalidRankSequence, with the same global indices, on the first
-        offending (i, j) of the block.
+        offending (i, j) of the block; otherwise returns the block's
+        nonzero multiplicities m_{i,j} = r_{i,j} - r_{i,j+1} - r_{i-1,j}
+        + r_{i-1,j+1}: inequality (c) at (i, j) is m_{i,j} >= 0.
 
         On a table that is 0 outside the block this decides the validity
         of the whole table.  The inequalities at (i, j) read r_{i,j},
@@ -206,9 +208,17 @@ class RankSequence:
         (row last + 1 starts past column last), which the block covers.
         A valid table whose diagonal vanishes outside [first, last] is 0
         outside the block, since r_{i,j} <= r_{i,i} and r_{i,j} <= r_{j,j};
-        a change of block entries alone leaves it so.
+        a change of block entries alone leaves it so.  m_{i,j} reads the
+        same four entries, so the block then holds all of rep_of's.
         """
-        for i, here, above in self._neighbours(first, last):
+        # row i padded with r_{i,last+1} = 0, so entry j sits at index j - i;
+        # the whole table takes every row as it is stored
+        rows, whole = self._rows, last == self.n
+        mult: Dict[Segment, int] = {}
+        above = (0,) * (last - first + 2)
+        for i in range(first, last + 1):
+            row = rows[i - 1]
+            here = (row if whole else row[:last - i + 1]) + (0,)
             for j, (v, right, up, up_right) in enumerate(
                     zip(here, here[1:], above, above[1:]), i):
                 if type(v) is not int or v < 0:
@@ -221,25 +231,17 @@ class RankSequence:
                 if up > v:
                     raise InvalidRankSequence(
                         "r[%d,%d] > r[%d,%d]" % (i - 1, j, i, j), indices=(i, j))
-                if up - up_right > v - right:
+                m = v - right - up + up_right
+                if m < 0:
                     raise InvalidRankSequence(
                         "corner surplus fails at (%d,%d): "
                         "r[%d,%d]-r[%d,%d] > r[%d,%d]-r[%d,%d]"
                         % (i, j, i - 1, j, i - 1, j + 1, i, j, i, j + 1),
                         indices=(i, j))
-
-    def _neighbours(self, first: int, last: int) -> Iterator[Tuple[int, tuple, tuple]]:
-        """Per row i = first..last: (i, (r_{i,i}, ..., r_{i,last+1}),
-        (r_{i-1,i}, ..., r_{i-1,last+1})), reading row first - 1 and column
-        last + 1 as 0, so entry j of a row sits at index j - i.  The whole
-        table (first = 1, last = n) takes every row as it is stored."""
-        rows, whole = self._rows, last == self.n
-        above = (0,) * (last - first + 2)
-        for i in range(first, last + 1):
-            row = rows[i - 1]
-            here = (row if whole else row[:last - i + 1]) + (0,)
-            yield i, here, above
+                if m:
+                    mult[(i, j)] = m
             above = here[1:]
+        return mult
 
     def entries(self) -> Iterator[Tuple[int, int, int]]:
         for i in range(1, self.n + 1):
@@ -323,29 +325,14 @@ def ranks_of(rep: Representation) -> RankSequence:
 
 
 def rep_of(ranks: RankSequence) -> Representation:
-    """Inverse of ranks_of.
+    """Inverse of ranks_of, in one pass that also validates the input.
 
-    m_{i,j} = r_{i,j} - r_{i,j+1} - r_{i-1,j} + r_{i-1,j+1}; validity of
-    the input guarantees the result is non-negative.
+    m_{i,j} = r_{i,j} - r_{i,j+1} - r_{i-1,j} + r_{i-1,j+1}, read by the
+    same pass over the table that checks validate()'s inequalities, so an
+    invalid table raises validate()'s InvalidRankSequence and a valid one
+    gives non-negative multiplicities.
     """
-    ranks.validate()
-    return Representation._of_mult(ranks.n, _block_mult(ranks, 1, ranks.n))
-
-
-def _block_mult(ranks: RankSequence, first: int, last: int) -> Dict[Segment, int]:
-    """The nonzero multiplicities of rep_of, read off the rows first..last
-    and the columns up to last of a table the caller knows is valid.  On
-    a table that is 0 outside that block they are all of them: m_{i,j}
-    reads the four entries that inequality (c) of validate() at (i, j)
-    reads (see RankSequence._validate_block)."""
-    mult: Dict[Segment, int] = {}
-    for i, here, above in ranks._neighbours(first, last):
-        for j, (v, right, up, up_right) in enumerate(
-                zip(here, here[1:], above, above[1:]), i):
-            m = v - right - up + up_right
-            if m:
-                mult[(i, j)] = m
-    return mult
+    return Representation._of_mult(ranks.n, ranks._validate_block(1, ranks.n))
 
 
 def dual(rep: Representation) -> Representation:

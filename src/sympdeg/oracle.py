@@ -307,11 +307,11 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
     total of the start point.  The moves come from the library's
     generators, and every child is audited as it is applied.
     """
+    # each child's audit starts from its parent's ranks, computed once
     if move_kind == "ORDINARY":
         start = rep
 
         def children(cur):
-            # each child's audit starts from its parent's ranks, computed once
             before = core.ranks_of(cur)
             for move in degen.single_moves(cur):
                 yield degen._apply_audited(cur, move, before)[0]
@@ -321,8 +321,9 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
 
         def children(cur):
             erep = symdegen.EpsilonRep(cur, sym)
+            before = core.ranks_of(cur)
             for move in symdegen.sym_moves(erep):
-                yield symdegen.apply_sym_move(erep, move).rep
+                yield symdegen._apply_sym_audited(erep, move, before)[0].rep
 
     else:
         raise ValueError("move_kind must be ORDINARY or SYMMETRIC")

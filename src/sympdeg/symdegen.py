@@ -22,9 +22,9 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _block_mult,
-                   _depth_first, ranks_of, sigma)
-from .degen import Move, _apply_audited, _move_from_json, degenerates
+from .core import (RankSequence, Representation, Segment, _depth_first,
+                   ranks_of, sigma)
+from .degen import Move, _apply_audited, _move_from_json, _take, degenerates
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -426,14 +426,17 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     only (rows a..top, columns up to top): the remaining source and
     target are 0 outside it, L and its reflection lie in it, and the
     perpendicular quotient changes nothing outside it.  So the quotient
-    is validated on the block (RankSequence._validate_block), the target
-    and the peeled part change by the two segment blocks of L and its
-    reflection (RankSequence._less_segment), and z_ranks changes on rows
-    a..top alone.  Z is the remaining source's multiplicities, read off
-    the block, plus the counts of the segments peeled so far, carried
+    is read once, on the block (RankSequence._validate_block), which
+    validates it and returns its multiplicities; the target and the
+    peeled part change by the two segment blocks of L and its reflection
+    (RankSequence._less_segment), and z_ranks changes on rows a..top
+    alone.  Z is M on the first step; each later Z is the quotient's
+    multiplicities plus the counts of the segments peeled so far, carried
     from step to step: multiplicities are linear in ranks, so this is
-    exactly the module of z_ranks.  A step builds no module for L and
-    makes no whole-table pass besides the domination check.
+    exactly the module of z_ranks.  The target's multiplicities are
+    carried too, N less the peeled segments, and L is chosen from them.
+    A step builds no module for L and makes no whole-table pass besides
+    the domination check.
 
     Returns the list of steps, terminal step included.  Raises
     NotSplitType outside the split types and NotComparable when N is not
@@ -451,29 +454,25 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
 
     sym = M.sym
     n = sym.n
-    # the ranks and the multiplicities of the segments peeled so far
-    peeled, counts = _zero_ranks(n), {}
-    z_ranks = rM
+    # the ranks and the multiplicities of the segments peeled so far, and
+    # the multiplicities of the target still to be peeled
+    peeled, counts, tgt = _zero_ranks(n), {}, dict(N.rep.mult)
+    Z, z_ranks = M, rM
     steps: List[DegenStep] = []
     while True:
         span = _support(rM.diagonal())
-        # rM is valid (ranks_of or _choose_peel's check) and 0 outside its
-        # support block, so the block holds all of its multiplicities
-        mult: Dict[Segment, int] = _block_mult(rM, *span) if span else {}
-        for seg, m in counts.items():
-            mult[seg] = mult.get(seg, 0) + m
-        Z = EpsilonRep(Representation._of_mult(n, mult), sym)
         if rM == rN:
             steps.append(DegenStep(Z=Z, L=None, support_interval=span,
                                    m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
             return steps
         a, top = span
-        seg, rM1, rN1 = _choose_peel(rM, rN, a, top, n)
+        seg, rM1, rN1, mult = _choose_peel(rM, rN, tgt, a, top, n)
         steps.append(DegenStep(Z=Z, L=seg, support_interval=span,
                                m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
         # L = U[q, top] and its reflection U[a, sigma(q)] lie in the block,
         # as top = sigma(a); a self-dual L is counted twice
         for block in (seg, (a, sigma(seg[0], n))):
+            _take(tgt, block)
             counts[block] = counts.get(block, 0) + 1
             peeled = peeled._less_segment(*block, -1)
         # z_ranks = rM + peeled changes on rows a..top alone
@@ -481,45 +480,44 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
         for i in range(a - 1, top):
             rows[i] = tuple([x + y for x, y in zip(source[i], done[i])])
         z_ranks = RankSequence._of_rows(n, rows)
+        # rM1 is 0 outside the block, so mult holds all of its multiplicities
+        for block, m in counts.items():
+            mult[block] = mult.get(block, 0) + m
+        Z = EpsilonRep(Representation._of_mult(n, mult), sym)
         rM, rN = rM1, rN1
 
 
-def _choose_peel(rM: RankSequence, rN: RankSequence, a: int, top: int, n: int):
+def _choose_peel(rM: RankSequence, rN: RankSequence, tgt: Dict[Segment, int],
+                 a: int, top: int, n: int):
     """The peel L = U[q, top] of the next step: the final segment of the
     target with odd multiplicity and maximal q, else the one with
-    maximal q.  Returns L and the ranks of the remaining source and
-    target: the perpendicular quotient of the source, and the target
-    less the two segment blocks of L and its reflection U[a, sigma(q)].
-    Raises InvalidRankSequence if the perpendicular quotient formula
-    yields no rank table, and NotComparable if the remaining source
-    does not dominate the remaining target; rank domination rules out
-    both.
+    maximal q, read off tgt, the target's multiplicities.  Returns L,
+    the ranks of the remaining source and target, and the remaining
+    source's multiplicities: the perpendicular quotient of the source,
+    and the target less the two segment blocks of L and its reflection
+    U[a, sigma(q)].  Raises InvalidRankSequence if the perpendicular
+    quotient formula yields no rank table, and NotComparable if the
+    remaining source does not dominate the remaining target; rank
+    domination rules out both.
 
-    The quotient's validity is decided on the support block alone
-    (RankSequence._validate_block(a, top)), with the same answer and the
-    same indices as validate(): rM is valid with its diagonal 0 outside
+    The quotient is read once, on the support block alone
+    (RankSequence._validate_block(a, top)), which decides its validity
+    with the same answer and the same indices as validate() and returns
+    all of its multiplicities: rM is valid with its diagonal 0 outside
     [a, top], so every entry outside the block is 0, and _perp_ranks
     changes block entries only."""
-    rows = rN._rows
-    # r_{i,top} and r_{i,top+1} of the target for i = a-1..top, zero on
-    # the boundary, give the multiplicity of U[i, top] for i = a..top
-    at = [rows[i - 1][top - i] if i else 0 for i in range(a - 1, top + 1)]
-    past = [rows[i - 1][top + 1 - i] if i and top < n else 0
-            for i in range(a - 1, top + 1)]
-    mult = {i: at[k + 1] - at[k] - past[k + 1] + past[k]
-            for k, i in enumerate(range(a, top + 1))}
-    cands = [i for i, m in mult.items() if m > 0]
-    q = max([i for i in cands if mult[i] % 2 == 1] or cands)
-    seg = (q, top)
+    # the target is 0 outside [a, top], so its final segments start in it
+    finals = {i: tgt[(i, top)] for i in range(a, top + 1) if (i, top) in tgt}
+    q = max([i for i, m in finals.items() if m % 2] or finals)
     rM1 = _perp_ranks(rM, q, a, top)
-    rM1._validate_block(a, top)
+    mult = rM1._validate_block(a, top)
     # rN1 is N without two of its summands, so it needs no validation;
     # the blocks come off one by one, so a self-dual L comes off twice
     rN1 = rN._less_segment(q, top)._less_segment(a, sigma(q, n))
     if not rM1.dominates(rN1):
         raise NotComparable("no final segment of the target can be peeled, "
                             "which contradicts rank domination")
-    return seg, rM1, rN1
+    return (q, top), rM1, rN1, mult
 
 
 # --- refinement into explicit paired moves -----------------------------------

@@ -355,20 +355,34 @@ def _verdict(check):
     return None
 
 
+def _check_block_reader(a, b, table):
+    """The block check and rep_of give validate()'s verdict; on a valid
+    table the block's multiplicities are rep_of's and rebuild the table."""
+    verdict = _verdict(table.validate)
+    assert _verdict(lambda: table._validate_block(a, b)) == verdict
+    assert _verdict(lambda: rep_of(table)) == verdict
+    if verdict is None:
+        mult = table._validate_block(a, b)
+        assert ranks_of(Representation(table.n, mult)) == table
+        assert mult == rep_of(table).mult
+    return verdict
+
+
 @given(blocked_tables())
 @settings(max_examples=400)
 def test_validate_block_matches_validate(case):
     """On a table that is 0 outside rows a..b and columns up to b, the
-    block check raises exactly when validate() does, with the same
-    indices and message."""
-    a, b, table = case
-    assert _verdict(lambda: table._validate_block(a, b)) == _verdict(table.validate)
+    block check and rep_of raise exactly when validate() does, with the
+    same indices and message; otherwise the block check returns the
+    multiplicities of rep_of, whose ranks are the table again."""
+    _check_block_reader(*case)
 
 
 def test_validate_block_seeded_verdicts():
     """Seeded blocked tables with one block entry moved by one reach a
     valid table and each of the three inequalities, with the same
-    verdict from the block check as from validate()."""
+    verdict from the block check and rep_of as from validate(), and the
+    multiplicities of rep_of from the block check on a valid table."""
     rng = random.Random(5)
     kinds = set()
     for _ in range(600):
@@ -380,9 +394,7 @@ def test_validate_block_seeded_verdicts():
         i = rng.randint(a, b)
         j = rng.randint(i, b)
         rows[i - 1][j - i] += rng.choice((-1, 1))
-        table = RankSequence(n, rows)
-        got = _verdict(lambda: table._validate_block(a, b))
-        assert got == _verdict(table.validate)
+        got = _check_block_reader(a, b, RankSequence(n, rows))
         kinds.add(got and next(k for k in ("corner", "<", ">") if k in got[1]))
     assert kinds == {None, "<", ">", "corner"}
 

@@ -10,7 +10,7 @@ import sympdeg
 from sympdeg.core import (Representation, dim_vector, ext_dim, hom_dim,
                           modules_with_dims, ranks_of)
 from sympdeg.errors import InstanceTooLarge
-from sympdeg import oracle
+from sympdeg import core, degen, oracle, symdegen
 from sympdeg.symdegen import EpsilonRep, SymmetricType
 
 
@@ -108,6 +108,35 @@ def test_closure_enumerate_symmetric():
     assert rep in closure
     for other in closure:
         assert dim_vector(other) == dim_vector(rep)
+
+
+def test_symmetric_closure_ranks_once_per_parent(monkeypatch):
+    """A seeded odd-neg n = 5 symmetric closure computes ranks once for
+    the size guard, once per expanded module and, through the audit,
+    once per constituent of each applied paired move."""
+    rng = random.Random(3)
+    sym = SymmetricType(5, -1)
+    mult = {}
+    for _ in range(2):
+        i = rng.randint(1, 3)
+        j = rng.randint(i, 6 - i)
+        for seg in {(i, j), (6 - j, 6 - i)}:
+            mult[seg] = mult.get(seg, 0) + (2 if i + j == 6 else 1)
+    erep = EpsilonRep(Representation(5, mult), sym)
+    calls = [0]
+
+    def counting(rep):
+        calls[0] += 1
+        return ranks_of(rep)
+
+    for module in (core, degen, symdegen):
+        monkeypatch.setattr(module, "ranks_of", counting)
+    symdegen.reset_sym_audit()
+    closure = oracle.closure_enumerate(erep, "SYMMETRIC")
+    applied = symdegen.SYM_AUDIT["applied"]
+    assert symdegen.SYM_AUDIT["verified"] == applied and applied > len(closure) > 5
+    assert calls[0] == 1 + len(closure) + 2 * applied
+    symdegen.reset_sym_audit()
 
 
 def test_closure_budget():

@@ -18,3 +18,24 @@ def test_no_assert_statements():
         for node in ast.walk(ast.parse(path.read_text(), str(path)))
         if isinstance(node, ast.Assert)]
     assert found == []
+
+
+def test_no_unreferenced_private_definitions():
+    """Every private function, method or class of the package is named
+    somewhere in the package's code, an import alone not counting, so
+    none is a leftover no input can reach.  pbw._check_fixed_point is
+    the one exception: it is the reference checker the tests compare the
+    enumeration against."""
+    package = pathlib.Path(sympdeg.__file__).parent
+    defined, named = [], set()
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.endswith("__"):
+                    defined.append("%s.%s" % (path.stem, node.name))
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    unreferenced = [name for name in defined if name.split(".")[1] not in named]
+    assert unreferenced == ["pbw._check_fixed_point"]

@@ -426,6 +426,19 @@ def test_sym_path_steps_on_support_block():
             assert step.Z.rep == rep_of(step.z_ranks)
 
 
+def test_sym_path_matches_perp_quotient_ranks():
+    """Seeded pairs at n = 15..31 (odd-neg for odd n, even-pos for even
+    n): each step's remaining source is the public perp_quotient_ranks
+    of the step before it, along that step's peeled segment."""
+    for n in range(15, 32):
+        start, target = _random_pair(n, n)
+        steps = sym_degeneration_path(start, target)
+        assert len(steps) > 2
+        for here, after in zip(steps, steps[1:]):
+            source = EpsilonRep(rep_of(here.m_ranks), start.sym)
+            assert after.m_ranks == perp_quotient_ranks(source, here.L[0])
+
+
 def test_sym_audit():
     reset_sym_audit()
     erep = EpsilonRep(Representation(3, {(1, 3): 2}), SymmetricType(3, -1))
