@@ -174,9 +174,9 @@ def _word_report(word: WeylWord) -> dict:
     return {
         "kind": word.kind,
         "m": word.m,
-        "letters": list(word.letters),
+        "letters": word.letters,
         "word": word_to_str(word),
-        "images": list(perm.images),
+        "images": perm.images,
         "length": length,
         # is_reduced, without evaluating the word a second time
         "reduced": length == len(word.letters),
@@ -274,8 +274,7 @@ def _cmd_sym_path(args) -> int:
             "peel": (None if step.L is None
                      else {"i": step.L[0], "j": step.L[1],
                            "label": symdegen.peel_label(step.L, n)}),
-            "support": (None if step.support_interval is None
-                        else list(step.support_interval)),
+            "support": step.support_interval,
             "m_ranks": core.ranks_to_json(step.m_ranks),
             "n_ranks": core.ranks_to_json(step.n_ranks),
             "z_ranks": core.ranks_to_json(step.z_ranks),
@@ -295,12 +294,12 @@ def _cmd_pbw_build(args) -> int:
     erep, e = pbw.build_Mi(subset)
     _emit({
         "n": subset.n,
-        "i": list(subset.i),
+        "i": subset.i,
         "quiver_n": erep.rep.n,
         "type": _type_name(erep.sym),
         "module": core.rep_to_json(erep.rep),
-        "dims": list(core.dim_vector(erep.rep)),
-        "e": list(e),
+        "dims": core.dim_vector(erep.rep),
+        "e": e,
     })
     return 0
 
@@ -309,12 +308,12 @@ def _cmd_pbw_weyl(args) -> int:
     subset = pbw.PbwSubset.make(args.n, args.i)
     _emit({
         "n": subset.n,
-        "i": list(subset.i),
-        "sigma_i": list(pbw.sigma_i_map(subset)),
-        "iprime": list(pbw.iprime(subset)),
-        "ell": list(pbw.ell_sequence(subset)),
-        "h": list(pbw.h_sequence(subset)),
-        "theta": list(pbw.theta(subset)),
+        "i": subset.i,
+        "sigma_i": pbw.sigma_i_map(subset),
+        "iprime": pbw.iprime(subset),
+        "ell": pbw.ell_sequence(subset),
+        "h": pbw.h_sequence(subset),
+        "theta": pbw.theta(subset),
         "w": _word_report(pbw.w_i_word(subset)),
         "u": _word_report(pbw.u_iprime_word(subset)),
     })
@@ -329,7 +328,7 @@ def _cmd_pbw_face(args) -> int:
     violations_strict = pbw.dynkin_face_violations(subset, d, strict=True)
     _emit({
         "n": subset.n,
-        "i": list(subset.i),
+        "i": subset.i,
         "contains": not violations,
         "contains_strict": not violations_strict,
         "violations": violations,
@@ -364,28 +363,19 @@ def _cmd_pbw_fixed_points(args) -> int:
     count = pbw.count_lagrangian_fixed_points(subset)
     if digits and count >= 10 ** digits:
         raise _count_too_long(n, digits)
-    report = {"n": subset.n, "i": list(subset.i), "count": count}
+    report = {"n": subset.n, "i": subset.i, "count": count}
     if args.list:
         if count > MAX_LISTED_POINTS:
             raise InstanceTooLarge(
                 "%d fixed points exceed the --list guard %d; drop --list "
                 "for the count alone" % (count, MAX_LISTED_POINTS))
-        report["points"] = [[list(s) for s in fp.subsets]
-                            for fp in pbw.lagrangian_fixed_points(subset)]
+        report["points"] = [fp.subsets for fp in pbw.lagrangian_fixed_points(subset)]
     _emit(report)
     return 0
 
 
 def _cmd_pbw_lemma_ui(args) -> int:
-    subset = pbw.PbwSubset.make(args.n, args.i)
-    report = pbw.check_lemma_ui(subset)
-    report["i"] = list(report["i"])
-    report["u"] = list(report["u"])
-    for row in report["rows"]:
-        for key in ("predicted", "actual"):
-            if row[key] is not None:
-                row[key] = list(row[key])
-    _emit(report)
+    _emit(pbw.check_lemma_ui(pbw.PbwSubset.make(args.n, args.i)))
     return 0
 
 
@@ -422,9 +412,9 @@ def _cmd_poset(args) -> int:
         return 0
     _emit({
         "type": args.type,
-        "dims": list(args.dims),
+        "dims": args.dims,
         "nodes": [core.rep_to_json(rep) for rep in nodes],
-        "edges": [list(edge) for edge in edges],
+        "edges": edges,
     })
     return 0
 

@@ -7,14 +7,13 @@ invariant is the rank sequence r_{i,j} = rank of the composite map from
 vertex i to vertex j; both encodings are kept first class and are
 interconvertible via ranks_of / rep_of.
 
-Conventions used everywhere in this package:
+The rank accessor RankSequence.r extends a table by the conventions
 
     r_{i,j} = 0          if i = 0 or j = n+1   (boundary),
     r_{i,j} = infinity   if i > j              (checked first),
 
-with infinity a tagged sentinel rather than a large integer, so the
-comparisons in the perpendicular-quotient formula are total and can
-never overflow into nonsense.
+with infinity the tagged sentinel SENTINEL_INFINITY, which compares
+above every int.
 """
 
 from __future__ import annotations
@@ -274,19 +273,18 @@ class RankSequence:
             tuple([a - b for a, b in zip(ra, rb)])
             for ra, rb in zip(self._rows, other._rows)])
 
-    def _less_segment(self, q: int, s: int, count: int = 1) -> "RankSequence":
-        """This table less the ranks of count copies of U[q, s] (plus
-        -count copies when count is negative), unchecked.
+    def _less_segment(self, q: int, s: int) -> "RankSequence":
+        """This table less the ranks of one copy of U[q, s], unchecked.
 
-        Those ranks are count exactly on the block q <= i <= j <= s, so
-        rows q..s lose count on their first s - i + 1 entries and every
-        other row is reused as it is.
+        Those ranks are 1 exactly on the block q <= i <= j <= s, so rows
+        q..s lose 1 on their first s - i + 1 entries and every other row
+        is reused as it is.
         """
         rows = list(self._rows)
         for i in range(q, s + 1):
             row = rows[i - 1]
             cut = s - i + 1
-            rows[i - 1] = tuple([v - count for v in row[:cut]]) + row[cut:]
+            rows[i - 1] = tuple([v - 1 for v in row[:cut]]) + row[cut:]
         return RankSequence._of_rows(self.n, rows)
 
     def __eq__(self, other):

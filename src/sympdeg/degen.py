@@ -27,8 +27,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _json_field,
-                   dim_vector, ranks_of)
+from .core import RankSequence, Representation, Segment, _json_field, ranks_of
 from .errors import (InsufficientMultiplicity, MismatchedQuiver, NoEmbedding,
                      NotComparable)
 
@@ -197,14 +196,29 @@ def single_moves(rep: Representation) -> Iterator[Move]:
                 yield Move.shift(t, s, q, r)
 
 
-def degenerates(M: Representation, N: Representation) -> bool:
-    """Is N a degeneration of M?  Needs equal dimension vectors and
-    entrywise domination of rank sequences."""
+def _dominated_ranks(M: Representation,
+                     N: Representation) -> Tuple[RankSequence, RankSequence]:
+    """(ranks_of(M), ranks_of(N)) when N is a degeneration of M: equal
+    dimension vectors (the diagonals of the tables) and entrywise rank
+    domination.  Raises MismatchedQuiver for modules on different chains
+    and NotComparable otherwise.  Every order walk opens with it."""
     if M.n != N.n:
         raise MismatchedQuiver("modules live on different chains")
-    if dim_vector(M) != dim_vector(N):
+    R, RT = ranks_of(M), ranks_of(N)
+    if R.diagonal() != RT.diagonal() or not R.dominates(RT):
+        raise NotComparable("target is not a degeneration of the source")
+    return R, RT
+
+
+def degenerates(M: Representation, N: Representation) -> bool:
+    """Is N a degeneration of M?  Needs equal dimension vectors and
+    entrywise domination of rank sequences; raises MismatchedQuiver for
+    modules on different chains."""
+    try:
+        _dominated_ranks(M, N)
+    except NotComparable:
         return False
-    return ranks_of(M).dominates(ranks_of(N))
+    return True
 
 
 class QuotientReport(NamedTuple):
@@ -314,8 +328,9 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     """A chain of elementary moves from M to N.
 
     Returns [(move_1, M_1), (move_2, M_2), ...] with each M_k the module
-    after move_k and the last one equal to N.  Raises NotComparable when
-    N is not a degeneration of M.
+    after move_k and the last one equal to N.  Raises MismatchedQuiver
+    for modules on different chains and NotComparable when N is not a
+    degeneration of M (_dominated_ranks).
 
     The path peels off final segments of N one at a time: quotient the
     remaining part of M by the shortest segment U[q, top] of N ending at
@@ -323,20 +338,15 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
     quotient.  Rank domination makes that quotient dominate the rest of
     N; a step where it does not raises NotComparable.
     """
-    if M.n != N.n:
-        raise MismatchedQuiver("modules live on different chains")
-    R, RT = ranks_of(M), ranks_of(N)
-    # degenerates(M, N) on the ranks: the diagonal is the dimension vector
-    if R.diagonal() != RT.diagonal() or not R.dominates(RT):
-        raise NotComparable("target is not a degeneration of the source")
+    R, RT = _dominated_ranks(M, N)
     n = M.n
     path: List[Tuple[Move, Representation]] = []
     done: Dict[Segment, int] = {}       # peeled-off segments, already matched
     cur = M                             # quotient still to be degenerated
-    tgt = N                             # what the quotient must become
-    while cur.mult != tgt.mult:         # R, RT: ranks of cur and tgt
-        top = max(v for v, d in enumerate(RT.diagonal(), 1) if d > 0)
-        q = max(i for i in range(1, top + 1) if tgt.m(i, top) > 0)
+    tgt = dict(N.mult)                  # what the quotient must become
+    while cur.mult != tgt:              # R, RT: ranks of cur and tgt
+        top = max(j for _, j in tgt)
+        q = max(i for i, j in tgt if j == top)
         # U[q, top] embeds: r_M(q, top) >= r_N(q, top) >= m_N(q, top) > 0
         # and r(q, top + 1) = 0
         report = generic_quotient(cur, q, top, _ranks=R)
@@ -349,9 +359,7 @@ def degeneration_path(M: Representation, N: Representation) -> List[Tuple[Move, 
         R = report.ranks_Q
         cur = report.Q
         _put(done, (q, top))
-        mult = dict(tgt.mult)
-        _take(mult, (q, top))
-        tgt = Representation._of_mult(n, mult)
+        _take(tgt, (q, top))
     return path
 
 

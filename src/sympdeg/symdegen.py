@@ -20,11 +20,12 @@ is exactly symmetric rank domination.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _depth_first,
                    ranks_of, sigma)
-from .degen import Move, _apply_audited, _move_from_json, _take, degenerates
+from .degen import (Move, _apply_audited, _dominated_ranks, _merge,
+                    _move_from_json, _put, _take, degenerates)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -306,6 +307,19 @@ def sym_degenerates(M: EpsilonRep, N: EpsilonRep) -> bool:
     return degenerates(M.rep, N.rep)
 
 
+def _split_pair(M: EpsilonRep, N: EpsilonRep) -> Tuple[RankSequence, RankSequence]:
+    """(ranks_of(M.rep), ranks_of(N.rep)) for a pair of one split type
+    with N a degeneration of M.  Raises MismatchedType for different
+    types, then NotSplitType outside the split types, then
+    NotComparable as degen._dominated_ranks does.  Both symmetric walks
+    open with it."""
+    if M.sym != N.sym:
+        raise MismatchedType("cannot relate %r with %r" % (M.sym, N.sym))
+    if not M.sym.split:
+        raise NotSplitType("paired moves only exist in the split types")
+    return _dominated_ranks(M.rep, N.rep)
+
+
 # --- perpendicular quotient --------------------------------------------------
 
 def _support(diag) -> Optional[Tuple[int, int]]:
@@ -407,10 +421,6 @@ def peel_label(seg: Segment, n: int) -> str:
     return "U[%d,%d]" % (q, j)
 
 
-def _zero_ranks(n: int) -> RankSequence:
-    return RankSequence(n, [[0] * (n - i + 1) for i in range(1, n + 1)])
-
-
 def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     """Peel a rank-dominated pair M >= N down to nothing, in lockstep.
 
@@ -427,97 +437,58 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     target are 0 outside it, L and its reflection lie in it, and the
     perpendicular quotient changes nothing outside it.  So the quotient
     is read once, on the block (RankSequence._validate_block), which
-    validates it and returns its multiplicities; the target and the
-    peeled part change by the two segment blocks of L and its reflection
-    (RankSequence._less_segment), and z_ranks changes on rows a..top
-    alone.  Z is M on the first step; each later Z is the quotient's
-    multiplicities plus the counts of the segments peeled so far, carried
-    from step to step: multiplicities are linear in ranks, so this is
-    exactly the module of z_ranks.  The target's multiplicities are
-    carried too, N less the peeled segments, and L is chosen from them.
-    A step builds no module for L and makes no whole-table pass besides
-    the domination check.
+    validates it and returns its multiplicities; the target changes by
+    the two segment blocks of L and its reflection
+    (RankSequence._less_segment).  The loop carries only the ranks of
+    the remaining pair, the target's multiplicities still to peel (L is
+    chosen from them) and the multiplicities peeled so far.  The peeled
+    part's ranks are ranks_of(N) less the remaining target's, so
+    z_ranks changes on rows a..top alone.  Z is M on the first step;
+    each later Z is the quotient's multiplicities plus the peeled ones:
+    multiplicities are linear in ranks, so this is exactly the module of
+    z_ranks.  A step builds no module for L and makes no whole-table
+    pass besides the domination check.
 
     Returns the list of steps, terminal step included.  Raises
-    NotSplitType outside the split types and NotComparable when N is not
-    a degeneration of M.
+    MismatchedType, NotSplitType or NotComparable as _split_pair does.
     """
-    if M.sym != N.sym:
-        raise MismatchedType("cannot relate %r with %r" % (M.sym, N.sym))
-    if not M.sym.split:
-        raise NotSplitType("degeneration sequences need the split type")
-    rM, rN = ranks_of(M.rep), ranks_of(N.rep)
-    # sym_degenerates(M, N) on the ranks (equal types give equal chains;
-    # the diagonal is the dimension vector)
-    if rM.diagonal() != rN.diagonal() or not rM.dominates(rN):
-        raise NotComparable("target is not a degeneration of the source")
-
+    rM, rN = _split_pair(M, N)
     sym = M.sym
     n = sym.n
-    # the ranks and the multiplicities of the segments peeled so far, and
-    # the multiplicities of the target still to be peeled
-    peeled, counts, tgt = _zero_ranks(n), {}, dict(N.rep.mult)
+    N_rows = rN._rows
+    # the target's multiplicities still to peel, and those peeled so far
+    tgt, done = dict(N.rep.mult), {}
     Z, z_ranks = M, rM
     steps: List[DegenStep] = []
-    while True:
-        span = _support(rM.diagonal())
-        if rM == rN:
-            steps.append(DegenStep(Z=Z, L=None, support_interval=span,
-                                   m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
-            return steps
-        a, top = span
-        seg, rM1, rN1, mult = _choose_peel(rM, rN, tgt, a, top, n)
-        steps.append(DegenStep(Z=Z, L=seg, support_interval=span,
+    while rM != rN:
+        span = a, top = _support(rM.diagonal())
+        # the target is 0 outside [a, top], so its final segments start in it
+        finals = {i: tgt[(i, top)] for i in range(a, top + 1) if (i, top) in tgt}
+        q = max([i for i, m in finals.items() if m % 2] or finals)
+        steps.append(DegenStep(Z=Z, L=(q, top), support_interval=span,
                                m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
-        # L = U[q, top] and its reflection U[a, sigma(q)] lie in the block,
-        # as top = sigma(a); a self-dual L is counted twice
-        for block in (seg, (a, sigma(seg[0], n))):
+        rM = _perp_ranks(rM, q, a, top)
+        # rM is 0 outside the block, so mult holds all of its multiplicities
+        mult = rM._validate_block(a, top)
+        # L and its reflection U[a, sigma(q)] lie in the block, as top =
+        # sigma(a), and come off one by one: a self-dual L comes off twice.
+        # rN stays N less some of its summands, so it needs no validation
+        for block in ((q, top), (a, sigma(q, n))):
+            rN = rN._less_segment(*block)
             _take(tgt, block)
-            counts[block] = counts.get(block, 0) + 1
-            peeled = peeled._less_segment(*block, -1)
-        # z_ranks = rM + peeled changes on rows a..top alone
-        rows, source, done = list(z_ranks._rows), rM1._rows, peeled._rows
+            _put(done, block)
+        if not rM.dominates(rN):
+            raise NotComparable("no final segment of the target can be peeled, "
+                                "which contradicts rank domination")
+        # z_ranks = rM + ranks_of(N) - rN changes on rows a..top alone
+        rows, source, rest = list(z_ranks._rows), rM._rows, rN._rows
         for i in range(a - 1, top):
-            rows[i] = tuple([x + y for x, y in zip(source[i], done[i])])
+            rows[i] = tuple([x + y - z for x, y, z in zip(source[i], N_rows[i], rest[i])])
         z_ranks = RankSequence._of_rows(n, rows)
-        # rM1 is 0 outside the block, so mult holds all of its multiplicities
-        for block, m in counts.items():
-            mult[block] = mult.get(block, 0) + m
-        Z = EpsilonRep(Representation._of_mult(n, mult), sym)
-        rM, rN = rM1, rN1
-
-
-def _choose_peel(rM: RankSequence, rN: RankSequence, tgt: Dict[Segment, int],
-                 a: int, top: int, n: int):
-    """The peel L = U[q, top] of the next step: the final segment of the
-    target with odd multiplicity and maximal q, else the one with
-    maximal q, read off tgt, the target's multiplicities.  Returns L,
-    the ranks of the remaining source and target, and the remaining
-    source's multiplicities: the perpendicular quotient of the source,
-    and the target less the two segment blocks of L and its reflection
-    U[a, sigma(q)].  Raises InvalidRankSequence if the perpendicular
-    quotient formula yields no rank table, and NotComparable if the
-    remaining source does not dominate the remaining target; rank
-    domination rules out both.
-
-    The quotient is read once, on the support block alone
-    (RankSequence._validate_block(a, top)), which decides its validity
-    with the same answer and the same indices as validate() and returns
-    all of its multiplicities: rM is valid with its diagonal 0 outside
-    [a, top], so every entry outside the block is 0, and _perp_ranks
-    changes block entries only."""
-    # the target is 0 outside [a, top], so its final segments start in it
-    finals = {i: tgt[(i, top)] for i in range(a, top + 1) if (i, top) in tgt}
-    q = max([i for i, m in finals.items() if m % 2] or finals)
-    rM1 = _perp_ranks(rM, q, a, top)
-    mult = rM1._validate_block(a, top)
-    # rN1 is N without two of its summands, so it needs no validation;
-    # the blocks come off one by one, so a self-dual L comes off twice
-    rN1 = rN._less_segment(q, top)._less_segment(a, sigma(q, n))
-    if not rM1.dominates(rN1):
-        raise NotComparable("no final segment of the target can be peeled, "
-                            "which contradicts rank domination")
-    return (q, top), rM1, rN1, mult
+        Z = EpsilonRep(Representation._of_mult(n, _merge(mult, done)), sym)
+    steps.append(DegenStep(Z=Z, L=None, support_interval=_support(rM.diagonal()),
+                           m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
+    return steps
 
 
 # --- refinement into explicit paired moves -----------------------------------
@@ -546,16 +517,10 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
     split types paired moves generate symmetric rank domination, so some
     entry always fits and the walk cannot stall; each step lowers the
     ranks, so it ends.  Returns the moves, [] when start equals target;
-    raises NotComparable when target is not a degeneration of start.
+    raises MismatchedType, NotSplitType or NotComparable as _split_pair
+    does.
     """
-    if start.sym != target.sym:
-        raise MismatchedType("cannot relate %r with %r" % (start.sym, target.sym))
-    if not start.sym.split:
-        raise NotSplitType("paired moves only exist in the split types")
-    R, tgt = ranks_of(start.rep), ranks_of(target.rep)
-    # sym_degenerates(start, target) on the ranks
-    if R.diagonal() != tgt.diagonal() or not R.dominates(tgt):
-        raise NotComparable("target is not a degeneration of the start point")
+    R, tgt = _split_pair(start, target)
 
     cur, moves = start, []
     while cur.rep != target.rep:

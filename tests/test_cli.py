@@ -118,6 +118,22 @@ def test_sym_path_table_stable(tmp_path, capsys):
     assert first.count("==") == 8
 
 
+def test_sym_check(tmp_path, capsys):
+    """sym-check answers true on the first worked pair, false on it
+    reversed, and refuses a module that is not of the type with one
+    NotEpsilon line and exit 1."""
+    m, n = _ex1_files(tmp_path)
+    code, out, _ = _run(capsys, "sym-check", "--m", m, "--n", n, "--type", "odd-neg")
+    assert code == 0 and json.loads(out) == {"degenerates": True}
+    code, out, _ = _run(capsys, "sym-check", "--m", n, "--n", m, "--type", "odd-neg")
+    assert code == 0 and json.loads(out) == {"degenerates": False}
+    odd = _write(tmp_path, "odd.json", core.rep_to_json(
+        core.Representation(5, {(1, 2): 1})))
+    code, out, err = _run(capsys, "sym-check", "--m", odd, "--n", n, "--type", "odd-neg")
+    assert code == 1 and out == ""
+    assert err.startswith("NotEpsilon: ") and err.count("\n") == 1
+
+
 def test_sym_moves(tmp_path, capsys):
     """sym-moves has no search budget: --budget is a bad argument, and
     the pair is answered with a chain that replays to the target."""

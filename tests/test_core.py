@@ -415,32 +415,6 @@ def test_less_segment_subtracts_one_segment():
                            for i in range(1, n + 1) if not q <= i <= s)
 
 
-def test_less_segment_signed_count():
-    """With a signed count, _less_segment(q, s, count) is sub of count
-    tables of U[q, s], and add of -count tables for a negative count, for
-    every segment with n <= 6; a self-dual segment and its reflection,
-    taken off one after the other, come off twice."""
-    for rep in _seeded_modules():
-        if rep.n > 6:
-            break
-        n = rep.n
-        ranks = ranks_of(rep)
-        for q in range(1, n + 1):
-            for s in range(q, n + 1):
-                one = ranks_of(Representation(n, {(q, s): 1}))
-                assert ranks._less_segment(q, s, 1) == ranks.sub(one)
-                assert ranks._less_segment(q, s, -1) == ranks.add(one)
-                assert ranks._less_segment(q, s, 2) == ranks.sub(one).sub(one)
-                assert ranks._less_segment(q, s, -1)._less_segment(q, s) == ranks
-        # the self-dual U[q, n + 1 - q] taken off with its reflection
-        for q in range(1, (n + 1) // 2 + 1):
-            s = n + 1 - q
-            two = ranks_of(Representation(n, {(q, s): 2}))
-            doubled = ranks.add(two)
-            assert doubled._less_segment(q, s)._less_segment(q, s) == ranks
-            assert ranks._less_segment(q, s, -1)._less_segment(q, s, -1) == doubled
-
-
 def test_unchecked_constructor_matches_checked():
     mult = {(1, 2): 2, (3, 3): 1}
     rep = Representation._of_mult(3, dict(mult))

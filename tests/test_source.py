@@ -2,6 +2,7 @@
 
 import ast
 import pathlib
+import sys
 
 import sympdeg
 
@@ -39,3 +40,22 @@ def test_no_unreferenced_private_definitions():
                 named.add(node.attr)
     unreferenced = [name for name in defined if name.split(".")[1] not in named]
     assert unreferenced == ["pbw._check_fixed_point"]
+
+
+def test_imports_only_stdlib_or_relative():
+    """The package depends on nothing outside the standard library: every
+    import of its modules is relative or names a module of
+    sys.stdlib_module_names."""
+    package = pathlib.Path(sympdeg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.partition(".")[0] not in sys.stdlib_module_names]
+    assert found == []

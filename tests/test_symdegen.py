@@ -10,8 +10,8 @@ from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
 from sympdeg.degen import Move, move_to_json
 from sympdeg.errors import (
-    InvalidRankSequence, MalformedInput, MismatchedType, NoEmbedding,
-    NotComparable, NotEpsilon, NotSplitType,
+    InvalidRankSequence, MalformedInput, MismatchedQuiver, MismatchedType,
+    NoEmbedding, NotComparable, NotEpsilon, NotSplitType,
 )
 from sympdeg.symdegen import (
     SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
@@ -209,6 +209,49 @@ def test_perp_quotient_golden_step():
     assert got.rows() == EX2_M_ROWS[1]
 
 
+def _guard_cases():
+    """(call, its arguments, the exception it raises or the value it
+    returns) for the opening guard of every order entry point."""
+    on3, on4 = Representation(3, {(1, 3): 2}), Representation(4, {(1, 4): 1})
+    split, nonsplit = SymmetricType(3, -1), SymmetricType(3, 1)
+    em, en = EpsilonRep(on3, split), EpsilonRep(on3, nonsplit)
+    parts = Representation(3, {(1, 2): 2, (3, 3): 2})
+    cut = EpsilonRep(Representation(3, {(1, 2): 1, (2, 3): 1, (1, 1): 1, (3, 3): 1}),
+                     split)
+    return [
+        (degen.degenerates, (on3, Representation(3, {(1, 2): 1})), False),
+        (degen.degenerates, (on3, on4), MismatchedQuiver),
+        (degen.degeneration_path, (on3, on4), MismatchedQuiver),
+        (degen.degeneration_path, (parts, on3), NotComparable),
+        (sym_degeneration_path, (em, en), MismatchedType),
+        (sym_move_refinement, (em, en), MismatchedType),
+        (sym_degeneration_path, (en, en), NotSplitType),
+        (sym_move_refinement, (en, en), NotSplitType),
+        (sym_degeneration_path, (cut, em), NotComparable),
+        (sym_move_refinement, (cut, em), NotComparable),
+        (perp_quotient_ranks,
+         (EpsilonRep(Representation(3, {(1, 1): 1, (3, 3): 1}), split), 2),
+         NoEmbedding),
+    ]
+
+
+GUARD_CASES = _guard_cases()
+
+
+@pytest.mark.parametrize("call, args, expected", GUARD_CASES, ids=[
+    "%s-%s" % (call.__name__, getattr(want, "__name__", want))
+    for call, _, want in GUARD_CASES])
+def test_order_guards(call, args, expected):
+    """Each order entry point answers a pair it cannot relate from its
+    opening guard: the domination order of degen._dominated_ranks, led
+    in the symmetric walks by the type checks of symdegen._split_pair."""
+    if isinstance(expected, type):
+        with pytest.raises(expected):
+            call(*args)
+    else:
+        assert call(*args) == expected
+
+
 def test_perp_quotient_errors():
     em, _ = _ex2_pair()
     with pytest.raises(ValueError):
@@ -367,8 +410,9 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
 
 def test_sym_path_tables_by_blocks(monkeypatch):
     """A seeded odd-neg n = 31 path computes ranks only for M and N and
-    never subtracts whole tables: each step updates the target and the
-    peeled part by the blocks of L and its reflection."""
+    never subtracts whole tables: each step updates the target by the
+    blocks of L and its reflection, and z_ranks on the rows of the
+    support block."""
     calls = {"ranks_of": 0, "sub": 0}
     real_sub = RankSequence.sub
 
