@@ -108,13 +108,16 @@ class Representation:
         raise AttributeError("Representation is immutable")
 
     def key(self) -> Tuple:
+        """A sort key: n, then the segments and counts in sorted order."""
         return (self.n, tuple(sorted(self.mult.items())))
 
+    # counts are positive, so equal modules have equal maps, in any order
     def __eq__(self, other):
-        return isinstance(other, Representation) and self.key() == other.key()
+        return (isinstance(other, Representation)
+                and self.n == other.n and self.mult == other.mult)
 
     def __hash__(self):
-        return hash(self.key())
+        return hash((self.n, frozenset(self.mult.items())))
 
     def segments(self) -> Iterator[Tuple[Segment, int]]:
         return iter(sorted(self.mult.items()))

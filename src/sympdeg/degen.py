@@ -12,14 +12,16 @@ recomputed from its multiplicities and checked against the input's ranks
 minus the move's predicted entrywise drop.  apply_move computes the
 input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
-computed once.  The path builder also carries each quotient module as
-generic_quotient took it out of the last audited stage, so it never
-rebuilds a module from its ranks or re-validates a rank table.  Modules
-built here are wrapped without re-checking their segments
-(Representation._of_mult), and a peeled segment comes off a rank table
-as one block (RankSequence._less_segment).  The module-level AUDIT
-counters record how many checks ran and whether any
-failed.
+computed once.  The move closure (oracle.closure_enumerate) applies a
+move (_applied) and audits it (_audit) as two steps: every edge is
+audited against ranks_of of the child, computed once per distinct
+module the closure reaches.  The path builder also carries each
+quotient module as generic_quotient took it out of the last audited
+stage, so it never rebuilds a module from its ranks or re-validates a
+rank table.  Modules built here are wrapped without re-checking their
+segments (Representation._of_mult), and a peeled segment comes off a
+rank table as one block (RankSequence._less_segment).  The module-level
+AUDIT counters record how many checks ran and whether any failed.
 """
 
 from __future__ import annotations
@@ -146,6 +148,15 @@ def _apply_audited(rep: Representation, move: Move,
     returned with it, so a chain of moves computes each module's ranks
     once.
     """
+    out = _applied(rep, move)
+    after = ranks_of(out)
+    _audit(move, before, after)
+    return out, after
+
+
+def _applied(rep: Representation, move: Move) -> Representation:
+    """rep with its multiplicities changed by move, not yet audited.
+    Raises InsufficientMultiplicity as apply_move does."""
     mult = dict(rep.mult)
     if move.kind == "cut":
         _take(mult, (move.t, move.s), move)
@@ -158,22 +169,28 @@ def _apply_audited(rep: Representation, move: Move,
         _put(mult, (move.q, move.s))
     else:
         raise ValueError("unknown move kind %r" % (move.kind,))
-    out = Representation._of_mult(rep.n, mult)
+    return Representation._of_mult(rep.n, mult)
 
+
+def _audit(move: Move, before: RankSequence, after: RankSequence) -> None:
+    """Check that after is before less one on move's box and equal
+    elsewhere, tallying the check in AUDIT.  before and after are the
+    ranks of a module and of that module after move, each computed by
+    ranks_of from its multiplicities.  Only the box slices of the box
+    rows are rebuilt; the tables are then compared whole."""
     AUDIT["applied"] += 1
-    after = ranks_of(out)
     k0, k1, l0, l1 = move._box()
-    for i, want, got in zip(count(1), before._rows, after._rows):
-        if k0 <= i <= k1:
-            want = tuple([v - 1 if l0 <= j <= l1 else v for j, v in enumerate(want, i)])
-        if want != got:
-            j, w, g = next(x for x in zip(count(i), want, got) if x[1] != x[2])
-            AUDIT["violations"] += 1
-            raise AssertionError(
-                "rank check failed for %r at (%d, %d): expected %d, got %d"
-                % (move, i, j, w, g))
+    want = list(before._rows)
+    for i in range(k0, k1 + 1):
+        row, a, b = want[i - 1], l0 - i, l1 - i + 1
+        want[i - 1] = row[:a] + tuple([v - 1 for v in row[a:b]]) + row[b:]
+    if tuple(want) != after._rows:
+        i, j, w, g = next((i, j, w, g) for i, rw, rg in zip(count(1), want, after._rows)
+                          for j, w, g in zip(count(i), rw, rg) if w != g)
+        AUDIT["violations"] += 1
+        raise AssertionError("rank check failed for %r at (%d, %d): expected %d, got %d"
+                             % (move, i, j, w, g))
     AUDIT["verified"] += 1
-    return out, after
 
 
 def apply_moves(rep: Representation, moves) -> Representation:
@@ -185,15 +202,17 @@ def apply_moves(rep: Representation, moves) -> Representation:
 
 def single_moves(rep: Representation) -> Iterator[Move]:
     """Every cut and shift rep's own segments allow: all cuts, then all
-    shifts, each in sorted segment order.  Each applies to rep."""
+    shifts, each in sorted segment order.  Each applies to rep.  The loops
+    yield valid moves only, so the moves are built without Move.cut and
+    Move.shift's checks."""
     segs = sorted(rep.mult)
     for (t, s) in segs:
         for q in range(t + 1, s + 1):
-            yield Move.cut(t, s, q)
+            yield Move("cut", t, s, q)
     for (t, s) in segs:
         for (q, r) in segs:
             if t < q <= r < s:
-                yield Move.shift(t, s, q, r)
+                yield Move("shift", t, s, q, r)
 
 
 def _dominated_ranks(M: Representation,

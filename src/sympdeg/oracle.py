@@ -302,43 +302,60 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
     """All isomorphism classes reachable by moves, as a set of Representation.
 
     move_kind is "ORDINARY" (rep: Representation, single cuts/shifts) or
-    "SYMMETRIC" (rep: EpsilonRep, paired moves).  BFS over canonical
-    multiplicity maps; the start point is included.  Guarded by the rank
-    total of the start point.  The moves come from the library's
-    generators, and every child is audited as it is applied.
+    "SYMMETRIC" (rep: EpsilonRep, paired moves).  BFS over multiplicity
+    maps; the start point is included.  Guarded by the rank total of the
+    start point: max_total is a non-negative int.  Raises ValueError for
+    an unknown move_kind, a module of the wrong kind or a bad max_total.
+
+    The moves come from the library's generators, and every edge is
+    audited against ranks_of of the child, computed once per distinct
+    module: seen maps each module reached to its ranks (ranks_of is a
+    pure function of the multiplicity map seen is keyed by).  A SYMMETRIC
+    edge audits both constituents, as symdegen._apply_sym_audited does.
     """
-    # each child's audit starts from its parent's ranks, computed once
+    if type(max_total) is not int or max_total < 0:
+        raise ValueError("max_total must be a non-negative int, got %r" % (max_total,))
     if move_kind == "ORDINARY":
+        if not isinstance(rep, Representation):
+            raise ValueError("ORDINARY closures start from a Representation, got %r"
+                             % (rep,))
         start = rep
 
-        def children(cur):
-            before = core.ranks_of(cur)
+        def expand(cur, before):
+            # the children of cur not seen yet, each recorded in seen
             for move in degen.single_moves(cur):
-                yield degen._apply_audited(cur, move, before)[0]
+                child = degen._applied(cur, move)
+                after = seen.get(child)
+                new = after is None
+                if new:
+                    after = seen[child] = core.ranks_of(child)
+                degen._audit(move, before, after)
+                if new:
+                    yield child
 
     elif move_kind == "SYMMETRIC":
+        if not isinstance(rep, symdegen.EpsilonRep):
+            raise ValueError("SYMMETRIC closures start from an EpsilonRep, got %r"
+                             % (rep,))
         start, sym = rep.rep, rep.sym
 
-        def children(cur):
+        def expand(cur, before):
             erep = symdegen.EpsilonRep(cur, sym)
-            before = core.ranks_of(cur)
             for move in symdegen.sym_moves(erep):
-                yield symdegen._apply_sym_audited(erep, move, before)[0].rep
+                child, after = symdegen._apply_sym_audited(erep, move, before)
+                if child.rep not in seen:
+                    seen[child.rep] = after
+                    yield child.rep
 
     else:
         raise ValueError("move_kind must be ORDINARY or SYMMETRIC")
 
-    total = core.ranks_of(start).total()
+    ranks = core.ranks_of(start)
+    total = ranks.total()
     if total > max_total:
         raise InstanceTooLarge("rank total %d exceeds guard %d" % (total, max_total))
-    seen = {start}
+    seen = {start: ranks}
     frontier = [start]
     while frontier:
-        nxt = []
-        for cur in frontier:
-            for child in children(cur):
-                if child not in seen:
-                    seen.add(child)
-                    nxt.append(child)
-        frontier = nxt
-    return seen
+        frontier = [child for cur in frontier for child in expand(cur, seen[cur])]
+    return set(seen)

@@ -424,3 +424,22 @@ def test_unchecked_constructor_matches_checked():
     # the public constructor keeps its checks
     with pytest.raises(ValueError):
         Representation(3, {(2, 4): 1})
+
+
+def test_representation_equality_and_hash():
+    """Equality compares n and the multiplicity maps; the hash reads the
+    map as a set of items, so insertion order does not matter."""
+    a = Representation(4, {(1, 2): 2, (3, 4): 1, (2, 2): 3})
+    b = Representation(4, {(2, 2): 3, (3, 4): 1, (1, 2): 2})
+    assert list(a.mult) != list(b.mult)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    # zero counts are dropped by the public constructor
+    c = Representation(4, {(1, 2): 2, (1, 4): 0, (3, 4): 1, (2, 2): 3})
+    assert (1, 4) not in c.mult and c == a and hash(c) == hash(a)
+    assert Representation(3, {(1, 1): 0}) == Representation(3)
+    # the same map on a different chain is a different module
+    assert Representation(4, {(1, 2): 1}) != Representation(5, {(1, 2): 1})
+    assert a != Representation(4, {(1, 2): 2, (3, 4): 1, (2, 2): 2})
+    # comparison with anything else is False, not an error
+    for other in (a.key(), a.mult, ranks_of(a), None, 4):
+        assert (a == other) is False and (a != other) is True

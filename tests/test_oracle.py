@@ -110,10 +110,46 @@ def test_closure_enumerate_symmetric():
         assert dim_vector(other) == dim_vector(rep)
 
 
-def test_symmetric_closure_ranks_once_per_parent(monkeypatch):
+def _count_ranks_of(monkeypatch, modules):
+    """Patch ranks_of in each of modules to count its calls; returns the
+    one-element list that holds the count."""
+    calls = [0]
+
+    def counting(rep):
+        calls[0] += 1
+        return ranks_of(rep)
+
+    for module in modules:
+        monkeypatch.setattr(module, "ranks_of", counting)
+    return calls
+
+
+def test_ordinary_closure_ranks_once_per_module(monkeypatch):
+    """A seeded n = 6 ordinary closure computes ranks once per distinct
+    module (the start's serving the size guard too) and still audits
+    every edge: one check per move single_moves offers on each module."""
+    rng = random.Random(3)
+    mult = {}
+    for _ in range(4):
+        i = rng.randint(1, 6)
+        j = rng.randint(i, 6)
+        mult[(i, j)] = mult.get((i, j), 0) + 1
+    rep = Representation(6, mult)
+    calls = _count_ranks_of(monkeypatch, (core, degen))
+    degen.reset_audit()
+    closure = oracle.closure_enumerate(rep, "ORDINARY")
+    edges = sum(len(list(degen.single_moves(m))) for m in closure)
+    assert len(closure) == 119 and edges > 2 * len(closure)
+    assert calls[0] == len(closure)
+    assert degen.AUDIT == {"applied": edges, "verified": edges, "violations": 0}
+    degen.reset_audit()
+
+
+def test_symmetric_closure_ranks_once_per_constituent(monkeypatch):
     """A seeded odd-neg n = 5 symmetric closure computes ranks once for
-    the size guard, once per expanded module and, through the audit,
-    once per constituent of each applied paired move."""
+    the size guard and, through the audit, once per constituent of each
+    applied paired move; each new module keeps the ranks its audit
+    returned."""
     rng = random.Random(3)
     sym = SymmetricType(5, -1)
     mult = {}
@@ -123,19 +159,12 @@ def test_symmetric_closure_ranks_once_per_parent(monkeypatch):
         for seg in {(i, j), (6 - j, 6 - i)}:
             mult[seg] = mult.get(seg, 0) + (2 if i + j == 6 else 1)
     erep = EpsilonRep(Representation(5, mult), sym)
-    calls = [0]
-
-    def counting(rep):
-        calls[0] += 1
-        return ranks_of(rep)
-
-    for module in (core, degen, symdegen):
-        monkeypatch.setattr(module, "ranks_of", counting)
+    calls = _count_ranks_of(monkeypatch, (core, degen, symdegen))
     symdegen.reset_sym_audit()
     closure = oracle.closure_enumerate(erep, "SYMMETRIC")
     applied = symdegen.SYM_AUDIT["applied"]
     assert symdegen.SYM_AUDIT["verified"] == applied and applied > len(closure) > 5
-    assert calls[0] == 1 + len(closure) + 2 * applied
+    assert calls[0] == 1 + 2 * applied
     symdegen.reset_sym_audit()
 
 
@@ -143,13 +172,38 @@ def test_closure_budget():
     rep = Representation(4, {(1, 4): 4})
     with pytest.raises(InstanceTooLarge):
         oracle.closure_enumerate(rep, "ORDINARY", max_total=3)
+    assert oracle.closure_enumerate(Representation(4), "ORDINARY",
+                                    max_total=0) == {Representation(4)}
+
+
+def test_closure_rejects_a_module_of_the_wrong_kind():
+    """Each move kind needs its own module class; the wrong one used to
+    fail with AttributeError deep inside the walk."""
+    rep = Representation(3, {(1, 3): 2})
+    erep = EpsilonRep(rep, SymmetricType(3, -1))
+    with pytest.raises(ValueError, match="SYMMETRIC closures start from an EpsilonRep"):
+        oracle.closure_enumerate(rep, "SYMMETRIC")
+    with pytest.raises(ValueError, match="ORDINARY closures start from a Representation"):
+        oracle.closure_enumerate(erep, "ORDINARY")
+    with pytest.raises(ValueError, match="ORDINARY closures"):
+        oracle.closure_enumerate({(1, 3): 2}, "ORDINARY")
+    with pytest.raises(ValueError, match="move_kind must be"):
+        oracle.closure_enumerate(rep, "ordinary")
+
+
+@pytest.mark.parametrize("max_total", [True, False, 1.0, 120.5, "120", None, -1])
+def test_closure_rejects_a_bad_guard(max_total):
+    """A bool guard used to be read as the int 1 or 0."""
+    with pytest.raises(ValueError, match="max_total must be a non-negative int"):
+        oracle.closure_enumerate(Representation(2, {(1, 2): 1}), "ORDINARY",
+                                 max_total=max_total)
 
 
 def test_ordinary_closure_is_rank_domination():
-    """Exhaustive over dimension vectors with n <= 4 and entries <= 2: the
+    """Exhaustive over dimension vectors with n <= 5 and entries <= 2: the
     move closure of M is exactly the set of modules M rank-dominates."""
     closures = 0
-    for n in range(1, 5):
+    for n in range(1, 6):
         for dims in itertools.product(range(3), repeat=n):
             modules = modules_with_dims(dims)
             ranks = {rep: ranks_of(rep) for rep in modules}
@@ -158,7 +212,7 @@ def test_ordinary_closure_is_rank_domination():
                          if ranks[rep].dominates(ranks[other])}
                 assert oracle.closure_enumerate(rep, "ORDINARY") == below
                 closures += 1
-    assert closures == 496
+    assert closures == 2735
 
 
 def test_matrix_realization_shape_check_survives_optimize():
