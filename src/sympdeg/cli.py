@@ -10,14 +10,14 @@ is printed on stderr), 0 otherwise.
 from __future__ import annotations
 
 import argparse
-import importlib.util
+import itertools
 import json
 import math
 import random
 import sys
 from typing import List
 
-from . import core, degen, pbw, symdegen
+from . import core, degen, oracle, pbw, symdegen
 from .coxeter import WeylWord, evaluate, word_to_str
 from .errors import InstanceTooLarge, MalformedInput, MismatchedType, SympdegError
 
@@ -29,28 +29,6 @@ TYPE_NAMES = {
 }
 # every (n % 2, epsilon) pair names exactly one type
 _TYPE_OF = {key: name for name, key in TYPE_NAMES.items()}
-
-
-def _lazy_module(name: str):
-    """The module `name`, registered in sys.modules but executed only on
-    its first attribute access (or already imported)."""
-    if name in sys.modules:
-        return sys.modules[name]
-    spec = importlib.util.find_spec(name)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    parent, _, child = name.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-    return module
-
-
-# only oracle-verify uses the brute-force oracle, whose import loads
-# fractions and decimal; every other verb skips that cost.  The module is
-# still registered under its name, as a direct import would leave it:
-# perfbench/cli_child.py traces every layer module in sys.modules
-oracle = _lazy_module(__package__ + ".oracle")
 
 # pbw-fixed-points --list prints every point only up to this count; it
 # keeps n <= 5 and n = 6 with the empty subset (46,080 points) listable
@@ -89,6 +67,17 @@ def _int_list(text: str) -> tuple:
     except ValueError:
         raise argparse.ArgumentTypeError(
             "expected comma separated integers, got %r" % text) from None
+
+
+def _count(text: str) -> int:
+    """A non-negative integer, else a bad argument as for _int_list."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
+    return value
 
 
 def _subset_list(text: str) -> tuple:
@@ -381,12 +370,11 @@ def _cmd_pbw_lemma_ui(args) -> int:
 
 def _cmd_poset(args) -> int:
     sym = _sym_type(len(args.dims), args.type)
-    nodes = symdegen.epsilon_modules_with_dims(args.dims, sym)
+    nodes = sorted(itertools.islice(symdegen._epsilon_modules(args.dims, sym),
+                                    MAX_POSET_NODES + 1), key=core.Representation.key)
     if len(nodes) > MAX_POSET_NODES:
-        raise InstanceTooLarge(
-            "%d epsilon modules exceed the poset guard %d"
-            % (len(nodes), MAX_POSET_NODES))
-    nodes.sort(key=lambda rep: rep.key())
+        raise InstanceTooLarge("more than %d epsilon modules exceed the poset guard"
+                               % MAX_POSET_NODES)
     ranks = [core.ranks_of(rep) for rep in nodes]
     above = [[a != b and ranks[a].dominates(ranks[b])
               for b in range(len(nodes))] for a in range(len(nodes))]
@@ -505,7 +493,7 @@ VERBS = {
     "oracle-verify": (_cmd_oracle_verify,
                       "cross-check formulas against the matrix oracle",
                       (("--seed", {"type": int, "default": 0}),
-                       ("--budget", {"type": int, "default": 50}))),
+                       ("--budget", {"type": _count, "default": 50}))),
     "render-coeff": (_cmd_render_coeff,
                      "ASCII coefficient quiver, one row per segment", (_REP,)),
 }

@@ -352,13 +352,10 @@ def dim_vector(rep: Representation) -> DimVector:
 
 
 def _depth_first(depth: int, level) -> Iterator[None]:
-    """Yield once per complete assignment of a depth-level search, walked
-    depth first with an explicit stack, so any depth stays clear of the
-    recursion limit.  level(index) is a generator that applies one choice
-    at that level per yield and undoes it before the next."""
-    if not depth:
-        yield
-        return
+    """Yield once per complete assignment of a search of depth >= 1 levels,
+    walked depth first with an explicit stack, so any depth stays clear of
+    the recursion limit.  level(index) is a generator that applies one
+    choice at that level per yield and undoes it before the next."""
     stack = [level(0)]
     while stack:
         for _ in stack[-1]:
@@ -371,8 +368,18 @@ def _depth_first(depth: int, level) -> Iterator[None]:
             stack.pop()
 
 
+def _dims_arg(dims) -> DimVector:
+    """dims as a tuple; ValueError unless it is one or more ints >= 0."""
+    dims = tuple(dims)
+    if not dims or any(type(d) is not int or d < 0 for d in dims):
+        raise ValueError("dims must be one or more non-negative integers, got %r"
+                         % (dims,))
+    return dims
+
+
 def modules_with_dims(dims: DimVector) -> List[Representation]:
     """Every module with dimension vector dims, one per isomorphism class."""
+    dims = _dims_arg(dims)
     n = len(dims)
     segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
     remaining = list(dims)

@@ -11,7 +11,6 @@ All arithmetic is exact (Fraction elimination over Python ints).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from typing import Dict, List, Tuple
 
 from . import core, degen, symdegen
@@ -71,6 +70,8 @@ def _identity(m):
 
 def exact_rank(mat) -> int:
     """Rank over the rationals by fraction elimination; exact."""
+    # imported on use, so importing the package loads neither fractions nor decimal
+    from fractions import Fraction
     if not mat or not mat[0]:
         return 0
     m = [[Fraction(x) for x in row] for row in mat]

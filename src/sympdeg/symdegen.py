@@ -23,9 +23,9 @@ from __future__ import annotations
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _depth_first,
-                   ranks_of, sigma)
+                   _dims_arg, ranks_of, sigma)
 from .degen import (Move, _apply_audited, _dominated_ranks, _merge,
-                    _move_from_json, _put, _take, degenerates)
+                    _move_from_json, _put, _take, degenerates, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -104,7 +104,12 @@ def is_epsilon_rep(rep: Representation, sym: SymmetricType) -> bool:
 def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
     """Every epsilon module of type sym with dimension vector dims, one per
     isomorphism class: the modules of core.modules_with_dims(dims) that
-    is_epsilon_rep accepts, without listing the others.
+    is_epsilon_rep accepts, without listing the others."""
+    return list(_epsilon_modules(dims, sym))
+
+
+def _epsilon_modules(dims, sym: SymmetricType) -> Iterator[Representation]:
+    """epsilon_modules_with_dims one module at a time.
 
     A count is chosen only for the representative [i, j] of each
     reflection pair, the one with i + j <= n + 1 (it starts no later than
@@ -116,11 +121,11 @@ def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
     i must be used up when the start-i group ends.
     """
     n = sym.n
-    dims = tuple(dims)
+    dims = _dims_arg(dims)
     if len(dims) != n:
         raise MismatchedQuiver("dimension vector and type have different sizes")
     if dims != dims[::-1]:
-        return []
+        return
     half = (n + 1) // 2
     # (segment, its reflection, count step, [(vertex index, weight)] on the
     # left half); the self-dual [i, sigma(i)] closes the start-i group
@@ -151,8 +156,8 @@ def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
             for v, w in cover:
                 remaining[v] += count * w
 
-    return [Representation._of_mult(n, dict(mult))
-            for _ in _depth_first(len(reps), counts)]
+    for _ in _depth_first(len(reps), counts):
+        yield Representation._of_mult(n, dict(mult))
 
 
 class EpsilonRep:
@@ -241,8 +246,8 @@ def symmove_from_json(data: dict) -> SymMove:
 
 
 def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:
-    """Every symcut and symshift on erep's own segments: all symcuts, then
-    all symshifts, each in sorted segment order.
+    """The paired move of each degen.single_moves(erep.rep) entry, in its
+    order: the one whose first constituent is that cut or shift.
 
     Each applies to erep, so apply_sym_move never runs short of a
     segment: the reflected segment has the same multiplicity as the
@@ -251,14 +256,11 @@ def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:
     is the reflection of the other, since [q, r] = [sigma(s), sigma(t)]
     would make t < q <= r < s force t + s < n + 1 < t + s.
     """
-    segs = sorted(erep.rep.mult)
-    for (t, s) in segs:
-        for q in range(t, s):
-            yield SymMove.symcut(t, s, q)
-    for (t, s) in segs:
-        for (q, r) in segs:
-            if t < q <= r < s:
-                yield SymMove.symshift(t, s, q, r)
+    for move in single_moves(erep.rep):
+        if move.kind == "cut":
+            yield SymMove("symcut", move.t, move.s, move.q - 1)
+        else:
+            yield SymMove("symshift", move.t, move.s, move.q, move.r)
 
 
 SYM_AUDIT = {"applied": 0, "verified": 0, "violations": 0}

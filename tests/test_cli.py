@@ -305,7 +305,7 @@ def test_error_line_per_exception_family(tmp_path, capsys):
             _write(tmp_path, "in.json", obj_or_path)
         assert _run(capsys, "ranks", "--rep", path) == (code, "", line + "\n")
     assert _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1") == \
-        (1, "", "InstanceTooLarge: 108 epsilon modules exceed the poset guard 100\n")
+        (1, "", "InstanceTooLarge: more than 100 epsilon modules exceed the poset guard\n")
 
 
 def _malformed(tmp_path, capsys, verb, obj, *args):
@@ -454,17 +454,45 @@ def test_poset_guard(capsys):
     # 108 epsilon modules, found in well under a second
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")
     assert (code, out) == (1, "")
-    assert err.startswith("InstanceTooLarge: 108 epsilon modules") and err.count("\n") == 1
+    assert err.startswith("InstanceTooLarge: more than 100 epsilon modules") \
+        and err.count("\n") == 1
 
 
 def test_poset_guard_without_listing_every_module(capsys):
-    # 292 epsilon modules among 106,887 modules of the dims; only the
-    # epsilon ones are listed, so the guard fires at once
-    start = time.perf_counter()
-    code, out, err = _run(capsys, "poset", "--type", "odd-neg", "--dims", "2,4,4,4,4,4,2")
-    assert time.perf_counter() - start < 2
-    assert (code, out) == (1, "")
-    assert err.startswith("InstanceTooLarge: 292 epsilon modules") and err.count("\n") == 1
+    # 292 epsilon modules among 106,887 modules of the first dims, and
+    # 299,390 epsilon modules of the second; only the epsilon ones are
+    # searched, and only up to one past the guard, so it fires at once
+    for dims in ("2,4,4,4,4,4,2", "12,12,12,12,12,12,12"):
+        start = time.perf_counter()
+        code, out, err = _run(capsys, "poset", "--type", "odd-neg", "--dims", dims)
+        assert time.perf_counter() - start < 2, dims
+        assert (code, out) == (1, "")
+        assert err.startswith("InstanceTooLarge: more than 100 epsilon modules") \
+            and err.count("\n") == 1
+
+
+def test_poset_negative_dims(capsys):
+    """A negative --dims entry is a domain error, exit 1, not an empty
+    poset."""
+    assert _run(capsys, "poset", "--type", "odd-neg", "--dims", "1,-2,1") == \
+        (1, "", "ValueError: dims must be one or more non-negative integers, "
+                "got (1, -2, 1)\n")
+
+
+def test_oracle_verify_budget_not_negative(capsys):
+    """A negative budget checked nothing and reported no mismatch; it is
+    now a bad argument: argparse's usage and one error line, exit 2.  Text
+    that is no integer keeps its message, and a zero budget still runs."""
+    for budget, message in (("-3", "expected a non-negative integer, got '-3'"),
+                            ("x", "invalid int value: 'x'")):
+        code, out, err = _run(capsys, "oracle-verify", "--budget", budget)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sympdeg oracle-verify "), err
+        assert err.splitlines()[-1] == \
+            "sympdeg oracle-verify: error: argument --budget: " + message
+    code, out, err = _run(capsys, "oracle-verify", "--budget", "0")
+    assert (code, err) == (0, "")
+    assert json.loads(out) == {"seed": 0, "budget": 0, "mismatches": 0}
 
 
 def test_poset_zero_dims_past_recursion_limit(capsys):
@@ -490,21 +518,23 @@ def test_non_integer_list_arguments(capsys):
             "got %r" % (prog, name, text)), err
 
 
-def test_import_loads_no_oracle():
-    """Only oracle-verify uses the brute-force oracle, so importing the CLI
-    leaves the oracle's body unexecuted (its fractions import unloaded)
-    until the first attribute access."""
-    code = ("import sys\n"
+def test_import_contract():
+    """Importing the CLI imports every layer plainly: each is in
+    sys.modules as an ordinary module.  It loads neither fractions nor
+    decimal, which only the oracle's exact ranks need; the first call of
+    oracle.exact_rank loads fractions."""
+    code = ("import sys, types\n"
             "before = set(sys.modules)\n"
             "import sympdeg.cli\n"
-            "lazy = sys.modules['sympdeg.oracle']\n"
-            "# read without triggering the load\n"
-            "ran = 'realize_matrices' in object.__getattribute__(lazy, '__dict__')\n"
-            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)), ran)\n"
-            "print(sympdeg.oracle.realize_matrices.__module__, 'fractions' in sys.modules)\n")
+            "names = ['sympdeg.' + m for m in ('core', 'degen', 'symdegen', "
+            "'coxeter', 'pbw', 'oracle', 'cli')]\n"
+            "print(all(type(sys.modules[m]) is types.ModuleType for m in names))\n"
+            "print(sorted({'fractions', 'decimal'} & (set(sys.modules) - before)))\n"
+            "print(sympdeg.oracle.exact_rank([[1, 2], [2, 4]]), "
+            "'fractions' in sys.modules)\n")
     done = _fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
-    assert done.stdout.splitlines() == ["[] False", "sympdeg.oracle True"]
+    assert done.stdout.splitlines() == ["True", "[]", "1 True"]
 
 
 @pytest.mark.parametrize("argv", [

@@ -320,6 +320,14 @@ def test_modules_with_dims_order_pinned():
     assert digest == "d6b50457677965e26c1090b803d2c745137e32e93d1852f292fd2f19e7fb5362"
 
 
+@pytest.mark.parametrize("dims", [(True, 1), (1, 1.0), (2, -1), (-1,), ()])
+def test_modules_with_dims_rejects_bad_dims(dims):
+    """A dims entry that is a bool, not an int, or negative is a
+    ValueError, and so are empty dims; (True, 1) used to read as (1, 1)."""
+    with pytest.raises(ValueError, match="dims must be one or more"):
+        modules_with_dims(dims)
+
+
 def test_modules_with_dims_deep_search():
     """100 zero dims mean 5,050 segments, one search level each, far past
     the recursion limit: the answer is the zero module alone."""

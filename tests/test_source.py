@@ -59,3 +59,25 @@ def test_imports_only_stdlib_or_relative():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name.partition(".")[0] not in sys.stdlib_module_names]
     assert found == []
+
+
+def test_no_import_machinery():
+    """No module of the package imports importlib or assigns into
+    sys.modules: every layer is imported plainly, and the package leaves
+    the import system's state to the interpreter."""
+    package = pathlib.Path(sympdeg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and not node.level:
+                names = [node.module]
+            elif isinstance(node, ast.Assign):
+                names = [ast.unparse(t.value) for t in node.targets
+                         if isinstance(t, ast.Subscript)]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
+                      if name.partition(".")[0] == "importlib" or name == "sys.modules"]
+    assert found == []

@@ -350,6 +350,31 @@ def _random_pair(n, seed):
     return start, cur
 
 
+def _sym_moves_double_loop(erep):
+    """sym_moves by its own pair of loops over the sorted segments: all
+    symcuts, then all symshifts."""
+    segs = sorted(erep.rep.mult)
+    moves = [SymMove.symcut(t, s, q) for (t, s) in segs for q in range(t, s)]
+    return moves + [SymMove.symshift(t, s, q, r) for (t, s) in segs
+                    for (q, r) in segs if t < q <= r < s]
+
+
+def test_sym_moves_follow_single_moves():
+    """On seeded epsilon modules of both split types, n <= 9, sym_moves
+    gives one paired move per single_moves entry, in its order, whose
+    first constituent is that entry; the list is the double loop's."""
+    kinds = []
+    for n in range(2, 10):
+        for seed in range(10):
+            for erep in _random_pair(n, seed):
+                got = list(symdegen.sym_moves(erep))
+                assert got == _sym_moves_double_loop(erep), (n, seed)
+                assert [mv.expand(erep.sym)[0] for mv in got] == \
+                    list(degen.single_moves(erep.rep)), (n, seed)
+                kinds += [mv.kind for mv in got]
+    assert len(kinds) == 935 and set(kinds) == {"symcut", "symshift"}
+
+
 @pytest.mark.parametrize("n", [9, 12, 17, 24, 33])
 def test_refinement_seeded(n):
     """The walk reaches every seeded target.  At n = 12, seed 0 needs 10
@@ -591,3 +616,11 @@ def test_epsilon_modules_deep_search():
         for eps in (-1, 1):
             got = symdegen.epsilon_modules_with_dims((0,) * n, SymmetricType(n, eps))
             assert got == [Representation(n, {})], (n, eps)
+
+
+@pytest.mark.parametrize("dims", [(1, True, 1), (1, 2.0, 1), (1, -2, 1), (-1, 0, -1)])
+def test_epsilon_modules_reject_bad_dims(dims):
+    """A dims entry that is a bool, not an int, or negative is a
+    ValueError, not an empty or coerced list."""
+    with pytest.raises(ValueError, match="dims must be one or more"):
+        symdegen.epsilon_modules_with_dims(dims, SymmetricType(3, -1))
