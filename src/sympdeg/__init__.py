@@ -7,7 +7,6 @@ from types import ModuleType as _ModuleType
 from .core import (
     Representation,
     RankSequence,
-    SENTINEL_INFINITY,
     dim_vector,
     dual,
     euler_form,
@@ -20,7 +19,6 @@ from .core import (
 from .degen import (
     Move,
     apply_move,
-    apply_moves,
     degenerates,
     degeneration_path,
     generic_quotient,
@@ -42,10 +40,8 @@ from .coxeter import (
     PermutationA,
     SignedPermutation,
     WeylWord,
-    bruhat_leq,
     evaluate,
     is_reduced,
-    parse_word,
     word_to_str,
 )
 from .pbw import (

@@ -39,8 +39,12 @@ MAX_POSET_NODES = 100
 
 
 def _load(path: str):
+    # the decoder recurses once per nesting level
     with open(path) as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError("JSON input nested too deeply") from None
 
 
 def _emit(obj) -> None:

@@ -7,13 +7,9 @@ invariant is the rank sequence r_{i,j} = rank of the composite map from
 vertex i to vertex j; both encodings are kept first class and are
 interconvertible via ranks_of / rep_of.
 
-The rank accessor RankSequence.r extends a table by the conventions
-
-    r_{i,j} = 0          if i = 0 or j = n+1   (boundary),
-    r_{i,j} = infinity   if i > j              (checked first),
-
-with infinity the tagged sentinel SENTINEL_INFINITY, which compares
-above every int.
+The rank accessor RankSequence.r reads r_{i,j} for 0 <= i <= j <= n+1,
+extending a table by the boundary convention r_{i,j} = 0 if i = 0 or
+j = n+1; any other pair of indices, i > j included, raises IndexError.
 """
 
 from __future__ import annotations
@@ -26,41 +22,6 @@ from .errors import InvalidRankSequence, MalformedInput, MismatchedQuiver
 
 Segment = Tuple[int, int]
 DimVector = Tuple[int, ...]
-
-
-class _Infinity:
-    """Tagged infinity for the rank accessor.  Compares above every int."""
-
-    _instance = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __lt__(self, other):
-        return False
-
-    def __le__(self, other):
-        return other is self
-
-    def __gt__(self, other):
-        return other is not self
-
-    def __ge__(self, other):
-        return True
-
-    def __eq__(self, other):
-        return other is self
-
-    def __hash__(self):
-        return hash("sympdeg-infinity")
-
-    def __repr__(self):
-        return "INFINITY"
-
-
-SENTINEL_INFINITY = _Infinity()
 
 
 def sigma(v: int, n: int) -> int:
@@ -136,9 +97,8 @@ class RankSequence:
     """Upper-triangular matrix of composite-map ranks, with conventions.
 
     rows[i-1] holds (r_{i,i}, r_{i,i+1}, ..., r_{i,n}).  The accessor
-    r(i, j) accepts 0 <= i, j <= n+1 and applies, in this order: i > j
-    gives SENTINEL_INFINITY; i = 0 or j = n+1 gives 0; otherwise the
-    stored entry.
+    r(i, j) accepts 0 <= i <= j <= n+1 and raises IndexError otherwise;
+    it gives 0 where i = 0 or j = n+1, and the stored entry elsewhere.
     """
 
     __slots__ = ("n", "_rows")
@@ -171,10 +131,9 @@ class RankSequence:
 
     def r(self, i: int, j: int):
         n = self.n
-        if not (0 <= i <= n + 1 and 0 <= j <= n + 1):
-            raise IndexError("rank index (%r, %r) outside [0, %d]" % (i, j, n + 1))
-        if i > j:
-            return SENTINEL_INFINITY
+        if not 0 <= i <= j <= n + 1:
+            raise IndexError("rank index (%r, %r) outside 0 <= i <= j <= %d"
+                             % (i, j, n + 1))
         if i == 0 or j == n + 1:
             return 0
         return self._rows[i - 1][j - i]

@@ -14,7 +14,7 @@ not depend on any word combinatorics.
 
 from __future__ import annotations
 
-from typing import List, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 
 class PermutationA:
@@ -159,70 +159,5 @@ def is_reduced(word: WeylWord) -> bool:
     return len(word.letters) == evaluate(word).length()
 
 
-def parse_word(kind: str, m: int, text: str) -> WeylWord:
-    """Parse "s4 s3 s4 s2 s3 s4 s1" into a word."""
-    letters: List[int] = []
-    for token in text.split():
-        if not token.startswith("s"):
-            raise ValueError("expected letters like 's3', got %r" % (token,))
-        letters.append(int(token[1:]))
-    return WeylWord.make(kind, m, letters)
-
-
 def word_to_str(word: WeylWord) -> str:
     return " ".join("s%d" % a for a in word.letters)
-
-
-# --- Bruhat order ------------------------------------------------------------
-
-def _rank_matrix_leq(u_images, w_images) -> bool:
-    # u <= w in type A iff every northwest window of u's permutation
-    # matrix holds at least as many entries as w's
-    m = len(u_images)
-    for i in range(1, m + 1):
-        cu = [0] * (m + 1)
-        cw = [0] * (m + 1)
-        for k in range(i):
-            cu[u_images[k]] += 1
-            cw[w_images[k]] += 1
-        tu = tw = 0
-        for j in range(1, m + 1):
-            tu += cu[j]
-            tw += cw[j]
-            if tu < tw:
-                return False
-    return True
-
-
-def bruhat_leq(u, w) -> bool:
-    """Bruhat order; works for both permutation flavours.
-
-    Signed permutations are compared through the standard embedding into
-    the symmetric group on 2m symbols (k -> m+k, -k -> m+1-k), where the
-    rank criterion applies verbatim.
-    """
-    if type(u) is not type(w) or u.m != w.m:
-        raise ValueError("can only compare elements of one group")
-    if isinstance(u, PermutationA):
-        return _rank_matrix_leq(u.images, w.images)
-    m = u.m
-
-    def embed(s):
-        # our sign flip lives at the last position; the subposet embedding
-        # into the symmetric group on 2m symbols is stated for a flip at
-        # the first position, so conjugate by the position reversal first
-        def rev(j):
-            x = s(m + 1 - j)
-            return (m + 1 - x) if x > 0 else -(m + 1 + x)
-
-        def psi(k):
-            return m + k if k > 0 else m + 1 + k
-
-        full = []
-        for i in range(1, 2 * m + 1):
-            k = i - m if i > m else i - m - 1
-            wk = rev(k) if k > 0 else -rev(-k)
-            full.append(psi(wk))
-        return full
-
-    return _rank_matrix_leq(embed(u), embed(w))

@@ -29,7 +29,7 @@ from __future__ import annotations
 from itertools import count
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import RankSequence, Representation, Segment, _json_field, ranks_of
+from .core import RankSequence, Representation, Segment, ranks_of
 from .errors import (InsufficientMultiplicity, MismatchedQuiver, NoEmbedding,
                      NotComparable)
 
@@ -83,23 +83,6 @@ def move_to_json(move: Move) -> dict:
     if move.r is not None:
         data["r"] = move.r
     return data
-
-
-def move_from_json(data: dict) -> Move:
-    """The move of {"kind": "cut", "t", "s", "q"} or {"kind": "shift",
-    "t", "s", "q", "r"}, integers.  Raises MalformedInput on any other
-    shape, ValueError on an unknown kind or a field out of range."""
-    return _move_from_json(data, "move", {"cut": (Move.cut, "tsq"),
-                                          "shift": (Move.shift, "tsqr")})
-
-
-def _move_from_json(data: dict, what: str, makers: dict):
-    """makers[kind] = (constructor, the names of its integer fields)."""
-    kind = _json_field(data, "kind", "string")
-    if kind not in makers:
-        raise ValueError("unknown %s kind %r" % (what, kind))
-    make, keys = makers[kind]
-    return make(*[_json_field(data, key, "integer") for key in keys])
 
 
 # counters for the always-on post-application rank check
@@ -191,13 +174,6 @@ def _audit(move: Move, before: RankSequence, after: RankSequence) -> None:
         raise AssertionError("rank check failed for %r at (%d, %d): expected %d, got %d"
                              % (move, i, j, w, g))
     AUDIT["verified"] += 1
-
-
-def apply_moves(rep: Representation, moves) -> Representation:
-    ranks = ranks_of(rep)
-    for move in moves:
-        rep, ranks = _apply_audited(rep, move, ranks)
-    return rep
 
 
 def single_moves(rep: Representation) -> Iterator[Move]:

@@ -92,17 +92,6 @@ def sigma_i_map(subset: PbwSubset) -> Tuple[int, ...]:
     return tuple(v for v in range(1, n + t + 1) if v not in taken)
 
 
-def psi(subset: PbwSubset, lam) -> Tuple[int, ...]:
-    """Spread a length-n weight over n+t slots along sigma_i, zero-filled."""
-    lam = tuple(lam)
-    if len(lam) != subset.n:
-        raise ValueError("expected %d weight entries, got %d" % (subset.n, len(lam)))
-    out = [0] * (subset.n + subset.t)
-    for slot, value in zip(sigma_i_map(subset), lam):
-        out[slot - 1] = value
-    return tuple(out)
-
-
 def iprime(subset: PbwSubset) -> Tuple[int, ...]:
     """The subset doubled into 1..2n-2: i together with its mirror."""
     n = subset.n

@@ -24,8 +24,8 @@ from typing import Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _depth_first,
                    _dims_arg, ranks_of, sigma)
-from .degen import (Move, _apply_audited, _dominated_ranks, _merge,
-                    _move_from_json, _put, _take, degenerates, single_moves)
+from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put,
+                    _take, degenerates, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -233,16 +233,6 @@ class SymMove(NamedTuple):
         return (Move.shift(self.t, self.s, self.q, self.r),
                 Move.shift(sigma(self.s, n), sigma(self.t, n),
                            sigma(self.r, n), sigma(self.q, n)))
-
-
-def symmove_from_json(data: dict) -> SymMove:
-    """The move of {"kind": "symcut", "t", "s", "q"} or {"kind":
-    "symshift", "t", "s", "q", "r"}, integers.  Raises MalformedInput on
-    any other shape, ValueError on an unknown kind or a field out of
-    range."""
-    return _move_from_json(data, "symmetric move",
-                           {"symcut": (SymMove.symcut, "tsq"),
-                            "symshift": (SymMove.symshift, "tsqr")})
 
 
 def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:

@@ -150,7 +150,7 @@ def test_sym_moves(tmp_path, capsys):
     sym = SymmetricType(5, -1)
     cur = EpsilonRep(core.rep_from_json(cli._load(m)), sym)
     for move in data["moves"]:
-        cur = symdegen.apply_sym_move(cur, symdegen.symmove_from_json(move))
+        cur = symdegen.apply_sym_move(cur, symdegen.SymMove(**move))
     assert cur.rep == core.rep_from_json(cli._load(n))
 
 
@@ -292,6 +292,8 @@ def test_error_line_per_exception_family(tmp_path, capsys):
     prints one 'Type: message' line and nothing on stdout."""
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 1000 + "]" * 1000)
     missing = str(tmp_path / "nope.json")
     for obj_or_path, code, line in (
             ({"n": 3}, 2, "MalformedInput: missing field 'mult'"),
@@ -300,7 +302,8 @@ def test_error_line_per_exception_family(tmp_path, capsys):
             (str(bad), 1, "JSONDecodeError: Expecting property name enclosed in "
                           "double quotes: line 1 column 2 (char 1)"),
             (missing, 1, "FileNotFoundError: [Errno 2] No such file or directory: %r"
-                         % missing)):
+                         % missing),
+            (str(deep), 1, "ValueError: JSON input nested too deeply")):
         path = obj_or_path if isinstance(obj_or_path, str) else \
             _write(tmp_path, "in.json", obj_or_path)
         assert _run(capsys, "ranks", "--rep", path) == (code, "", line + "\n")

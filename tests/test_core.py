@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from sympdeg.core import (
-    Representation, RankSequence, SENTINEL_INFINITY,
+    Representation, RankSequence,
     dim_vector, dual, euler_form, ext_dim, hom_dim, modules_with_dims,
     ranks_of, rep_of, sigma,
     rep_to_json, rep_from_json, ranks_to_json, ranks_from_json,
@@ -41,23 +41,18 @@ def test_segment_ranks():
 
 def test_accessor_conventions():
     r = ranks_of(Representation(3, {(1, 3): 2}))
-    assert r.r(2, 1) is SENTINEL_INFINITY
     assert r.r(0, 2) == 0
     assert r.r(1, 4) == 0
-    # infinity beats the boundary when both apply
-    assert r.r(4, 0) is SENTINEL_INFINITY
+    with pytest.raises(IndexError):
+        r.r(2, 1)
+    with pytest.raises(IndexError):
+        r.r(4, 0)
     with pytest.raises(IndexError):
         r.r(5, 1)
     with pytest.raises(IndexError):
         r.r(1, 5)
     with pytest.raises(IndexError):
         r.r(-1, 2)
-
-
-def test_sentinel_comparisons():
-    assert not (SENTINEL_INFINITY <= 10)
-    assert SENTINEL_INFINITY >= 10
-    assert SENTINEL_INFINITY <= SENTINEL_INFINITY
 
 
 def test_displayed_example():

@@ -17,13 +17,12 @@ import sympdeg
 from sympdeg import pbw
 from sympdeg.core import dim_vector
 from sympdeg.coxeter import evaluate, is_reduced
-from sympdeg.errors import Infeasible
 from sympdeg.pbw import (
     CRootVector, FixedPoint, PbwSubset, _check_fixed_point,
     build_Mi, canonical_root_keys,
     check_lemma_ui, count_lagrangian_fixed_points, dynkin_face_contains,
     dynkin_face_violations, ell_sequence, find_interior_point,
-    fixed_point_chain, h_sequence, iprime, lagrangian_fixed_points, psi,
+    fixed_point_chain, h_sequence, iprime, lagrangian_fixed_points,
     sigma_i_map, theta, u_iprime_word, w_i_word, zero_root_vector,
 )
 
@@ -79,7 +78,6 @@ def test_build_module_dims_constant():
 def test_index_sequences_anchor():
     s = PbwSubset.make(3, [1])
     assert sigma_i_map(s) == (1, 3, 4)
-    assert psi(s, (7, 8, 9)) == (7, 0, 8, 9)
     assert iprime(s) == (1, 4)
     assert ell_sequence(s) == (1, 3, 4, 6, 7, 8)
     assert h_sequence(s) == (0, 1, 1, 2, 2, 2)
@@ -92,12 +90,6 @@ def test_index_sequences_empty_subset():
     assert iprime(s) == ()
     assert ell_sequence(s) == (1, 2, 3, 4, 5, 6)
     assert h_sequence(s) == (0,) * 6
-    assert psi(s, (4, 5, 6)) == (4, 5, 6)
-
-
-def test_psi_wrong_length():
-    with pytest.raises(ValueError):
-        psi(PbwSubset.make(3, [1]), (1, 2))
 
 
 def test_word_anchors():

@@ -81,3 +81,27 @@ def test_no_import_machinery():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in names
                       if name.partition(".")[0] == "importlib" or name == "sys.modules"]
     assert found == []
+
+
+def test_no_unused_imports():
+    """Every name a module of the package (bar __init__, which imports to
+    export) or of the tests imports is read somewhere in that module, so
+    no import outlives the code that used it.  from __future__ imports
+    bind no name and are exempt."""
+    package = pathlib.Path(sympdeg.__file__).parent
+    modules = [path for path in sorted(package.glob("*.py")) if path.name != "__init__.py"]
+    modules += sorted(pathlib.Path(__file__).parent.glob("*.py"))
+    found = []
+    for path in modules:
+        tree = ast.parse(path.read_text(), str(path))
+        named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound = [alias.asname or alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                bound = [alias.asname or alias.name for alias in node.names]
+            else:
+                continue
+            found += ["%s:%d %s" % (path.name, node.lineno, name) for name in bound
+                      if name not in named]
+    assert found == []

@@ -8,16 +8,16 @@ import pytest
 from sympdeg import core, degen, symdegen
 from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
-from sympdeg.degen import Move, move_to_json
+from sympdeg.degen import Move
 from sympdeg.errors import (
-    InvalidRankSequence, MalformedInput, MismatchedQuiver, MismatchedType,
+    InvalidRankSequence, MismatchedQuiver, MismatchedType,
     NoEmbedding, NotComparable, NotEpsilon, NotSplitType,
 )
 from sympdeg.symdegen import (
     SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
     apply_sym_move, is_epsilon_rank, is_epsilon_rep, peel_label,
     perp_quotient_ranks, reset_sym_audit, sym_degenerates,
-    sym_degeneration_path, sym_move_refinement, symmove_from_json,
+    sym_degeneration_path, sym_move_refinement,
 )
 
 # The two worked degeneration walks, frozen end to end.  Rows are
@@ -139,20 +139,6 @@ def test_sym_move_validation():
         SymMove.symcut(2, 2, 2)
     with pytest.raises(ValueError):
         SymMove.symshift(2, 4, 2, 3)
-
-
-def test_sym_move_json():
-    for move in (SymMove.symcut(1, 4, 2), SymMove.symshift(1, 5, 2, 3)):
-        assert symmove_from_json(move_to_json(move)) == move
-    for data in ([], {"t": 1}, {"kind": "symcut", "t": 1, "s": 4},
-                 {"kind": "symshift", "t": 1, "s": 5, "q": 2, "r": "3"},
-                 {"kind": "symcut", "t": 1, "s": 4, "q": True}, {"kind": None}):
-        with pytest.raises(MalformedInput):
-            symmove_from_json(data)
-    with pytest.raises(ValueError, match="unknown symmetric move kind 'cut'"):
-        symmove_from_json({"kind": "cut", "t": 1, "s": 4, "q": 2})
-    with pytest.raises(ValueError, match="symcut needs"):
-        symmove_from_json({"kind": "symcut", "t": 4, "s": 1, "q": 2})
 
 
 def test_apply_sym_move():
