@@ -24,7 +24,9 @@ of that setup:
 from __future__ import annotations
 
 import functools
+import gc
 import itertools
+import threading
 from math import comb
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
@@ -533,6 +535,41 @@ def _members_below(sk: Tuple[int, ...], chosen) -> Iterator[Tuple[int, ...]]:
     return itertools.combinations(pool, k - 1)
 
 
+class _collector_paused:
+    """Run the block with the cyclic garbage collector off.  The switch is
+    process-wide, so this is the package's one place that touches it, and
+    pauses may overlap, in one thread or several: the first to open
+    records whether the collector was on and switches it off, and the
+    last to close switches it back on if it was, also when its block
+    raises.  The lock makes each record-and-switch one step, so no pause
+    takes another's for the caller's state and leaves the collector off.
+
+    Nothing is allocated after the switch goes back on, so the one
+    collector pass over what the block made and left alive runs at the
+    caller's next allocation, after the block's own temporaries are
+    freed, and finds nothing to do if the caller has dropped the result
+    by then."""
+
+    _lock = threading.Lock()
+    _open = 0           # pauses open in the process
+    _restore = False    # whether the first of them found the collector on
+
+    def __enter__(self):
+        cls = _collector_paused
+        with cls._lock:
+            if not cls._open:
+                cls._restore = gc.isenabled()
+                gc.disable()
+            cls._open += 1
+
+    def __exit__(self, *exc_info):
+        cls = _collector_paused
+        with cls._lock:
+            cls._open -= 1
+            if not cls._open and cls._restore:
+                gc.enable()
+
+
 def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     """Enumerate the fixed coordinate flags of the Lagrangian part, sorted.
 
@@ -565,6 +602,17 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     one such edge or on S_n, so every point is fully covered, and each
     verdict is computed once instead of once per chain through it.
 
+    The graph and the chains are built with the cyclic garbage collector
+    paused (_collector_paused).  Every point is two tuples the collector
+    tracks, so on a running collector the build sets off hundreds of
+    collections that cannot free anything: the build makes only tuples,
+    lists, dicts and sets, with no reference cycle among them
+    (tests/test_pbw.py pins that).  The caller's collector state is
+    restored when the call returns or raises.  The switch is
+    process-wide, so while a call runs no other thread's cycles are
+    collected either; they wait until it returns, or until the last of
+    several overlapping calls returns.
+
     The list has one entry per point, so its length is the Euler
     characteristic of the locus: 2^n n! for the empty subset, 60,134,210
     for n = 7 with the full subset.  count_lagrangian_fixed_points gives
@@ -574,52 +622,54 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     chosen = set(subset.i)
     degenerate = set(iprime(subset))
 
-    level = list(_middle_members(n))
-    for sn in level:
-        if _dual_subset(sn, n) != sn:
-            raise AssertionError("middle member is not self-dual")
-    # sets[S] = (set(S), set(dual(S))); a middle member is its own dual
-    sets = {sn: (set(sn), set(sn)) for sn in level}
-    # above[S_k]: the 1-tuples (S_{k+1},) that S_k can sit below, with
-    # above[()] the 1-element members.  Each level is walked in sorted
-    # order, so every list is appended to in sorted order.
-    above: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
-    for k in range(n, 0, -1):
-        v, w = k - 1, 2 * n - k
-        below: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
-        for hi in level:
-            hi_set, dual_hi = sets[hi]
-            if len(hi) != k:
-                raise AssertionError("member %d has wrong size" % k)
-            if len(dual_hi) != w:
-                raise AssertionError("member %d has wrong size" % w)
-            # lo maps into hi at wall v iff lo lies in hi plus the element
-            # the wall may drop; likewise dual(hi) into dual(lo) at wall w
-            if v in degenerate:
-                hi_set = hi_set | {v + 1}
-            if w in degenerate:
-                dual_hi = dual_hi - {w + 1}
-            up = (hi,)
-            for lo in _members_below(hi, chosen):
-                if lo not in sets:
-                    sets[lo] = (set(lo), set(_dual_subset(lo, n)))
-                lo_set, dual_lo = sets[lo]
-                if v and not lo_set <= hi_set:
-                    raise AssertionError("member %d does not map into member %d"
-                                         % (v, k))
-                if v and not dual_hi <= dual_lo:
-                    raise AssertionError("member %d does not map into member %d"
-                                         % (w, 2 * n - v))
-                below.setdefault(lo, []).append(up)
-        above.update(below)
-        level = sorted(below)
+    with _collector_paused():
+        level = list(_middle_members(n))
+        for sn in level:
+            if _dual_subset(sn, n) != sn:
+                raise AssertionError("middle member is not self-dual")
+        # sets[S] = (set(S), set(dual(S))); a middle member is its own dual
+        sets = {sn: (set(sn), set(sn)) for sn in level}
+        # above[S_k]: the 1-tuples (S_{k+1},) that S_k can sit below, with
+        # above[()] the 1-element members.  Each level is walked in sorted
+        # order, so every list is appended to in sorted order.
+        above: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
+        for k in range(n, 0, -1):
+            v, w = k - 1, 2 * n - k
+            below: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
+            for hi in level:
+                hi_set, dual_hi = sets[hi]
+                if len(hi) != k:
+                    raise AssertionError("member %d has wrong size" % k)
+                if len(dual_hi) != w:
+                    raise AssertionError("member %d has wrong size" % w)
+                # lo maps into hi at wall v iff lo lies in hi plus the element
+                # the wall may drop; likewise dual(hi) into dual(lo) at wall w
+                if v in degenerate:
+                    hi_set = hi_set | {v + 1}
+                if w in degenerate:
+                    dual_hi = dual_hi - {w + 1}
+                up = (hi,)
+                for lo in _members_below(hi, chosen):
+                    if lo not in sets:
+                        sets[lo] = (set(lo), set(_dual_subset(lo, n)))
+                    lo_set, dual_lo = sets[lo]
+                    if v and not lo_set <= hi_set:
+                        raise AssertionError("member %d does not map into member %d"
+                                             % (v, k))
+                    if v and not dual_hi <= dual_lo:
+                        raise AssertionError("member %d does not map into member %d"
+                                             % (w, 2 * n - v))
+                    below.setdefault(lo, []).append(up)
+            above.update(below)
+            level = sorted(below)
 
-    chains: List[Tuple[Tuple[int, ...], ...]] = [()]
-    for _ in range(n - 1):
-        chains = [c + up for c in chains for up in above[c[-1] if c else ()]]
-    # tuple.__new__ skips the namedtuple's own __new__, a Python call per point
-    wrap = tuple.__new__
-    return [wrap(FixedPoint, (n, c + up)) for c in chains for up in above[c[-1] if c else ()]]
+        chains: List[Tuple[Tuple[int, ...], ...]] = [()]
+        for _ in range(n - 1):
+            chains = [c + up for c in chains for up in above[c[-1] if c else ()]]
+        # tuple.__new__ skips the namedtuple's own __new__, a Python call per point
+        wrap = tuple.__new__
+        return [wrap(FixedPoint, (n, c + up))
+                for c in chains for up in above[c[-1] if c else ()]]
 
 
 def count_lagrangian_fixed_points(subset: PbwSubset) -> int:

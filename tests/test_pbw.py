@@ -8,6 +8,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 import time
 from fractions import Fraction
 
@@ -373,6 +374,133 @@ def test_fixed_points_leave_no_cyclic_garbage():
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _record_collector(monkeypatch, fail_at=None):
+    """Make _members_below note the collector's state on each call, and
+    raise on call number fail_at; returns the list of states."""
+    real, seen = pbw._members_below, []
+
+    def members_below(sk, chosen):
+        seen.append(gc.isenabled())
+        if len(seen) == fail_at:
+            raise RuntimeError("stop the enumeration")
+        return real(sk, chosen)
+
+    monkeypatch.setattr(pbw, "_members_below", members_below)
+    return seen
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_fixed_points_restore_collector_state(monkeypatch, enabled):
+    """The build runs with the collector off, and the call leaves it as
+    it found it: on stays on, off stays off."""
+    s = PbwSubset.make(4, (1, 3))
+    want = lagrangian_fixed_points(s)
+    seen = _record_collector(monkeypatch)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert lagrangian_fixed_points(s) == want
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
+    assert seen and not any(seen)
+
+
+def test_fixed_points_run_no_collection():
+    """No collection starts inside the call: the pause covers the whole
+    build, and nothing is allocated after the collector is back on."""
+    starts = []
+
+    def callback(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.callbacks.append(callback)
+    try:
+        points = lagrangian_fixed_points(PbwSubset.make(5, ()))
+        during = len(starts)
+    finally:
+        gc.callbacks.remove(callback)
+    assert during == 0
+    assert len(points) == 2 ** 5 * math.factorial(5)
+
+
+def test_fixed_points_restore_collector_on_error(monkeypatch):
+    """An enumeration that raises part-way through still turns the
+    collector back on."""
+    seen = _record_collector(monkeypatch, fail_at=3)
+    assert gc.isenabled()
+    with pytest.raises(RuntimeError, match="stop the enumeration"):
+        lagrangian_fixed_points(PbwSubset.make(4, ()))
+    assert seen == [False] * 3
+    assert gc.isenabled()
+
+
+def test_overlapping_calls_keep_collector_off(monkeypatch):
+    """Two calls in two threads whose builds overlap: the collector stays
+    off until the later call ends, and is on again after both."""
+    real = pbw._members_below
+    first_in, second_in, first_done = (threading.Event() for _ in range(3))
+    seen = []
+
+    def members_below(sk, chosen):
+        name = threading.current_thread().name
+        if name == "first" and not first_in.is_set():
+            first_in.set()
+            second_in.wait(10)
+        elif name == "second" and not second_in.is_set():
+            second_in.set()
+            first_done.wait(10)
+            seen.append(gc.isenabled())
+        return real(sk, chosen)
+
+    monkeypatch.setattr(pbw, "_members_below", members_below)
+    s = PbwSubset.make(3, (1,))
+    first = threading.Thread(name="first", target=lagrangian_fixed_points, args=(s,))
+    second = threading.Thread(name="second", target=lagrangian_fixed_points, args=(s,))
+    first.start()
+    assert first_in.wait(10)
+    second.start()
+    first.join(10)
+    assert not first.is_alive()
+    first_done.set()
+    second.join(10)
+    assert not second.is_alive()
+    assert seen == [False]
+    assert gc.isenabled()
+
+
+def test_concurrent_calls_leave_collector_on():
+    """Stress: eight threads (more than cores) call the enumeration at
+    once, with a short switch interval so pauses interleave at every
+    step; after each batch the collector must be on again, which a lost
+    record-and-switch would break."""
+    s = PbwSubset.make(2, ())
+    want = lagrangian_fixed_points(s)
+    results = []
+
+    def work(barrier):
+        barrier.wait(10)
+        results.extend(lagrangian_fixed_points(s) == want for _ in range(50))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        deadline = time.perf_counter() + 1.0
+        while time.perf_counter() < deadline:
+            barrier = threading.Barrier(8)
+            threads = [threading.Thread(target=work, args=(barrier,)) for _ in range(8)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(10)
+            assert not any(t.is_alive() for t in threads)
+            assert gc.isenabled()
+    finally:
+        sys.setswitchinterval(interval)
+        gc.enable()
+    assert results and all(results)
 
 
 def _fault(fp, subset):

@@ -105,3 +105,24 @@ def test_no_unused_imports():
             found += ["%s:%d %s" % (path.name, node.lineno, name) for name in bound
                       if name not in named]
     assert found == []
+
+
+def test_collector_switch_in_one_place():
+    """gc.disable and gc.enable appear in the package only inside
+    pbw._collector_paused, the pause around the fixed-point build, so the
+    process-wide collector state is touched in one audited place.  A
+    from-import of either name counts wherever it is."""
+    package = pathlib.Path(sympdeg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        for top in ast.parse(path.read_text(), str(path)).body:
+            where = "%s.%s" % (path.stem, getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if isinstance(node, ast.ImportFrom) and node.module == "gc":
+                    found += ["%s import %s" % (where, alias.name) for alias in node.names
+                              if alias.name in ("disable", "enable")]
+                elif (isinstance(node, ast.Attribute) and node.attr in ("disable", "enable")
+                        and isinstance(node.value, ast.Name) and node.value.id == "gc"):
+                    found.append("%s gc.%s" % (where, node.attr))
+    assert sorted(found) == ["pbw._collector_paused gc.disable",
+                             "pbw._collector_paused gc.enable"]
