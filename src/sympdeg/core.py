@@ -7,7 +7,7 @@ invariant is the rank sequence r_{i,j} = rank of the composite map from
 vertex i to vertex j; both encodings are kept first class and are
 interconvertible via ranks_of / rep_of.
 
-The rank accessor RankSequence.r reads r_{i,j} for 0 <= i <= j <= n+1,
+The rank accessor RankSequence.r reads r_{i,j} for ints 0 <= i <= j <= n+1,
 extending a table by the boundary convention r_{i,j} = 0 if i = 0 or
 j = n+1; any other pair of indices, i > j included, raises IndexError.
 """
@@ -104,7 +104,7 @@ class RankSequence:
     """Upper-triangular matrix of composite-map ranks, with conventions.
 
     rows[i-1] holds (r_{i,i}, r_{i,i+1}, ..., r_{i,n}).  The accessor
-    r(i, j) accepts 0 <= i <= j <= n+1 and raises IndexError otherwise;
+    r(i, j) accepts ints 0 <= i <= j <= n+1 and raises IndexError otherwise;
     it gives 0 where i = 0 or j = n+1, and the stored entry elsewhere.
     """
 
@@ -138,7 +138,7 @@ class RankSequence:
 
     def r(self, i: int, j: int):
         n = self.n
-        if not 0 <= i <= j <= n + 1:
+        if not (type(i) is type(j) is int and 0 <= i <= j <= n + 1):
             raise IndexError("rank index (%r, %r) outside 0 <= i <= j <= %d"
                              % (i, j, n + 1))
         if i == 0 or j == n + 1:
@@ -317,16 +317,39 @@ def dim_vector(rep: Representation) -> DimVector:
     return tuple(d)
 
 
-def _depth_first(depth: int, level) -> Iterator[None]:
-    """Yield once per complete assignment of a search of depth >= 1 levels,
-    walked depth first with an explicit stack, so any depth stays clear of
-    the recursion limit.  level(index) is a generator that applies one
-    choice at that level per yield and undoes it before the next."""
+def _counted_modules(n: int, remaining: List[int], items) -> Iterator[Representation]:
+    """Every module that a count per item builds from remaining exactly.
+
+    An item is (segments sharing its count, count step, cover as [(vertex
+    index, weight)] taken from remaining per unit, closes): counts rise
+    item by item, depth first, on an explicit stack of apply/undo level
+    generators, so no depth meets the recursion limit.  An item that
+    closes the start-i group (i the first segment's start) cuts any
+    branch that leaves remaining[i - 1] above 0: no later item meets i.
+    """
+    mult: Dict[Segment, int] = {}
+
+    def level(index: int) -> Iterator[None]:
+        segs, step, cover, closes = items[index]
+        start = segs[0][0] - 1
+        for count in range(0, min(remaining[v] // w for v, w in cover) + 1, step):
+            for v, w in cover:
+                remaining[v] -= count * w
+            if not (closes and remaining[start]):
+                if count:
+                    for seg in segs:
+                        mult[seg] = count
+                yield
+            for seg in segs:
+                mult.pop(seg, None)
+            for v, w in cover:
+                remaining[v] += count * w
+
     stack = [level(0)]
     while stack:
         for _ in stack[-1]:
-            if len(stack) == depth:
-                yield
+            if len(stack) == len(items):
+                yield Representation._of_mult(n, dict(mult))
             else:
                 stack.append(level(len(stack)))
                 break
@@ -344,30 +367,17 @@ def _dims_arg(dims) -> DimVector:
 
 
 def modules_with_dims(dims: DimVector) -> List[Representation]:
-    """Every module with dimension vector dims, one per isomorphism class."""
+    """Every module with dimension vector dims, one per isomorphism class.
+
+    From _counted_modules, one step-1 item per segment in the order [1, 1],
+    [1, 2], ..., [n, n]: modules come in the order of their counts read
+    segment by segment, and [i, n] closes start i, which cuts every branch
+    that leaves vertex i short."""
     dims = _dims_arg(dims)
     n = len(dims)
-    segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
-    remaining = list(dims)
-    acc: Dict[Segment, int] = {}
-
-    def counts(index: int) -> Iterator[None]:
-        i, j = segments[index]
-        cap = min(remaining[v - 1] for v in range(i, j + 1))
-        for count in range(cap + 1):
-            if count:
-                acc[(i, j)] = count
-                for v in range(i, j + 1):
-                    remaining[v - 1] -= count
-            yield
-            if count:
-                for v in range(i, j + 1):
-                    remaining[v - 1] += count
-                del acc[(i, j)]
-
-    return [Representation(n, dict(acc))
-            for _ in _depth_first(len(segments), counts)
-            if all(v == 0 for v in remaining)]
+    return list(_counted_modules(n, list(dims), [
+        (((i, j),), 1, [(v - 1, 1) for v in range(i, j + 1)], j == n)
+        for i in range(1, n + 1) for j in range(i, n + 1)]))
 
 
 # --- hom / ext -------------------------------------------------------------

@@ -254,10 +254,11 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     it nor ranks_Q is validated separately.  The last move puts U[q, s],
     and Q is the last stage without it.
     The path builder passes _ranks = ranks_of(M), which it already holds.
+    Vertices other than ints 1 <= q <= s <= n raise ValueError.
     """
     n = M.n
-    if not (1 <= q <= s <= n):
-        raise ValueError("segment (%d, %d) out of range" % (q, s))
+    if not (type(q) is type(s) is int and 1 <= q <= s <= n):
+        raise ValueError("segment (%r, %r) out of range" % (q, s))
     R = ranks_of(M) if _ranks is None else _ranks
     rows = R._rows
 

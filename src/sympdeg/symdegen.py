@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from typing import Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _depth_first,
+from .core import (RankSequence, Representation, Segment, _counted_modules,
                    _dims_arg, ranks_of, sigma)
 from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put,
                     _take, degenerates, single_moves)
@@ -104,21 +104,22 @@ def is_epsilon_rep(rep: Representation, sym: SymmetricType) -> bool:
 def epsilon_modules_with_dims(dims, sym: SymmetricType) -> List[Representation]:
     """Every epsilon module of type sym with dimension vector dims, one per
     isomorphism class: the modules of core.modules_with_dims(dims) that
-    is_epsilon_rep accepts, without listing the others."""
+    is_epsilon_rep accepts, listed by the one search, core._counted_modules,
+    in the order and with the start-group cut that _epsilon_modules sets."""
     return list(_epsilon_modules(dims, sym))
 
 
 def _epsilon_modules(dims, sym: SymmetricType) -> Iterator[Representation]:
     """epsilon_modules_with_dims one module at a time.
 
-    A count is chosen only for the representative [i, j] of each
-    reflection pair, the one with i + j <= n + 1 (it starts no later than
-    its reflection), and its reflection gets the same count; a self-dual
-    segment takes even counts in the split types.  Dims that are not
-    symmetric have no epsilon module, and symmetric dims are met once the
-    left half 1..ceil(n/2) is.  Representatives go by start i, and no
-    later one or its reflection meets vertex i, so the dimension left at
-    i must be used up when the start-i group ends.
+    One core._counted_modules item per reflection pair, in the order of
+    its representative [i, j], the one with i + j <= n + 1 (by i, then j),
+    so modules come in the order of those counts; the reflection gets the
+    same count, and a self-dual segment even counts in the split types.
+    Dims that are not symmetric have no epsilon module, and symmetric dims
+    are met once the left half 1..ceil(n/2) is.  No later pair meets
+    vertex i, so the self-dual [i, sigma(i)] closes the start-i group and
+    cuts every branch that leaves dimension at i.
     """
     n = sym.n
     dims = _dims_arg(dims)
@@ -127,37 +128,18 @@ def _epsilon_modules(dims, sym: SymmetricType) -> Iterator[Representation]:
     if dims != dims[::-1]:
         return
     half = (n + 1) // 2
-    # (segment, its reflection, count step, [(vertex index, weight)] on the
-    # left half); the self-dual [i, sigma(i)] closes the start-i group
-    reps = []
+    items = []
     for i in range(1, half + 1):
         for j in range(i, n + 2 - i):
             refl = (sigma(j, n), sigma(i, n))
-            weight = [(i <= v <= j) + (refl[0] <= v <= refl[1] and refl != (i, j))
+            self_dual = refl == (i, j)
+            # the pair's weight on each vertex of the left half
+            weight = [(i <= v <= j) + (refl[0] <= v <= refl[1] and not self_dual)
                       for v in range(1, half + 1)]
-            reps.append(((i, j), refl, 2 if sym.split and refl == (i, j) else 1,
-                         [(v, w) for v, w in enumerate(weight) if w]))
-    remaining = list(dims[:half])
-    mult = {}
-
-    def counts(index: int) -> Iterator[None]:
-        seg, refl, step, cover = reps[index]
-        closes = seg == refl
-        cap = min(remaining[v] // w for v, w in cover)
-        for count in range(0, cap + 1, step):
-            for v, w in cover:
-                remaining[v] -= count * w
-            if not (closes and remaining[seg[0] - 1]):
-                if count:
-                    mult[seg] = mult[refl] = count
-                yield
-                mult.pop(seg, None)
-                mult.pop(refl, None)
-            for v, w in cover:
-                remaining[v] += count * w
-
-    for _ in _depth_first(len(reps), counts):
-        yield Representation._of_mult(n, dict(mult))
+            items.append((((i, j),) if self_dual else ((i, j), refl),
+                          2 if sym.split and self_dual else 1,
+                          [(v, w) for v, w in enumerate(weight) if w], self_dual))
+    yield from _counted_modules(n, list(dims[:half]), items)
 
 
 class EpsilonRep:

@@ -55,6 +55,17 @@ def test_accessor_conventions():
         r.r(-1, 2)
 
 
+@pytest.mark.parametrize("i, j", [(1.0, 2), (True, 2), (1, 2.0), (0, True),
+                                  (False, 1), ("1", 2)])
+def test_accessor_rejects_non_int_indices(i, j):
+    """An index that is a bool or not an int is an IndexError, like any
+    other pair outside 0 <= i <= j <= n+1, not a TypeError or the entry
+    of the int it equals."""
+    r = ranks_of(Representation(3, {(1, 3): 1, (2, 2): 1}))
+    with pytest.raises(IndexError, match="rank index"):
+        r.r(i, j)
+
+
 def test_displayed_example():
     """The running example: one long segment each way plus a doubled
     simple in the middle."""
@@ -313,6 +324,23 @@ def test_modules_with_dims_order_pinned():
                for n in range(1, 5) for dims in itertools.product(range(3), repeat=n)]
     digest = hashlib.sha256(json.dumps(records).encode()).hexdigest()
     assert digest == "d6b50457677965e26c1090b803d2c745137e32e93d1852f292fd2f19e7fb5362"
+
+
+def test_modules_with_dims_brute_force():
+    """Every dims with n <= 3 and entries <= 3, and n = 4 with entries <= 1:
+    the modules are the per-segment counts, read by itertools.product in
+    segment order [1, 1], [1, 2], ..., [n, n] and kept where dim_vector
+    gives dims, in that order."""
+    dims_list = [dims for n in range(1, 4) for dims in itertools.product(range(4), repeat=n)]
+    dims_list += list(itertools.product(range(2), repeat=4))
+    for dims in dims_list:
+        n = len(dims)
+        segments = [(i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+        caps = [range(min(dims[i - 1:j]) + 1) for i, j in segments]
+        want = [rep for rep in (Representation(n, dict(zip(segments, counts)))
+                                for counts in itertools.product(*caps))
+                if dim_vector(rep) == dims]
+        assert modules_with_dims(dims) == want, dims
 
 
 @pytest.mark.parametrize("dims", [(True, 1), (1, 1.0), (2, -1), (-1,), ()])

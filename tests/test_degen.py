@@ -188,6 +188,16 @@ def test_generic_quotient_errors():
         generic_quotient(m, 3, 2)
 
 
+@pytest.mark.parametrize("q, s", [(2.0, 2), (True, 2), (2, 2.0), (1, True),
+                                  ("2", 2), (None, 2)])
+def test_generic_quotient_rejects_non_int_vertices(q, s):
+    """A vertex that is a bool or not an int is a ValueError, not an
+    escaped TypeError (2.0) or a silent run as another vertex (True as 1)."""
+    M = Representation(3, {(1, 3): 1, (2, 2): 1})
+    with pytest.raises(ValueError, match="out of range"):
+        generic_quotient(M, q, s)
+
+
 def test_generic_quotient_random_consistency():
     """Applying the emitted moves must land exactly on ranks_LQ."""
     rng = random.Random(23)
