@@ -36,6 +36,9 @@ MAX_LISTED_POINTS = 250_000
 # poset refuses more epsilon modules than this before it compares every
 # pair and reduces the order transitively, in cubic time
 MAX_POSET_NODES = 100
+# ranks refuses a module whose rank table, n(n+1)/2 entries, is larger
+# than this before building it; n = 1999 still passes
+MAX_RANK_ENTRIES = 2_000_000
 
 
 def _load(path: str):
@@ -180,6 +183,11 @@ def _word_report(word: WeylWord) -> dict:
 
 def _cmd_ranks(args) -> int:
     rep = core.rep_from_json(_load(args.rep))
+    entries = rep.n * (rep.n + 1) // 2
+    if entries > MAX_RANK_ENTRIES:
+        raise InstanceTooLarge("a rank table on %d vertices has %d entries, more "
+                               "than the ranks guard %d"
+                               % (rep.n, entries, MAX_RANK_ENTRIES))
     _emit(core.ranks_to_json(core.ranks_of(rep)))
     return 0
 

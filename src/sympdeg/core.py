@@ -14,7 +14,7 @@ j = n+1; any other pair of indices, i > j included, raises IndexError.
 
 from __future__ import annotations
 
-from itertools import accumulate
+from itertools import accumulate, chain as _chain
 from operator import ge as _ge
 from typing import Dict, Iterator, List, Tuple
 
@@ -226,7 +226,8 @@ class RankSequence:
         if self.n != other.n:
             raise MismatchedQuiver("cannot compare ranks on %d and %d vertices"
                                    % (self.n, other.n))
-        return all(all(map(_ge, ra, rb)) for ra, rb in zip(self._rows, other._rows))
+        # both staircases have the same shape, so the chained rows align
+        return all(map(_ge, _chain(*self._rows), _chain(*other._rows)))
 
     def add(self, other: "RankSequence") -> "RankSequence":
         if self.n != other.n:
@@ -272,9 +273,12 @@ class RankSequence:
 def ranks_of(rep: Representation) -> RankSequence:
     """Rank sequence of a module: r_{i,j} counts segments [k,l] with k<=i, j<=l.
 
-    O(n^2 + |segments|): row i is the suffix sum, over l >= j, of the
-    segments [k, l] with k <= i, and those counts grow by the segments
-    starting at i as i steps down the rows.
+    An exact recompute from the multiplicities, O(n^2 + |segments|), by
+    r_{i,j} = r_{i-1,j} + #{copies of [i, l] with l >= j}.  A row where
+    no segment starts is therefore the row above less its first entry,
+    one tuple slice.  A row where one starts is the suffix sum, over
+    l >= j, of the segments [k, l] with k <= i; those counts grow by the
+    segments starting at i as i steps down the rows.
     """
     n = rep.n
     starting: List[List[Tuple[int, int]]] = [[] for _ in range(n + 1)]
@@ -282,12 +286,17 @@ def ranks_of(rep: Representation) -> RankSequence:
         starting[k].append((l, m))
     ending = [0] * (n + 1)      # ending[l]: copies of [k, l] with k <= i
     rows = []
+    row = (0,) * (n + 1)        # row 0 of the boundary convention
     for i in range(1, n + 1):
-        for l, m in starting[i]:
-            ending[l] += m
-        row = list(accumulate(reversed(ending[i:])))
-        row.reverse()
-        rows.append(tuple(row))
+        if starting[i]:
+            for l, m in starting[i]:
+                ending[l] += m
+            new = list(accumulate(reversed(ending[i:])))
+            new.reverse()
+            row = tuple(new)
+        else:
+            row = row[1:]
+        rows.append(row)
     return RankSequence._of_rows(n, rows)
 
 

@@ -19,8 +19,9 @@ module the closure reaches.  The path builder also carries each
 quotient module as generic_quotient took it out of the last audited
 stage, so it never rebuilds a module from its ranks or re-validates a
 rank table.  Modules built here are wrapped without re-checking their
-segments (Representation._of_mult), and a peeled segment comes off a
-rank table as one block (RankSequence._less_segment).  The module-level
+segments (Representation._of_mult), a peeled segment comes off a rank
+table as one block (RankSequence._less_segment), and a predicted table
+rebuilds only the rows its moves lower.  The module-level
 AUDIT counters record how many checks ran and whether any failed.
 """
 
@@ -245,9 +246,16 @@ def generic_quotient(M: Representation, q: int, s: int, *,
 
     Requires that U[q, s] embeds into M.  When the segment is a direct
     summand the quotient just drops it and no moves are needed.  Otherwise
-    the staircase below locates where a generic copy of U[q, s] sits
-    inside M, and one move per staircase corner degenerates M to
-    U[q, s] + Q.  The emitted moves are re-applied under audit and the
+    a staircase locates where a generic copy of U[q, s] sits inside M.
+    How far short of split the embedding is at (k, l) is
+        f(k, l) = (r(q, l) - r(k, l)) - (r(q, s + 1) - r(k, s + 1)),
+    the count of segments [k', l'] of M with k < k' <= q and
+    l <= l' <= s.  Walking l = q..s, t_l = min{k : f(k, l) = 0} (t = q
+    before the walk) only falls, and a corner (t_l, l) is recorded
+    wherever it does.  One move per corner degenerates M to
+    U[q, s] + Q, whose ranks are M's less one exactly on the staircase,
+    at (k, l) with t_l <= k < q; the rows of M outside t_s..q-1 are
+    reused as they are.  The emitted moves are re-applied under audit and the
     result's ranks are checked against the predicted ranks of U[q, s] + Q
     before returning.  That check is the validity guard: once it passes,
     the predicted table is the rank table of a real module, so neither
@@ -261,12 +269,11 @@ def generic_quotient(M: Representation, q: int, s: int, *,
         raise ValueError("segment (%r, %r) out of range" % (q, s))
     R = ranks_of(M) if _ranks is None else _ranks
     rows = R._rows
-
-    def r(k: int, l: int) -> int:
-        # stored entry for 1 <= k <= l, boundary zero at l = n + 1
-        return rows[k - 1][l - k] if l <= n else 0
-
-    if r(q, s) - r(q, s + 1) <= 0:
+    # row q, and r(q, s + 1), which is the boundary zero at s = n
+    rq = rows[q - 1]
+    inside = s < n
+    rq_out = rq[s + 1 - q] if inside else 0
+    if rq[s - q] - rq_out <= 0:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, s, M))
 
     if M.m(q, s) > 0:
@@ -275,33 +282,33 @@ def generic_quotient(M: Representation, q: int, s: int, *,
         return QuotientReport(ranks_Q=R._less_segment(q, s), ranks_LQ=R, moves=(),
                               markers=None, Q=Representation._of_mult(n, mult))
 
-    # how far short of split the embedding is, measured at (k, l):
-    # f counts segments [k', l'] with k < k' <= q and l <= l' <= s
-    def f(k: int, l: int) -> int:
-        return (r(q, l) - r(k, l)) - (r(q, s + 1) - r(k, s + 1))
-
-    # f shrinks as k or l grows, so its zeros form a staircase: walking
-    # l = q..s, record a corner (t, l) wherever t = min{k : f(k, l) = 0}
-    # drops.  A non-split embedding forces q >= 2 and f(q-1, s) = m_{q,s}
-    # = 0, so there is at least one corner.  L + Q has rank one less
-    # exactly on the staircase, at (k, l) with t <= k < q.
+    # f shrinks as k or l grows, so its zeros form the staircase.  f(k, l)
+    # = 0 reads rows q and k only: r(k, l) - r(k, s + 1) equals r(q, l) -
+    # r(q, s + 1).  A non-split embedding forces q >= 2 and f(q-1, s) =
+    # m_{q,s} = 0, so there is at least one corner.  A corner (t, l) that
+    # drops t from above lowers rows t..above-1 on columns l..s.
     corners: List[Tuple[int, int]] = []
-    lq_rows = [list(row) for row in rows]
+    lq_rows = list(rows)
     t = q
     for l in range(q, s + 1):
         above = t
-        while t > 1 and f(t - 1, l) == 0:
+        want = rq[l - q] - rq_out
+        while t > 1:
+            row = rows[t - 2]
+            if row[l - t + 1] - (row[s - t + 2] if inside else 0) != want:
+                break
             t -= 1
         if t < above:
             corners.append((t, l))
-        for k in range(t, q):
-            lq_rows[k - 1][l - k] -= 1
+            for k in range(t, above):
+                row, a, b = rows[k - 1], l - k, s - k + 1
+                lq_rows[k - 1] = row[:a] + tuple([v - 1 for v in row[a:b]]) + row[b:]
     # one move per corner, on the segment ending just before the next one;
     # the last ends at s, so it puts the copy of U[q, s] that Q lacks
     ends = [c - 1 for _, c in corners[1:]] + [s]
     moves = tuple(Move.cut(t, e, q) if c == q else Move.shift(t, e, q, c - 1)
                   for (t, c), e in zip(corners, ends))
-    ranks_LQ = RankSequence._of_rows(n, [tuple(row) for row in lq_rows])
+    ranks_LQ = RankSequence._of_rows(n, lq_rows)
 
     # applying the moves is what raises InsufficientMultiplicity on a bad list
     stages = []

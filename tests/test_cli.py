@@ -453,6 +453,33 @@ def test_pbw_fixed_points_list_guard_large_n():
     assert done.stderr.startswith("InstanceTooLarge: ") and done.stderr.count("\n") == 1
 
 
+def test_ranks_guard_before_the_table(tmp_path, capsys, monkeypatch):
+    """The 27-byte {"n": 1000000, "mult": []} is one InstanceTooLarge line
+    and exit 1 at once, refused before any rank table is built; the guard
+    is n(n+1)/2 entries, so n = 1999 still reaches ranks_of."""
+    built, one_vertex = [], core.ranks_of(core.Representation(1))
+
+    def recording(rep):
+        built.append(rep.n)
+        return one_vertex
+
+    monkeypatch.setattr(core, "ranks_of", recording)
+    path = tmp_path / "big.json"
+    path.write_text('{"n": 1000000, "mult": []}\n')
+    assert path.stat().st_size == 27
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "ranks", "--rep", str(path))
+    assert time.perf_counter() - start < 1
+    assert (code, out, built) == (1, "", [])
+    assert err == ("InstanceTooLarge: a rank table on 1000000 vertices has "
+                   "500000500000 entries, more than the ranks guard 2000000\n")
+    for n, refused in ((2000, True), (1999, False)):
+        rep = _write(tmp_path, "rep.json", {"n": n, "mult": []})
+        code, out, err = _run(capsys, "ranks", "--rep", rep)
+        assert (code, err.startswith("InstanceTooLarge: ")) == (int(refused), refused)
+        assert built == ([] if refused else [1999])
+
+
 def test_poset_guard(capsys):
     # 108 epsilon modules, found in well under a second
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")

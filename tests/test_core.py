@@ -14,7 +14,7 @@ from sympdeg.core import (
     rep_to_json, rep_from_json, ranks_to_json, ranks_from_json,
 )
 from sympdeg import oracle
-from sympdeg.errors import InvalidRankSequence
+from sympdeg.errors import InvalidRankSequence, MismatchedQuiver
 
 
 @st.composite
@@ -258,6 +258,77 @@ def _seeded_modules():
 def test_ranks_of_matches_definition():
     for rep in _seeded_modules():
         assert ranks_of(rep).rows() == _ranks_reference(rep)
+
+
+def _sparse_modules():
+    """Modules where most rows start no segment: a lone [n, n] on every n,
+    and 1 to 3 random segments for n = 1..64, all ending at or before a
+    random last vertex, so many modules end before vertex n."""
+    rng = random.Random(3101)
+    for n in range(1, 65):
+        yield Representation(n, {(n, n): 1})
+        for _ in range(3):
+            last = rng.randint(1, n)
+            mult = {}
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randint(1, last)
+                j = rng.randint(i, last)
+                mult[(i, j)] = mult.get((i, j), 0) + rng.randint(1, 3)
+            yield Representation(n, mult)
+
+
+def test_ranks_of_matches_definition_on_sparse_modules():
+    ends_early = 0
+    for rep in _sparse_modules():
+        assert ranks_of(rep).rows() == _ranks_reference(rep)
+        ends_early += max(j for _, j in rep.mult) < rep.n
+    assert ends_early > 100
+
+
+def _dominates_reference(a, b):
+    """The definition: r_a[i,j] >= r_b[i,j] at every 1 <= i <= j <= n."""
+    return all(a.r(i, j) >= b.r(i, j)
+               for i in range(1, a.n + 1) for j in range(i, a.n + 1))
+
+
+def _bumped(rows, i, j, by=1):
+    """rows with the entry r[i,j] changed by by."""
+    rows = [list(row) for row in rows]
+    rows[i - 1][j - i] += by
+    return rows
+
+
+def _seeded_rank_pairs():
+    """Pairs of tables on n = 1..64: one lowered entrywise by 0 or 1 from
+    the other, the same with one entry raised past the other's, and
+    pairs that differ only at r[1,1] or only in the last row."""
+    rng = random.Random(4129)
+    for n in range(1, 65):
+        for _ in range(3):
+            rows = [[rng.randint(0, 3) for _ in range(n - i)] for i in range(n)]
+            low = [[v - rng.choice((0, 0, 0, 1)) for v in row] for row in rows]
+            i = rng.randint(1, n)
+            j = rng.randint(i, n)
+            high = _bumped(low, i, j, rows[i - 1][j - i] - low[i - 1][j - i] + 1)
+            for other in (low, high, _bumped(rows, 1, 1), _bumped(rows, n, n)):
+                yield RankSequence(n, rows), RankSequence(n, other)
+
+
+def test_dominates_matches_entrywise_reference():
+    """Both ways round on every seeded pair; tables on different chains
+    do not compare."""
+    seen = set()
+    for a, b in _seeded_rank_pairs():
+        for x, y in ((a, b), (b, a)):
+            want = _dominates_reference(x, y)
+            assert x.dominates(y) == want
+            seen.add(want)
+    assert seen == {True, False}
+    a = ranks_of(Representation(3, {(1, 3): 1}))
+    b = ranks_of(Representation(4, {(1, 3): 1}))
+    for x, y in ((a, b), (b, a)):
+        with pytest.raises(MismatchedQuiver, match="cannot compare ranks on"):
+            x.dominates(y)
 
 
 def test_ranks_of_matches_matrix_oracle():
