@@ -36,8 +36,8 @@ MAX_LISTED_POINTS = 250_000
 # poset refuses more epsilon modules than this before it compares every
 # pair and reduces the order transitively, in cubic time
 MAX_POSET_NODES = 100
-# ranks refuses a module whose rank table, n(n+1)/2 entries, is larger
-# than this before building it; n = 1999 still passes
+# the verbs that build a rank table refuse a module whose table, n(n+1)/2
+# entries, is larger than this before building it; n = 1999 still passes
 MAX_RANK_ENTRIES = 2_000_000
 
 
@@ -48,6 +48,19 @@ def _load(path: str):
             return json.load(handle)
         except RecursionError:
             raise ValueError("JSON input nested too deeply") from None
+
+
+def _tabled_rep(path: str) -> core.Representation:
+    """The module in the JSON file at path, for a verb that builds its rank
+    table: InstanceTooLarge before any table is built when the table
+    would have more than MAX_RANK_ENTRIES entries."""
+    rep = core.rep_from_json(_load(path))
+    entries = rep.n * (rep.n + 1) // 2
+    if entries > MAX_RANK_ENTRIES:
+        raise InstanceTooLarge("a rank table on %d vertices has %d entries, more "
+                               "than the ranks guard %d"
+                               % (rep.n, entries, MAX_RANK_ENTRIES))
+    return rep
 
 
 def _emit(obj) -> None:
@@ -182,13 +195,7 @@ def _word_report(word: WeylWord) -> dict:
 # --- verb handlers ------------------------------------------------------------
 
 def _cmd_ranks(args) -> int:
-    rep = core.rep_from_json(_load(args.rep))
-    entries = rep.n * (rep.n + 1) // 2
-    if entries > MAX_RANK_ENTRIES:
-        raise InstanceTooLarge("a rank table on %d vertices has %d entries, more "
-                               "than the ranks guard %d"
-                               % (rep.n, entries, MAX_RANK_ENTRIES))
-    _emit(core.ranks_to_json(core.ranks_of(rep)))
+    _emit(core.ranks_to_json(core.ranks_of(_tabled_rep(args.rep))))
     return 0
 
 
@@ -227,15 +234,15 @@ def _cmd_check_eps(args) -> int:
 
 
 def _cmd_degen_check(args) -> int:
-    m = core.rep_from_json(_load(args.m))
-    n = core.rep_from_json(_load(args.n))
+    m = _tabled_rep(args.m)
+    n = _tabled_rep(args.n)
     _emit({"degenerates": degen.degenerates(m, n)})
     return 0
 
 
 def _cmd_degen_path(args) -> int:
-    m = core.rep_from_json(_load(args.m))
-    n = core.rep_from_json(_load(args.n))
+    m = _tabled_rep(args.m)
+    n = _tabled_rep(args.n)
     path = degen.degeneration_path(m, n)
     _emit({
         "n": m.n,
@@ -248,8 +255,8 @@ def _cmd_degen_path(args) -> int:
 
 
 def _sym_pair(args):
-    m = core.rep_from_json(_load(args.m))
-    n = core.rep_from_json(_load(args.n))
+    m = _tabled_rep(args.m)
+    n = _tabled_rep(args.n)
     sym = _sym_type(m.n, args.type)
     return (symdegen.EpsilonRep(m, sym), symdegen.EpsilonRep(n, sym))
 

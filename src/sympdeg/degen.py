@@ -13,16 +13,17 @@ minus the move's predicted entrywise drop.  apply_move computes the
 input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
 computed once.  The move closure (oracle.closure_enumerate) applies a
-move (_applied) and audits it (_audit) as two steps: every edge is
-audited against ranks_of of the child, computed once per distinct
-module the closure reaches.  The path builder also carries each
-quotient module as generic_quotient took it out of the last audited
-stage, so it never rebuilds a module from its ranks or re-validates a
-rank table.  Modules built here are wrapped without re-checking their
-segments (Representation._of_mult), a peeled segment comes off a rank
-table as one block (RankSequence._less_segment), and a predicted table
-rebuilds only the rows its moves lower.  The module-level
-AUDIT counters record how many checks ran and whether any failed.
+move (_applied), predicts its table (_predicted_rows) and audits it
+(_audit) as separate steps: every edge is audited against ranks_of of
+the child, computed once per distinct module the closure reaches.  The
+path builder also carries each quotient module as generic_quotient took
+it out of the last audited stage, so it never rebuilds a module from its
+ranks or re-validates a rank table.  Modules built here are wrapped
+without re-checking their segments (Representation._of_mult), a peeled
+segment comes off a rank table as one block (RankSequence._less_segment),
+and a predicted table rebuilds only the rows its moves lower.  The
+module-level AUDIT counters record how many checks ran and whether any
+failed.
 """
 
 from __future__ import annotations
@@ -134,7 +135,7 @@ def _apply_audited(rep: Representation, move: Move,
     """
     out = _applied(rep, move)
     after = ranks_of(out)
-    _audit(move, before, after)
+    _audit(move, _predicted_rows(move, before), after)
     return out, after
 
 
@@ -156,19 +157,25 @@ def _applied(rep: Representation, move: Move) -> Representation:
     return Representation._of_mult(rep.n, mult)
 
 
-def _audit(move: Move, before: RankSequence, after: RankSequence) -> None:
-    """Check that after is before less one on move's box and equal
-    elsewhere, tallying the check in AUDIT.  before and after are the
-    ranks of a module and of that module after move, each computed by
-    ranks_of from its multiplicities.  Only the box slices of the box
-    rows are rebuilt; the tables are then compared whole."""
-    AUDIT["applied"] += 1
+def _predicted_rows(move: Move, before: RankSequence) -> Tuple[Tuple[int, ...], ...]:
+    """The rows of before less one on move's box: the rank table move
+    predicts for its output.  Only the box slices of the box rows are
+    rebuilt; every other row is before's own row object."""
     k0, k1, l0, l1 = move._box()
     want = list(before._rows)
     for i in range(k0, k1 + 1):
         row, a, b = want[i - 1], l0 - i, l1 - i + 1
         want[i - 1] = row[:a] + tuple([v - 1 for v in row[a:b]]) + row[b:]
-    if tuple(want) != after._rows:
+    return tuple(want)
+
+
+def _audit(move: Move, want: Tuple[Tuple[int, ...], ...], after: RankSequence) -> None:
+    """Check that after has the rows want = _predicted_rows(move, before),
+    tallying the check in AUDIT.  before and after are the ranks of a
+    module and of that module after move, each computed by ranks_of from
+    its multiplicities; the tables are compared whole."""
+    AUDIT["applied"] += 1
+    if want != after._rows:
         i, j, w, g = next((i, j, w, g) for i, rw, rg in zip(count(1), want, after._rows)
                           for j, w, g in zip(count(i), rw, rg) if w != g)
         AUDIT["violations"] += 1

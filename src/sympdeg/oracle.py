@@ -309,10 +309,19 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
     an unknown move_kind, a module of the wrong kind or a bad max_total.
 
     The moves come from the library's generators, and every edge is
-    audited against ranks_of of the child, computed once per distinct
-    module: seen maps each module reached to its ranks (ranks_of is a
-    pure function of the multiplicity map seen is keyed by).  A SYMMETRIC
-    edge audits both constituents, as symdegen._apply_sym_audited does.
+    audited.  reached maps the rank rows of each module reached to that
+    module: ranks_of is a pure function of the multiplicities, and a
+    module is determined by its ranks.  An ORDINARY edge computes its
+    predicted rows once (degen._predicted_rows) and looks them up.  A hit
+    on a module with the child's multiplicities needs no new comparison:
+    the key is that module's ranks_of table, so the child's table equals
+    the prediction, and the edge is tallied in degen.AUDIT as applied and
+    verified without rebuilding the table or hashing the child.  Every
+    other edge runs ranks_of(child) and degen._audit, so ranks_of still
+    runs once per distinct module, and a different module already holding
+    the audited table raises AssertionError.  A SYMMETRIC edge audits
+    both constituents, as symdegen._apply_sym_audited does, and is looked
+    up by its audited rows in the same way.
     """
     if type(max_total) is not int or max_total < 0:
         raise ValueError("max_total must be a non-negative int, got %r" % (max_total,))
@@ -323,16 +332,22 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
         start = rep
 
         def expand(cur, before):
-            # the children of cur not seen yet, each recorded in seen
+            # the children of cur not reached yet, each recorded in reached
             for move in degen.single_moves(cur):
+                want = degen._predicted_rows(move, before)
                 child = degen._applied(cur, move)
-                after = seen.get(child)
-                new = after is None
-                if new:
-                    after = seen[child] = core.ranks_of(child)
-                degen._audit(move, before, after)
-                if new:
-                    yield child
+                held = reached.get(want)
+                if held is not None and held.mult == child.mult:
+                    degen.AUDIT["applied"] += 1
+                    degen.AUDIT["verified"] += 1
+                    continue
+                after = core.ranks_of(child)
+                degen._audit(move, want, after)
+                if held is not None:
+                    raise AssertionError("%r and %r have the same rank table"
+                                         % (held, child))
+                reached[want] = child
+                yield child, after
 
     elif move_kind == "SYMMETRIC":
         if not isinstance(rep, symdegen.EpsilonRep):
@@ -344,9 +359,13 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
             erep = symdegen.EpsilonRep(cur, sym)
             for move in symdegen.sym_moves(erep):
                 child, after = symdegen._apply_sym_audited(erep, move, before)
-                if child.rep not in seen:
-                    seen[child.rep] = after
-                    yield child.rep
+                held = reached.get(after._rows)
+                if held is None:
+                    reached[after._rows] = child.rep
+                    yield child.rep, after
+                elif held.mult != child.rep.mult:
+                    raise AssertionError("%r and %r have the same rank table"
+                                         % (held, child.rep))
 
     else:
         raise ValueError("move_kind must be ORDINARY or SYMMETRIC")
@@ -355,8 +374,8 @@ def closure_enumerate(rep, move_kind: str, max_total: int = 120):
     total = ranks.total()
     if total > max_total:
         raise InstanceTooLarge("rank total %d exceeds guard %d" % (total, max_total))
-    seen = {start: ranks}
-    frontier = [start]
+    reached = {ranks._rows: start}
+    frontier = [(start, ranks)]
     while frontier:
-        frontier = [child for cur in frontier for child in expand(cur, seen[cur])]
-    return set(seen)
+        frontier = [new for cur, before in frontier for new in expand(cur, before)]
+    return set(reached.values())

@@ -584,7 +584,9 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     middle members level by level collects every member some chain can
     pass through, and above[S_k] lists the members S_{k+1} that S_k can
     sit below, as sorted 1-tuples (S_{k+1},).  Each member's set and the
-    set of its dual are computed once, when the member is first met.
+    set of its dual are computed once, when the member is first met (one
+    dict probe per edge), the dual's set directly as 1..2n less the
+    mirror images 2n+1-j of the member's elements.
 
     The self-check runs on the graph, not on the points.  Each middle
     member is checked to be self-dual, and each edge lo -> hi, as it is
@@ -596,7 +598,10 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     The chains are then built level by level: every prefix S_1, ..., S_k
     in the sorted list of prefixes is extended by each entry of
     above[S_k], in order.  So the prefixes stay sorted at every level,
-    and the list comes out in lexicographic order without a sort.  Every
+    and the list comes out in lexicographic order without a sort.  The
+    full chains are wrapped in one map over zip(repeat(n), chains): each
+    point costs its chain tuple and its FixedPoint, built by tuple.__new__
+    in C, with no per-point bytecode.  Every
     emitted chain is a path () -> S_1 -> ... -> S_n through checked
     edges, and every condition of _check_fixed_point is a condition on
     one such edge or on S_n, so every point is fully covered, and each
@@ -621,6 +626,7 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     n = subset.n
     chosen = set(subset.i)
     degenerate = set(iprime(subset))
+    every = set(range(1, 2 * n + 1))
 
     with _collector_paused():
         level = list(_middle_members(n))
@@ -650,9 +656,10 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
                     dual_hi = dual_hi - {w + 1}
                 up = (hi,)
                 for lo in _members_below(hi, chosen):
-                    if lo not in sets:
-                        sets[lo] = (set(lo), set(_dual_subset(lo, n)))
-                    lo_set, dual_lo = sets[lo]
+                    lo_sets = sets.get(lo)
+                    if lo_sets is None:
+                        lo_sets = sets[lo] = (set(lo), every - {2 * n + 1 - j for j in lo})
+                    lo_set, dual_lo = lo_sets
                     if v and not lo_set <= hi_set:
                         raise AssertionError("member %d does not map into member %d"
                                              % (v, k))
@@ -663,13 +670,14 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
             above.update(below)
             level = sorted(below)
 
-        chains: List[Tuple[Tuple[int, ...], ...]] = [()]
+        # above[()] holds the one-member prefixes (S_1,) themselves
+        chains: List[Tuple[Tuple[int, ...], ...]] = above[()]
         for _ in range(n - 1):
-            chains = [c + up for c in chains for up in above[c[-1] if c else ()]]
-        # tuple.__new__ skips the namedtuple's own __new__, a Python call per point
-        wrap = tuple.__new__
-        return [wrap(FixedPoint, (n, c + up))
-                for c in chains for up in above[c[-1] if c else ()]]
+            chains = [c + up for c in chains for up in above[c[-1]]]
+        # one C-level pass builds each FixedPoint from a (n, chain) pair that
+        # zip reuses, without the namedtuple's Python-level __new__
+        return list(map(tuple.__new__, itertools.repeat(FixedPoint),
+                        zip(itertools.repeat(n), chains)))
 
 
 def count_lagrangian_fixed_points(subset: PbwSubset) -> int:

@@ -480,6 +480,41 @@ def test_ranks_guard_before_the_table(tmp_path, capsys, monkeypatch):
         assert built == ([] if refused else [1999])
 
 
+_BIG_REP_VERBS = [
+    ("ranks", ("--rep",), True),
+    ("degen-check", ("--m", "--n"), True),
+    ("degen-path", ("--m", "--n"), True),
+    ("sym-check", ("--type", "even-neg", "--m", "--n"), True),
+    ("sym-path", ("--type", "even-neg", "--m", "--n"), True),
+    ("sym-moves", ("--type", "even-neg", "--m", "--n"), True),
+    ("hom", ("--m", "--n"), False),
+    ("ext", ("--m", "--n"), False),
+    ("dual", ("--rep",), False),
+    ("check-eps", ("--type", "even-neg", "--rep"), False),
+]
+
+
+@pytest.mark.parametrize("verb, flags, guarded", _BIG_REP_VERBS,
+                         ids=[verb for verb, _, _ in _BIG_REP_VERBS])
+def test_rank_table_guard_on_every_table_verb(tmp_path, capsys, verb, flags, guarded):
+    """Every verb that builds a rank table refuses {"n": 1000000, "mult": []}
+    at once with one InstanceTooLarge line (given as every module it
+    reads); the verbs that build none still answer."""
+    path = _write(tmp_path, "big.json", {"n": 1000000, "mult": []})
+    argv = [verb]
+    for word in flags:
+        argv += [word, path] if word in ("--rep", "--m", "--n") else [word]
+    start = time.perf_counter()
+    code, out, err = _run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    if guarded:
+        assert (code, out) == (1, "")
+        assert err == ("InstanceTooLarge: a rank table on 1000000 vertices has "
+                       "500000500000 entries, more than the ranks guard 2000000\n")
+    else:
+        assert (code, err) == (0, "") and json.loads(out)
+
+
 def test_poset_guard(capsys):
     # 108 epsilon modules, found in well under a second
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")

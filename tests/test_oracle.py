@@ -168,6 +168,52 @@ def test_symmetric_closure_ranks_once_per_constituent(monkeypatch):
     symdegen.reset_sym_audit()
 
 
+def _second_arrival_replaced(monkeypatch, wrong):
+    """Patch degen._applied so that the second edge into the semisimple
+    module of U[1,3] (from U[1,2] + U[3,3], after U[1,1] + U[2,3] reached
+    it first) yields wrong instead: an edge whose predicted table the
+    closure already holds."""
+    real, arrivals = degen._applied, []
+    semisimple = Representation(3, {(1, 1): 1, (2, 2): 1, (3, 3): 1})
+
+    def applied(rep, move):
+        out = real(rep, move)
+        if out == semisimple:
+            arrivals.append(rep)
+            if len(arrivals) == 2:
+                return wrong
+        return out
+
+    monkeypatch.setattr(degen, "_applied", applied)
+    return arrivals
+
+
+def test_closure_audits_a_wrong_module_on_a_seen_table(monkeypatch):
+    """An edge whose predicted table is already held is verified by that
+    table only when it reaches the module that holds it; any other module
+    is audited against its own ranks, and a second module with the held
+    table raises as well."""
+    start = Representation(3, {(1, 3): 1})
+    assert len(oracle.closure_enumerate(start, "ORDINARY")) == 4
+    # equal to the start, but its own object
+    wrong = Representation(3, {(1, 3): 1})
+    arrivals = _second_arrival_replaced(monkeypatch, wrong)
+    degen.reset_audit()
+    with pytest.raises(AssertionError, match=r"rank check failed for Move\(kind='cut'"):
+        oracle.closure_enumerate(start, "ORDINARY")
+    assert arrivals == [Representation(3, {(1, 1): 1, (2, 3): 1}),
+                        Representation(3, {(1, 2): 1, (3, 3): 1})]
+    assert degen.AUDIT["violations"] == 1
+    # the same edge, with ranks_of made to give the wrong module the held table
+    table = ranks_of(Representation(3, {(1, 1): 1, (2, 2): 1, (3, 3): 1}))
+    monkeypatch.setattr(core, "ranks_of",
+                        lambda rep: table if rep is wrong else ranks_of(rep))
+    del arrivals[:]
+    with pytest.raises(AssertionError, match="have the same rank table"):
+        oracle.closure_enumerate(start, "ORDINARY")
+    degen.reset_audit()
+
+
 def test_closure_budget():
     rep = Representation(4, {(1, 4): 4})
     with pytest.raises(InstanceTooLarge):

@@ -29,6 +29,7 @@ from sympdeg.pbw import (
 
 FACE_VIOLATIONS_DIGEST = "8115a810284f6f3b1ab75b0ac2f88c4743b80598ff08e2547e500cb97af7572a"
 FIXED_POINTS_DIGEST = "9abda2020c4ffe0d0bcb85bbcfbe80a1a2857b99d7451284bac089555fcd5d8f"
+FIXED_POINTS_N6_DIGEST = "bff18dcae309545cdaaedb87b7533db2f7e66f0edf385774a46a3acc5c7b6d83"
 
 
 def _all_subsets(n):
@@ -358,6 +359,23 @@ def test_fixed_points_emitted_in_order_n6():
         points = lagrangian_fixed_points(s)
         assert len(points) == count_lagrangian_fixed_points(s), i
         assert all(a < b for a, b in zip(points, points[1:])), i
+
+
+def test_fixed_points_pinned_n6():
+    """Every point and its place in the list for four subsets of n = 6
+    (387,840 points), pinned before the points were wrapped in one C-level
+    pass; a seeded sample of them passes the per-point self-check."""
+    rng = random.Random(6)
+    digest = hashlib.sha256()
+    for i in ((), (1,), (3,), (2, 5)):
+        s = PbwSubset.make(6, i)
+        found = lagrangian_fixed_points(s)
+        for fp in rng.sample(found, 200):
+            assert type(fp) is FixedPoint
+            _check_fixed_point(fp, s)
+        points = [list(map(list, fp.subsets)) for fp in found]
+        digest.update(json.dumps([6, list(s.i), points]).encode())
+    assert digest.hexdigest() == FIXED_POINTS_N6_DIGEST
 
 
 def test_fixed_points_leave_no_cyclic_garbage():
