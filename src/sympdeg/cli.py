@@ -5,16 +5,20 @@ on stdout unless a verb-specific renderer (--table, --dot, or the ASCII
 coefficient drawing) is selected.  Exit code 2 on argument errors and on
 JSON input of the wrong shape, 1 on domain errors (the error class name
 is printed on stderr), 0 otherwise.
+
+Arguments are declared once, in VERBS.  A plain call is read from that
+table directly (_quick_args); help, and any call it does not read, goes
+through argparse, which is imported only then.
 """
 
 from __future__ import annotations
 
-import argparse
 import itertools
 import json
 import math
 import random
 import sys
+from types import SimpleNamespace
 from typing import List
 
 from . import core, degen, oracle, pbw, symdegen
@@ -39,6 +43,17 @@ MAX_POSET_NODES = 100
 # the verbs that build a rank table refuse a module whose table, n(n+1)/2
 # entries, is larger than this before building it; n = 1999 still passes
 MAX_RANK_ENTRIES = 2_000_000
+# pbw-weyl and pbw-lemma-ui refuse a locus whose type-A word u, n(2n-1)
+# letters and the longer of its two words, has more letters than this
+# before building any word; n = 707 still passes
+MAX_WORD_LETTERS = 1_000_000
+# pbw-interior and pbw-face refuse a locus whose face has more pair
+# constraints, (2n-1)(n-1)n/3, than this before building the face or a
+# root vector; n = 91 still passes
+MAX_FACE_ROWS = 500_000
+# each of these three guards stops a call at about 200-225 MB peak memory
+# (n = 1999, 707 and 91 on a 2-core x86-64 host), where the next larger
+# sizes grow to gigabytes and end in MemoryError
 
 
 def _load(path: str):
@@ -63,6 +78,32 @@ def _tabled_rep(path: str) -> core.Representation:
     return rep
 
 
+def _worded_subset(args) -> pbw.PbwSubset:
+    """The locus of a verb that builds its type-A word: InstanceTooLarge
+    before any word is built when the word would have more than
+    MAX_WORD_LETTERS letters."""
+    subset = pbw.PbwSubset.make(args.n, args.i)
+    letters = subset.n * (2 * subset.n - 1)
+    if letters > MAX_WORD_LETTERS:
+        raise InstanceTooLarge("the type-A word of a locus with n=%d has %d letters, "
+                               "more than the words guard %d"
+                               % (subset.n, letters, MAX_WORD_LETTERS))
+    return subset
+
+
+def _faced_subset(args) -> pbw.PbwSubset:
+    """The locus of a verb that builds its face: InstanceTooLarge before
+    the face or any root vector is built when the face would have more
+    than MAX_FACE_ROWS pair constraints."""
+    subset = pbw.PbwSubset.make(args.n, args.i)
+    n = subset.n
+    rows = (2 * n - 1) * (n - 1) * n // 3
+    if rows > MAX_FACE_ROWS:
+        raise InstanceTooLarge("the face of a locus with n=%d has %d pair constraints, "
+                               "more than the face guard %d" % (n, rows, MAX_FACE_ROWS))
+    return subset
+
+
 def _emit(obj) -> None:
     print(json.dumps(obj, indent=2, sort_keys=True))
 
@@ -85,6 +126,7 @@ def _int_list(text: str) -> tuple:
     try:
         return tuple([int(x) for x in text.split(",")])
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(
             "expected comma separated integers, got %r" % text) from None
 
@@ -94,8 +136,10 @@ def _count(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
     if value < 0:
+        import argparse
         raise argparse.ArgumentTypeError("expected a non-negative integer, got %r" % text)
     return value
 
@@ -313,7 +357,7 @@ def _cmd_pbw_build(args) -> int:
 
 
 def _cmd_pbw_weyl(args) -> int:
-    subset = pbw.PbwSubset.make(args.n, args.i)
+    subset = _worded_subset(args)
     _emit({
         "n": subset.n,
         "i": subset.i,
@@ -329,7 +373,7 @@ def _cmd_pbw_weyl(args) -> int:
 
 
 def _cmd_pbw_face(args) -> int:
-    subset = pbw.PbwSubset.make(args.n, args.i)
+    subset = _faced_subset(args)
     d = _dvec_from_json(_load(args.rep))
     # the face contains d exactly when d breaks none of its constraints
     violations = pbw.dynkin_face_violations(subset, d)
@@ -346,7 +390,7 @@ def _cmd_pbw_face(args) -> int:
 
 
 def _cmd_pbw_interior(args) -> int:
-    subset = pbw.PbwSubset.make(args.n, args.i)
+    subset = _faced_subset(args)
     _emit(_dvec_to_json(pbw.find_interior_point(subset)))
     return 0
 
@@ -362,15 +406,15 @@ def _cmd_pbw_fixed_points(args) -> int:
     n = subset.n
     # 0 where the interpreter has no int-to-string limit (or lifts it)
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
-    # no subset has fewer than the empty one's 2^n n! fixed points (see
-    # count_lagrangian_fixed_points), so where that bound's log10 clears
-    # the limit by a digit, kept for rounding, no count is needed
-    if digits and (n * math.log10(2) + math.lgamma(n + 1) / math.log(10)
-                   >= digits + 1):
-        raise _count_too_long(n, digits)
-    count = pbw.count_lagrangian_fixed_points(subset)
-    if digits and count >= 10 ** digits:
-        raise _count_too_long(n, digits)
+    limit = 10 ** digits if digits else None
+    # each partial chain down to level k of the count's recurrence extends
+    # to at least k! full chains (_chain_totals), so the count is refused at
+    # the first level where that bound reaches the limit: 2^n n! at level
+    # n, before any step, and the count itself at level 0
+    for level, total in enumerate(pbw._chain_totals(subset)):
+        if limit is not None and sum(total) * math.factorial(n - level) >= limit:
+            raise _count_too_long(n, digits)
+    count = total[0]
     report = {"n": subset.n, "i": subset.i, "count": count}
     if args.list:
         if count > MAX_LISTED_POINTS:
@@ -383,7 +427,7 @@ def _cmd_pbw_fixed_points(args) -> int:
 
 
 def _cmd_pbw_lemma_ui(args) -> int:
-    _emit(pbw.check_lemma_ui(pbw.PbwSubset.make(args.n, args.i)))
+    _emit(pbw.check_lemma_ui(_worded_subset(args)))
     return 0
 
 
@@ -518,10 +562,12 @@ VERBS = {
 }
 
 
-def _build_parser(only=None) -> argparse.ArgumentParser:
-    """The argument parser, with the subparser of verb `only` alone when
-    given.  Its usage line still lists every verb, so each message the
-    parser can print for a call naming that verb is the same."""
+def _build_parser(only=None):
+    """The argparse.ArgumentParser of every verb, or with the subparser of
+    verb `only` alone when given.  Its usage line still lists every verb,
+    so each message the parser can print for a call naming that verb is
+    the same."""
+    import argparse
     parser = argparse.ArgumentParser(
         prog="sympdeg",
         description="degeneration calculus for type-A quiver "
@@ -538,14 +584,114 @@ def _build_parser(only=None) -> argparse.ArgumentParser:
     return parser
 
 
-def run(argv) -> int:
-    # a call names its verb first; only --help, a missing or an unknown
-    # verb needs the subparsers of all of them
-    parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
+# the add_argument keywords _quick_args reads, by kind of argument: a
+# positional, a positional with nargs="?" and a string default, a flag
+# taking one value, and a store_true flag
+_PLAIN_KEYWORDS = {
+    "positional": {"type", "help"},
+    "optional": {"nargs", "default", "type", "help"},
+    "flag": {"required", "choices", "type", "default", "help"},
+    "switch": {"action", "help"},
+}
+
+
+def _plain_kind(name: str, options: dict):
+    """The kind of the argument in _PLAIN_KEYWORDS, None if _quick_args
+    cannot read it."""
+    if name.startswith("--"):
+        kind = "switch" if options.get("action") == "store_true" else "flag"
+    elif name.startswith("-"):
+        return None
+    elif options.get("nargs") == "?" and isinstance(options.get("default"), str):
+        kind = "optional"
+    else:
+        kind = "positional"
+    return kind if set(options) <= _PLAIN_KEYWORDS[kind] else None
+
+
+def _is_value(token: str) -> bool:
+    # a token argparse reads as a value whatever the verb: a lone "-" is one
+    return not token.startswith("-") or token == "-"
+
+
+def _converted(options: dict, text: str):
+    """text through the argument's type, checked against its choices; raises
+    where argparse reports a bad argument."""
+    value = options.get("type", str)(text)
+    if "choices" in options and value not in options["choices"]:
+        raise ValueError("invalid choice: %r" % (value,))
+    return value
+
+
+def _quick_args(argv):
+    """The namespace _build_parser().parse_args(argv) returns, read off
+    VERBS without argparse, for a plain call: a verb, its positionals in
+    order, then each of its flags at most once, spelled in full, a
+    store_true flag alone and any other with one value (in its choices),
+    and every required flag given.  None for any other call: help,
+    abbreviations, --flag=value, --, repeated flags, values that start
+    with "-" (a lone "-" aside), extra tokens, positionals after a flag,
+    a missing required flag, an argument of no kind in _PLAIN_KEYWORDS,
+    and any value its type rejects.  argparse then parses the call, and
+    reports an error in its own words."""
+    if not argv or argv[0] not in VERBS:
+        return None
+    func, _, arguments = VERBS[argv[0]]
+    tokens = argv[1:]
+    values = {"verb": argv[0], "func": func}
+    flags = {}
+    at = 0
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+        for name, options in arguments:
+            kind = _plain_kind(name, options)
+            if kind is None:
+                return None
+            if kind in ("flag", "switch"):
+                flags[name] = (name[2:].replace("-", "_"), options)
+            elif at < len(tokens) and _is_value(tokens[at]):
+                values[name] = _converted(options, tokens[at])
+                at += 1
+            elif kind == "optional":
+                values[name] = _converted(options, options["default"])
+            else:
+                return None
+        while at < len(tokens):
+            dest, options = flags.pop(tokens[at], (None, None))
+            if options is None:
+                return None
+            if "action" in options:
+                values[dest] = True
+                at += 1
+            elif at + 1 < len(tokens) and _is_value(tokens[at + 1]):
+                values[dest] = _converted(options, tokens[at + 1])
+                at += 2
+            else:
+                return None
+        # the flags not given: argparse's defaults, a string one converted
+        for dest, options in flags.values():
+            if options.get("required"):
+                return None
+            default = options.get("default", False if "action" in options else None)
+            if isinstance(default, str):
+                default = options.get("type", str)(default)
+            values[dest] = default
+    except Exception:
+        # only a type converter raises here, and argparse (whose
+        # ArgumentTypeError is one such exception) re-runs it and reports it
+        return None
+    return SimpleNamespace(**values)
+
+
+def run(argv) -> int:
+    args = _quick_args(argv)
+    if args is None:
+        # a call names its verb first; only --help, a missing or an unknown
+        # verb needs the subparsers of every verb
+        parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            return int(exc.code or 0)
     try:
         return args.func(args)
     except (SympdegError, ValueError, OSError) as exc:

@@ -686,21 +686,36 @@ def count_lagrangian_fixed_points(subset: PbwSubset) -> int:
     of the locus (2^n n! for the empty subset), in O(n^2) integer steps.
     No subset has fewer: a chosen wall only widens the members below
     (_members_below), so every chain of the empty subset is one of every
-    subset.
+    subset.  The steps are those of _chain_totals, whose last level holds
+    the count alone."""
+    for total in _chain_totals(subset):
+        pass
+    return total[0]
+
+
+def _chain_totals(subset: PbwSubset) -> Iterator[List[int]]:
+    """The partial chains from the middle members down, level by level:
+    for k = n, ..., 0 the list total with total[c] the number of chains
+    S_n, ..., S_k (S_0 = ()) whose S_k meets 1..k in c elements.
 
     Going down from S_k, only the element k is special: a chosen wall
     k-1 may discard it (_members_below), and elements above k are never
     special again.  So the chains from the middle members down to the
     S_k that meet 1..k in one set number the same for every set of size
-    c; total[c] counts them over all S_k with c elements in 1..k.  It
-    starts at comb(n, c), one middle member per choice from the pairs
-    {j, 2n+1-j}, and the part whose S_k holds k is total[c] * c // k
+    c.  total starts at comb(n, c), one middle member per choice from the
+    pairs {j, 2n+1-j}, and the part whose S_k holds k is total[c] * c // k
     exactly.  S_{k-1} is S_k (plus k at a chosen wall if S_k lacks it)
     less one element (two if k was added); each lost element of 1..k-1
-    lowers c by one.  The count is total[0] after level 1.
-    """
+    lowers c by one.  The last list is [count].
+
+    Every member S_k has at least k members below it (_members_below
+    takes k-1 of at least k elements), so every partial chain down to
+    S_k extends to at least k! full chains: the count is at least
+    sum(total) * k! at every level k, and a caller may stop as soon as
+    that bound is too large."""
     n = subset.n
     total = [comb(n, c) for c in range(n + 1)]
+    yield total
     for k in range(n, 0, -1):
         wall = k - 1 in subset.i
         below = [0] * k
@@ -712,7 +727,7 @@ def count_lagrangian_fixed_points(subset: PbwSubset) -> int:
                 for j in range(max(0, drop - large), min(drop, small) + 1):
                     below[small - j] += w * comb(small, j) * comb(large, drop - j)
         total = below
-    return total[0]
+        yield total
 
 
 def _maps_into(lo: Tuple[int, ...], hi: Tuple[int, ...], v: int, degenerate) -> bool:

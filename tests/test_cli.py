@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 import math
@@ -35,6 +37,39 @@ def _run(capsys, *argv):
     code = cli.run(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _parsed(argv):
+    """vars() of the namespace argparse returns for argv, or None where it
+    exits; what it prints is dropped."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli._build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+def _checked(quick_args, argv):
+    """quick_args(argv), failing unless it is None or the namespace
+    argparse returns."""
+    args = quick_args(argv)
+    if args is not None:
+        assert vars(args) == _parsed(argv), argv
+    return args
+
+
+@pytest.fixture(autouse=True)
+def quick_args_checked(monkeypatch):
+    """Every call cli.run gets in this file is a case of the parser
+    equivalence: what _quick_args reads, argparse reads the same."""
+    quick_args = cli._quick_args
+    monkeypatch.setattr(cli, "_quick_args", lambda argv: _checked(quick_args, argv))
+
+
+def _read_quickly(argv):
+    """Whether cli._quick_args reads argv, checked against argparse by the
+    quick_args_checked fixture."""
+    return cli._quick_args(list(argv)) is not None
 
 
 def test_ranks_example(tmp_path, capsys):
@@ -397,11 +432,27 @@ def test_pbw_fixed_points_list_guard(capsys):
     assert err.startswith("InstanceTooLarge: 1323658 fixed points") and err.count("\n") == 1
 
 
+def _levels_drawn(monkeypatch):
+    """The number of levels each later call draws from pbw._chain_totals,
+    the count's recurrence, one entry per call."""
+    drawn, chain_totals = [], pbw._chain_totals
+
+    def counted(subset):
+        drawn.append(0)
+        for total in chain_totals(subset):
+            drawn[-1] += 1
+            yield total
+
+    monkeypatch.setattr(pbw, "_chain_totals", counted)
+    return drawn
+
+
 def test_pbw_fixed_points_digit_limit(capsys, monkeypatch):
     """A count past the interpreter's int-to-string limit (lowered here to
     its minimum, 640 digits) is one InstanceTooLarge line and exit 1, not
-    a ValueError from printing it.  It is raised before the count where
-    2^n n! already clears the limit, else right after counting."""
+    a ValueError from printing it.  It is raised before the count's first
+    step where 2^n n! already clears the limit, else at the first level of
+    the count whose bound does, at the latest after counting."""
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(640)
     try:
@@ -416,15 +467,38 @@ def test_pbw_fixed_points_digit_limit(capsys, monkeypatch):
         assert err.startswith("InstanceTooLarge: the fixed-point count for n=180 "
                               "has more than 640 digits")
 
-        def uncounted(subset):
-            raise AssertionError("counted although 2^n n! clears the limit")
-
-        monkeypatch.setattr(pbw, "count_lagrangian_fixed_points", uncounted)
+        # only the first level, the comb(n, c) middle members, is drawn
+        drawn = _levels_drawn(monkeypatch)
         for argv in (("278", "-"), ("1600", "-"), ("1600", "-", "--list")):
             code, out, err = _run(capsys, "pbw-fixed-points", *argv)
             assert (code, out) == (1, "") and err.count("\n") == 1
             assert err.startswith("InstanceTooLarge: the fixed-point count for n=%s "
                                   % argv[0])
+        assert drawn == [1, 1, 1]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_pbw_fixed_points_refused_inside_the_count(capsys, monkeypatch):
+    """Each partial chain down to S_k extends to at least k! full chains,
+    so a count past the limit is refused at the first level of its
+    recurrence whose bound reaches the limit.  With all walls, n = 270 has
+    a count of 1,060 digits but 2^n n! of 623, under the lowered limit of
+    640: refused after 11 of its 271 levels.  n = 1300 with all walls (the
+    default limit, 4,300 digits) took 12 s to count before its refusal."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        drawn = _levels_drawn(monkeypatch)
+        walls = ",".join(map(str, range(1, 270)))
+        code, out, err = _run(capsys, "pbw-fixed-points", "270", walls)
+        assert (code, out) == (1, "")
+        assert err == ("InstanceTooLarge: the fixed-point count for n=270 has more than "
+                       "640 digits, the interpreter's limit for printing an integer\n")
+        assert drawn == [11]
+        # a count that prints draws every level
+        code, out, err = _run(capsys, "pbw-fixed-points", "276", "-")
+        assert (code, err) == (0, "") and drawn == [11, 277]
     finally:
         sys.set_int_max_str_digits(limit)
 
@@ -515,6 +589,66 @@ def test_rank_table_guard_on_every_table_verb(tmp_path, capsys, verb, flags, gua
         assert (code, err) == (0, "") and json.loads(out)
 
 
+def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
+    """pbw-weyl and pbw-lemma-ui refuse a locus whose type-A word has more
+    than 1,000,000 letters, pbw-interior and pbw-face one whose face has
+    more than 500,000 pair constraints: one InstanceTooLarge line and exit
+    1 at once, before any word, face or root vector is built (the file of
+    pbw-face is not even read).  pbw-weyl 3000 and pbw-interior 2000 ended
+    in a MemoryError traceback under a 1 GB address-space cap.  n = 707
+    and n = 91 still reach the builders, stood in for here."""
+    built, tiny = [], pbw.PbwSubset.make(1, ())
+
+    def stand_in(name, result):
+        def build(*args, **kwargs):
+            built.append(name)
+            return result
+        return build
+
+    monkeypatch.setattr(pbw, "w_i_word", stand_in("w", pbw.w_i_word(tiny)))
+    monkeypatch.setattr(pbw, "u_iprime_word", stand_in("u", pbw.u_iprime_word(tiny)))
+    monkeypatch.setattr(pbw, "check_lemma_ui", stand_in("lemma", {}))
+    monkeypatch.setattr(pbw, "find_interior_point", stand_in("interior", pbw.zero_root_vector(1)))
+    monkeypatch.setattr(pbw, "dynkin_face_violations", stand_in("face", []))
+    missing = str(tmp_path / "nope.json")
+    word = ("InstanceTooLarge: the type-A word of a locus with n=%d has %d letters, "
+            "more than the words guard 1000000\n")
+    face = ("InstanceTooLarge: the face of a locus with n=%d has %d pair constraints, "
+            "more than the face guard 500000\n")
+    for argv, err in ((("pbw-weyl", "3000"), word % (3000, 17997000)),
+                      (("pbw-weyl", "708", "1,707"), word % (708, 1001820)),
+                      (("pbw-lemma-ui", "708"), word % (708, 1001820)),
+                      (("pbw-interior", "2000"), face % (2000, 5329334000)),
+                      (("pbw-interior", "92", "91"), face % (92, 510692)),
+                      (("pbw-face", "92", "--rep", missing), face % (92, 510692))):
+        start = time.perf_counter()
+        assert _run(capsys, *argv) == (1, "", err), argv
+        assert time.perf_counter() - start < 1
+    assert built == []
+    zero = _write(tmp_path, "d.json", cli._dvec_to_json(pbw.zero_root_vector(91)))
+    for argv, names in ((("pbw-weyl", "707", "1,706"), ["w", "u"]),
+                        (("pbw-lemma-ui", "707"), ["lemma"]),
+                        (("pbw-interior", "91"), ["interior"]),
+                        (("pbw-face", "91", "1", "--rep", zero), ["face", "face"])):
+        code, out, err = _run(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(out) is not None, argv
+        assert built == names, argv
+        built.clear()
+
+
+def test_guard_sizes_are_the_built_sizes():
+    """The sizes the guards compute before building: the type-A word u has
+    n(2n-1) letters and is the longer word (w has at most n^2), and the
+    face has (2n-1)(n-1)n/3 pair constraints."""
+    for n in range(1, 9):
+        assert len(pbw._face_tables(n)[0]) == (2 * n - 1) * (n - 1) * n // 3
+        for r in range(n):
+            for combo in itertools.combinations(range(1, n), r):
+                subset = pbw.PbwSubset.make(n, combo)
+                assert len(pbw.u_iprime_word(subset).letters) == n * (2 * n - 1)
+                assert len(pbw.w_i_word(subset).letters) <= n * n
+
+
 def test_poset_guard(capsys):
     # 108 epsilon modules, found in well under a second
     code, out, err = _run(capsys, "poset", "--type", "even-neg", "--dims", "1,2,5,5,2,1")
@@ -600,6 +734,117 @@ def test_import_contract():
     done = _fresh_python("-c", code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines() == ["True", "[]", "1 True"]
+
+
+def test_plain_calls_load_no_argparse():
+    """Neither importing the CLI nor a plain call loads argparse, or the
+    gettext and locale modules it brings; help still goes through
+    argparse and prints its usage and verb list."""
+    code = ("import contextlib, io, sys\n"
+            "parser = {'argparse', 'gettext', 'locale'}\n"
+            "import sympdeg.cli\n"
+            "print(sorted(parser & set(sys.modules)))\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    codes = [sympdeg.cli.run(argv) for argv in (\n"
+            "        ['pbw-weyl', '3', '1'], ['pbw-fixed-points', '3', '-', '--list'],\n"
+            "        ['oracle-verify', '--budget', '1'])]\n"
+            "print(codes, sorted(parser & set(sys.modules)))\n"
+            "out = io.StringIO()\n"
+            "with contextlib.redirect_stdout(out):\n"
+            "    code = sympdeg.cli.run(['--help'])\n"
+            "text = out.getvalue()\n"
+            "print(code, text.splitlines()[0], all(verb in text for verb in sympdeg.cli.VERBS),\n"
+            "      'argparse' in sys.modules)\n")
+    done = _fresh_python("-c", code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines() == ["[]", "[0, 0, 0] []", "0 usage: sympdeg [-h] True True"]
+
+
+def _cli_verbs_calls(seed, tmp_path):
+    """Calls of the shapes the cli-verbs benchmark sends, one round of its
+    eleven verbs per draw, drawn from seed here."""
+    rng = random.Random(seed)
+
+    def path():
+        return str(tmp_path / ("in%04d.json" % rng.randrange(10 ** 4)))
+
+    def subset(n):
+        return ",".join(map(str, sorted(rng.sample(range(1, n), rng.randint(0, n - 1))))) or "-"
+
+    calls = []
+    for _ in range(12):
+        n = rng.randint(3, 6)
+        half = [str(rng.randint(1, 2)) for _ in range(rng.choice((1, 2)))]
+        calls += [["ranks", "--rep", path()], ["rep-of-ranks", "--rep", path()],
+                  ["hom", "--m", path(), "--n", path()],
+                  ["degen-check", "--m", path(), "--n", path()],
+                  ["degen-path", "--m", path(), "--n", path()],
+                  ["sym-path", "--m", path(), "--n", path(), "--type", "odd-neg"],
+                  ["pbw-weyl", str(n), subset(n)],
+                  ["pbw-face", str(n), subset(n), "--rep", path()],
+                  ["pbw-fixed-points", "4", subset(4)],
+                  ["poset", "--type", "odd-neg", "--dims", ",".join(half + ["2"] + half[::-1])],
+                  ["oracle-verify", "--seed", str(rng.randint(0, 10 ** 6)), "--budget", "10"]]
+    return calls
+
+
+# calls _quick_args reads, and calls it leaves to argparse: abbreviations,
+# --flag=value, repeats, negative numbers, --, help, positionals after a
+# flag, extra tokens, values its type rejects, missing required flags
+_QUICK_EDGES = [
+    ["pbw-weyl", "3", "-"], ["pbw-weyl", "3", ""], ["pbw-weyl", "3"],
+    ["pbw-fixed-points", "4", "--list"], ["pbw-fixed-points", "4", "", "--list"],
+    ["ranks", "--rep", "-"], ["ranks", "--rep", ""], ["ranks", "--rep", "a b"],
+    ["oracle-verify"], ["oracle-verify", "--budget", " 7 "], ["pbw-weyl", "1_0", "1"],
+    ["sym-path", "--table", "--type", "odd-neg", "--n", "b", "--m", "a"],
+]
+_ARGPARSE_EDGES = [
+    ["pbw-face", "4", "--rep", "f", "1,3"], ["ranks", "--re", "f"], ["ranks", "--rep=f"],
+    ["ranks", "--rep", "f", "--rep", "g"], ["oracle-verify", "--budget", "-3"],
+    ["oracle-verify", "--seed", "-3"], ["ranks", "--", "--rep", "f"], ["ranks", "--rep", "f", "--"],
+    ["pbw-weyl", "--", "3"], ["-h"], ["--help"], ["ranks", "-h"], ["ranks", "--rep", "f", "--help"],
+    ["hom", "--m", "f"], ["poset", "--dims", "1,2,1"], ["poset", "--type", "odd", "--dims", "1"],
+    ["poset", "--type", "odd-neg", "--dims", "1,x,1"], ["pbw-weyl", "3", "a"], ["pbw-weyl", "x"],
+    ["pbw-weyl", "-3"], ["pbw-weyl", "3", "1", "2"], ["pbw-weyl", "3", "-1"], ["ranks", "--rep"],
+    ["sym-path", "--m", "a", "--n", "b", "--type", "odd-neg", "--table", "x"],
+    ["oracle-verify", "--budget", "x"], ["pbw-fixed-points", "4", "--list", "--list"],
+    [], ["no-such-verb"], ["ranks", "extra", "--rep", "f"],
+]
+
+
+def test_quick_args_match_argparse(tmp_path):
+    """For every call of the corpus, _quick_args returns None or the
+    namespace argparse returns: the cli-verbs calls of three seeds (all
+    plain, so all read without argparse) and the edge cases above (every
+    call of this file is checked as well, by the quick_args_checked
+    fixture)."""
+    calls = [call for seed in (1, 2, 3) for call in _cli_verbs_calls(seed, tmp_path)]
+    assert len(calls) == 396
+    assert all(_read_quickly(call) for call in calls)
+    assert [call for call in _QUICK_EDGES if not _read_quickly(call)] == []
+    assert [call for call in _ARGPARSE_EDGES if _read_quickly(call)] == []
+
+
+def _minimal_plain_call(verb):
+    """The verb with its required positionals and flags, each given its
+    first choice or else "1"."""
+    argv, flags = [verb], []
+    for name, options in cli.VERBS[verb][2]:
+        value = options["choices"][0] if "choices" in options else "1"
+        if not name.startswith("-"):
+            if options.get("nargs") != "?":
+                argv.append(value)
+        elif options.get("required"):
+            flags += [name, value]
+    return argv + flags
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_every_verb_takes_the_quick_path(verb):
+    """Each verb's minimal plain call is read without argparse, so an
+    argument of a kind _quick_args cannot read fails here instead of
+    quietly costing every call of its verb the parser."""
+    assert _read_quickly(_minimal_plain_call(verb))
 
 
 @pytest.mark.parametrize("argv", [
