@@ -100,6 +100,13 @@ class Representation:
         return "Representation(n=%d, %s)" % (self.n, " + ".join(parts))
 
 
+def _corner_surplus_error(i: int, j: int) -> InvalidRankSequence:
+    """The error for m_{i,j} < 0, i.e. validate()'s inequality (c) at (i, j)."""
+    return InvalidRankSequence(
+        "corner surplus fails at (%d,%d): r[%d,%d]-r[%d,%d] > r[%d,%d]-r[%d,%d]"
+        % (i, j, i - 1, j, i - 1, j + 1, i, j, i, j + 1), indices=(i, j))
+
+
 class RankSequence:
     """Upper-triangular matrix of composite-map ranks, with conventions.
 
@@ -201,11 +208,7 @@ class RankSequence:
                         "r[%d,%d] > r[%d,%d]" % (i - 1, j, i, j), indices=(i, j))
                 m = v - right - up + up_right
                 if m < 0:
-                    raise InvalidRankSequence(
-                        "corner surplus fails at (%d,%d): "
-                        "r[%d,%d]-r[%d,%d] > r[%d,%d]-r[%d,%d]"
-                        % (i, j, i - 1, j, i - 1, j + 1, i, j, i, j + 1),
-                        indices=(i, j))
+                    raise _corner_surplus_error(i, j)
                 if m:
                     mult[(i, j)] = m
             above = here[1:]

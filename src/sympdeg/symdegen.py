@@ -20,10 +20,12 @@ is exactly symmetric rank domination.
 
 from __future__ import annotations
 
-from typing import Iterator, List, NamedTuple, Optional, Tuple
+from itertools import chain
+from operator import ge
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _counted_modules,
-                   _dims_arg, ranks_of, sigma)
+from .core import (RankSequence, Representation, Segment, _corner_surplus_error,
+                   _counted_modules, _dims_arg, ranks_of, sigma)
 from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put,
                     _take, degenerates, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
@@ -303,28 +305,93 @@ def _support(diag) -> Optional[Tuple[int, int]]:
     return (nz[0], nz[-1])
 
 
-def _perp_ranks(R: RankSequence, q: int, a: int, top: int) -> RankSequence:
-    """Ranks of (generic isotropic U[q, top])^perp / U[q, top], where
-    [a, top] is the symmetric support block inside the full chain."""
+def _less(row: Tuple[int, ...], start: int, stop: int) -> Tuple[int, ...]:
+    """row less 1 at the indices start..stop-1 (start < stop), by slices."""
+    return row[:start] + tuple([v - 1 for v in row[start:stop]]) + row[stop:]
+
+
+def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
+               top: int) -> Tuple[RankSequence, List[Tuple[int, int]]]:
+    """Ranks of (generic isotropic U[q, top])^perp / U[q, top], where R is
+    a valid table, 0 outside its symmetric support block [a, top], and
+    mult holds R's multiplicities.  mult is updated in place to the
+    quotient's; the staircase (cA_k, dB_k) of each block row k is
+    returned with the quotient.
+
+    With sq = sigma(q), the quotient lowers r(k, l) on the block by A + B,
+    A = [l >= q and r(q, l) <= r(k, l)] and B = [k <= sq and r(k, sq) <=
+    r(k, l)].  As R is valid, both are runs along each row:
+    - rows k >= q have r(q, l) <= r(k, l), so A is 1 on [k, top].  Above
+      q, r(q, l) - r(k, l) counts the segments [i, j] with k < i <= q and
+      j >= l, so A is 1 on [cA_k, top], cA_k the first column >= q with
+      r(k, l) = r(q, l) (top + 1 if none); cA_k grows going up.
+    - rows k <= sq have r(k, sq) <= r(k, l) for l <= sq, and past sq
+      r(k, sq) - r(k, l) counts the segments [i, j] with i <= k and
+      sq <= j < l, so B is 1 on [k, dB_k], dB_k the last column >= sq
+      with r(k, l) = r(k, sq); dB_k falls going down.
+    One pass down rows a..top moves one pointer per staircase and builds
+    each row by tuple slices; rows outside the block are reused.
+
+    The drop changes along row k only at columns cA_k - 1, dB_k and top
+    (past top it is 0), so m_{k,l} = r(k,l) - r(k,l+1) - r(k-1,l) +
+    r(k-1,l+1) changes only at those columns of rows k and k - 1.  Every
+    other multiplicity is R's, >= 0.  The step recomputes m there from
+    the new rows, in row-major order (skipping a row whose drop matches
+    the row above's), and raises RankSequence.validate()'s corner-surplus
+    InvalidRankSequence at the first negative one.  A table that is 0
+    outside the block is valid iff every m is >= 0, so this decides
+    validity exactly as validate() does, though validate() may name an
+    earlier entry that the negative multiplicity makes fail.
+    """
     n = R.n
     sq = sigma(q, n)
     rows = R._rows
     row_q = rows[q - 1]
-    out = []
-    for k, row in enumerate(rows, 1):
-        if not a <= k <= top:
-            out.append(row)
-            continue
-        # r_{q,l} and r_{k,sigma(q)} are infinite (no drop) below the diagonal
-        r_k_sq = row[sq - k] if k <= sq else None
-        new = list(row)
-        for l in range(k, top + 1):
-            value = row[l - k]
-            drop = ((1 if l >= q and row_q[l - q] <= value else 0)
-                    + (1 if r_k_sq is not None and r_k_sq <= value else 0))
-            new[l - k] = value - drop
-        out.append(tuple(new))
-    return RankSequence._of_rows(n, out)
+    out = list(rows)
+    stairs = []
+    cA, dB = top + 1, top
+    # row k - 1 of the quotient padded with zeros, and the staircase key of
+    # its drop: rows with equal keys drop alike on columns k..top
+    above, key_above = (0,) * (n + 3 - a), None
+    for k in range(a, top + 1):
+        row = new = rows[k - 1]
+        if k < q:
+            while cA > q and row[cA - 1 - k] == row_q[cA - 1 - q]:
+                cA -= 1
+            ca = cA
+        else:
+            ca = k
+        if k <= sq:
+            corner = row[sq - k]
+            while row[dB - k] != corner:
+                dB -= 1
+            db = dB
+            new = _less(new, 0, db - k + 1)
+        else:
+            db = k - 1
+        if ca <= top:
+            new = _less(new, ca - k, top - k + 1)
+        out[k - 1] = new
+        stairs.append((ca, db))
+        here, key = new + (0,), (ca if k < q else 0, db if k <= sq else 0)
+        if key != key_above:
+            # the columns where row k's or row k - 1's drop changes
+            cols = {top, ca - 1, db}
+            if key_above:
+                cols.update((key_above[0] - 1, key_above[1]))
+            for l in sorted(cols):
+                if l < k:
+                    continue
+                j = l - k
+                m = here[j] - here[j + 1] - above[j + 1] + above[j + 2]
+                if m < 0:
+                    raise _corner_surplus_error(k, l)
+                if m:
+                    mult[(k, l)] = m
+                else:
+                    mult.pop((k, l), None)
+        above, key_above = here, key
+    return RankSequence._of_rows(n, out), stairs
 
 
 def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
@@ -333,6 +400,9 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
 
     Only meaningful in the split types.  The result is returned in the
     coordinates of the full chain, with zeros outside the support block.
+    It is the staircase step of sym_degeneration_path (_perp_step), whose
+    corner check validates it; the diagonal drop and the symmetry are
+    checked on top.
     """
     if type(q) is not int:
         raise ValueError("vertex must be an int, got %r" % (q,))
@@ -349,9 +419,7 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
     if R.r(q, top) - R.r(q, top + 1) <= 0:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, top, erep.rep))
 
-    out = _perp_ranks(R, q, a, top)
-    # R is 0 outside the block and _perp_ranks changes only block entries
-    out._validate_block(a, top)
+    out = _perp_step(R, dict(erep.rep.mult), q, a, top)[0]
     sq = sigma(q, n)
     for k in range(1, n + 1):
         want = (R.r(k, k) - (1 if q <= k <= top else 0)
@@ -408,20 +476,28 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
 
     A step works on the support block [a, top] of the remaining pair
     only (rows a..top, columns up to top): the remaining source and
-    target are 0 outside it, L and its reflection lie in it, and the
-    perpendicular quotient changes nothing outside it.  So the quotient
-    is read once, on the block (RankSequence._validate_block), which
-    validates it and returns its multiplicities; the target changes by
-    the two segment blocks of L and its reflection
-    (RankSequence._less_segment).  The loop carries only the ranks of
-    the remaining pair, the target's multiplicities still to peel (L is
-    chosen from them) and the multiplicities peeled so far.  The peeled
-    part's ranks are ranks_of(N) less the remaining target's, so
-    z_ranks changes on rows a..top alone.  Z is M on the first step;
-    each later Z is the quotient's multiplicities plus the peeled ones:
-    multiplicities are linear in ranks, so this is exactly the module of
-    z_ranks.  A step builds no module for L and makes no whole-table
-    pass besides the domination check.
+    target are 0 outside it, L and its reflection U[a, sigma(q)] lie in
+    it, and the perpendicular quotient changes nothing outside it.  The
+    quotient is a staircase step (_perp_step): its drop is 1 on two runs
+    per row, bounded by two monotone staircases, so each row is built by
+    tuple slices.  The step carries the source's multiplicities and
+    recomputes them only at the columns where the drop changes, raising
+    InvalidRankSequence on a negative one: every other multiplicity is
+    the source's, so that corner check decides validity of the whole
+    table.  A second pass over rows a..top takes the blocks of L and its
+    reflection off the target and lowers z_ranks (below), by slices too,
+    and domination is checked on those rows only.
+
+    The loop carries only the ranks of the remaining pair, the target's
+    multiplicities still to peel (L is chosen from them), the source's
+    and the multiplicities peeled so far.  z_ranks, the source's ranks
+    plus the peeled part's (ranks_of(N) less the remaining target's),
+    loses the quotient's drop less the two peeled blocks: on rows k < q
+    over [cA_k, top], and on rows k <= sigma(q) over (sigma(q), dB_k].
+    Z is M on the first step; each later Z is the source's
+    multiplicities plus the peeled ones, exactly the module of z_ranks
+    as multiplicities are linear in ranks.  A step builds no module for
+    L and builds or checks no row outside a..top.
 
     Returns the list of steps, terminal step included.  Raises
     MismatchedType, NotSplitType or NotComparable as _split_pair does.
@@ -429,9 +505,8 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     rM, rN = _split_pair(M, N)
     sym = M.sym
     n = sym.n
-    N_rows = rN._rows
-    # the target's multiplicities still to peel, and those peeled so far
-    tgt, done = dict(N.rep.mult), {}
+    # the source's multiplicities, the target's still to peel, those peeled
+    mult, tgt, done = dict(M.rep.mult), dict(N.rep.mult), {}
     Z, z_ranks = M, rM
     steps: List[DegenStep] = []
     while rM != rN:
@@ -441,24 +516,31 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
         q = max([i for i, m in finals.items() if m % 2] or finals)
         steps.append(DegenStep(Z=Z, L=(q, top), support_interval=span,
                                m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
-        rM = _perp_ranks(rM, q, a, top)
-        # rM is 0 outside the block, so mult holds all of its multiplicities
-        mult = rM._validate_block(a, top)
-        # L and its reflection U[a, sigma(q)] lie in the block, as top =
-        # sigma(a), and come off one by one: a self-dual L comes off twice.
-        # rN stays N less some of its summands, so it needs no validation
-        for block in ((q, top), (a, sigma(q, n))):
-            rN = rN._less_segment(*block)
+        sq = sigma(q, n)
+        rM, stairs = _perp_step(rM, mult, q, a, top)
+        # L and its reflection come off one by one: a self-dual L comes off
+        # twice.  rN stays N less some of its summands, so it needs no
+        # validation
+        for block in ((q, top), (a, sq)):
             _take(tgt, block)
             _put(done, block)
-        if not rM.dominates(rN):
+        target, z_rows = list(rN._rows), list(z_ranks._rows)
+        for k, (ca, db) in enumerate(stairs, a):
+            row, z_row = target[k - 1], z_rows[k - 1]
+            if k >= q:
+                row = _less(row, 0, top - k + 1)
+            elif ca <= top:
+                z_row = _less(z_row, ca - k, top - k + 1)
+            if k <= sq:
+                row = _less(row, 0, sq - k + 1)
+                if db > sq:
+                    z_row = _less(z_row, sq - k + 1, db - k + 1)
+            target[k - 1], z_rows[k - 1] = row, z_row
+        if not all(map(ge, chain(*rM._rows[a - 1:top]), chain(*target[a - 1:top]))):
             raise NotComparable("no final segment of the target can be peeled, "
                                 "which contradicts rank domination")
-        # z_ranks = rM + ranks_of(N) - rN changes on rows a..top alone
-        rows, source, rest = list(z_ranks._rows), rM._rows, rN._rows
-        for i in range(a - 1, top):
-            rows[i] = tuple([x + y - z for x, y, z in zip(source[i], N_rows[i], rest[i])])
-        z_ranks = RankSequence._of_rows(n, rows)
+        rN = RankSequence._of_rows(n, target)
+        z_ranks = RankSequence._of_rows(n, z_rows)
         Z = EpsilonRep(Representation._of_mult(n, _merge(mult, done)), sym)
     steps.append(DegenStep(Z=Z, L=None, support_interval=_support(rM.diagonal()),
                            m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))

@@ -395,12 +395,12 @@ def test_refinement_ranks_once_per_module(monkeypatch):
 
 def test_sym_path_validates_once_per_peel(monkeypatch):
     """Each Z is built from carried counts, so a seeded n = 20 path calls
-    no rep_of and makes one validity decision per peel step: the
-    perpendicular quotient's, on the support block.  validate() runs
-    through the same block check, so counting that check counts every
-    validation."""
-    calls = {"rep_of": 0, "validate": 0}
-    real_rep_of, real_check = rep_of, RankSequence._validate_block
+    no rep_of and makes one validity decision per peel step: the corner
+    check of the staircase step (symdegen._perp_step).  No full
+    validate() pass runs: validate() and rep_of go through
+    RankSequence._validate_block, which the path never calls."""
+    calls = {"rep_of": 0, "validate": 0, "step": 0}
+    real_rep_of, real_check, real_step = rep_of, RankSequence._validate_block, symdegen._perp_step
 
     def counting_rep_of(ranks):
         calls["rep_of"] += 1
@@ -410,13 +410,18 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
         calls["validate"] += 1
         return real_check(self, first, last)
 
+    def counting_step(*args):
+        calls["step"] += 1
+        return real_step(*args)
+
     for module in (core, symdegen):
         monkeypatch.setattr(module, "rep_of", counting_rep_of, raising=False)
     monkeypatch.setattr(RankSequence, "_validate_block", counting_check)
+    monkeypatch.setattr(symdegen, "_perp_step", counting_step)
     start, target = _random_pair(20, 0)
     steps = sym_degeneration_path(start, target)
     assert len(steps) > 5 and steps[-1].Z == target
-    assert calls == {"rep_of": 0, "validate": len(steps) - 1}
+    assert calls == {"rep_of": 0, "validate": 0, "step": len(steps) - 1}
 
 
 def test_sym_path_tables_by_blocks(monkeypatch):
@@ -481,6 +486,117 @@ def test_sym_path_steps_on_support_block():
             assert step.Z.rep == rep_of(step.z_ranks)
 
 
+def _perp_formula(R, q, a, top):
+    """The perpendicular quotient's ranks entry by entry, unchecked: on
+    the block [a, top], r(k, l) drops by [l >= q and r(q, l) <= r(k, l)]
+    plus [k <= sigma(q) and r(k, sigma(q)) <= r(k, l)]."""
+    n = R.n
+    sq = sigma(q, n)
+    rows = R.rows()
+    row_q = rows[q - 1]
+    for k in range(a, top + 1):
+        row = rows[k - 1]
+        # r_{k,sigma(q)} is infinite (no drop) below the diagonal
+        r_k_sq = row[sq - k] if k <= sq else None
+        rows[k - 1] = [
+            value - (1 if l >= q and row_q[l - q] <= value else 0)
+            - (1 if r_k_sq is not None and r_k_sq <= value else 0)
+            for l, value in enumerate(row[:top - k + 1], k)] + row[top - k + 1:]
+    return RankSequence(n, rows)
+
+
+def _perp_reference(R, q, a, top):
+    """_perp_formula's table, validated in full, and its module."""
+    out = _perp_formula(R, q, a, top)
+    out.validate()
+    return out, rep_of(out)
+
+
+def _check_perp_step(R, q, a, top):
+    """The staircase step on R, from R's multiplicities, against the
+    reference: the same rows and multiplicities.  Returns the step's
+    table."""
+    mult = dict(rep_of(R).mult)
+    got = symdegen._perp_step(R, mult, q, a, top)[0]
+    want, module = _perp_reference(R, q, a, top)
+    assert got == want, (R, q)
+    assert mult == module.mult, (R, q)
+    return got
+
+
+def test_perp_step_matches_reference_exhaustive():
+    """Every split-type epsilon module with n = 2..6 and dims entries <= 2,
+    for every q of its support block where U[q, top] embeds: the step's
+    rows and multiplicities are the reference's, and the public
+    perp_quotient_ranks returns the same table."""
+    checked = 0
+    for n in range(2, 7):
+        sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
+        for half in itertools.product(range(3), repeat=(n + 1) // 2):
+            dims = half + half[:n // 2][::-1]
+            for rep in symdegen.epsilon_modules_with_dims(dims, sym):
+                R = ranks_of(rep)
+                span = symdegen._support(R.diagonal())
+                if span is None:
+                    continue
+                a, top = span
+                for q in range(a, top + 1):
+                    if R.r(q, top) - R.r(q, top + 1) <= 0:
+                        continue
+                    got = _check_perp_step(R, q, a, top)
+                    assert perp_quotient_ranks(EpsilonRep(rep, sym), q) == got
+                    checked += 1
+    assert checked == 329
+
+
+def test_perp_step_matches_reference_on_paths():
+    """Seeded paths at n = 15, 18, ..., 63 (odd-neg for odd n, even-pos for
+    even n): at every peel, the step on the remaining source is the
+    reference quotient, and it is the next step's remaining source."""
+    peels = 0
+    for n in range(15, 65, 3):
+        start, target = _random_pair(n, n)
+        steps = sym_degeneration_path(start, target)
+        for here, after in zip(steps, steps[1:]):
+            a, top = here.support_interval
+            got = _check_perp_step(here.m_ranks, here.L[0], a, top)
+            assert got == after.m_ranks
+            peels += 1
+    assert peels == 715
+
+
+def _first_negative_mult(table):
+    """The first (i, j), row by row, where m_{i,j} < 0, or None."""
+    for i in range(1, table.n + 1):
+        for j in range(i, table.n + 1):
+            if (table.r(i, j) - table.r(i, j + 1) - table.r(i - 1, j)
+                    + table.r(i - 1, j + 1)) < 0:
+                return (i, j)
+    return None
+
+
+def test_perp_step_corner_check():
+    """U[2, 4] on n = 5, a valid table that is 0 outside its block [2, 4],
+    found by a brute-force search over the modules with n <= 5 and dims
+    entries <= 2.  It is no epsilon module of the split type (a self-dual
+    segment of odd multiplicity), so no path reaches it.  Peeling U[3, 4] and
+    its reflection U[2, 3] drops row 2 by A on [3, 4] and B on [2, 4],
+    so m_{2,4} becomes -1 at the breakpoint dB_2 = top = 4.  The step
+    raises validate()'s corner-surplus error there, at the reference
+    table's first negative multiplicity; the reference's first bad entry,
+    r[2,3] = -1, is what that negative multiplicity forces."""
+    R = ranks_of(Representation(5, {(2, 4): 1}))
+    with pytest.raises(InvalidRankSequence,
+                       match=r"^corner surplus fails at \(2,4\): "
+                             r"r\[1,4\]-r\[1,5\] > r\[2,4\]-r\[2,5\]$") as info:
+        symdegen._perp_step(R, {(2, 4): 1}, 3, 2, 4)
+    assert info.value.indices == (2, 4)
+    reference = _perp_formula(R, 3, 2, 4)
+    assert _first_negative_mult(reference) == (2, 4)
+    with pytest.raises(InvalidRankSequence, match=r"entry r\[2,3\] is not"):
+        reference.validate()
+
+
 def test_sym_path_matches_perp_quotient_ranks():
     """Seeded pairs at n = 15..31 (odd-neg for odd n, even-pos for even
     n): each step's remaining source is the public perp_quotient_ranks
@@ -511,15 +627,15 @@ def test_peel_label():
 
 def test_choose_peel_errors_propagate(monkeypatch):
     """The one peel of a step is committed or fails: an error from the
-    perpendicular quotient's block validation, a rank-table error
+    staircase step of the perpendicular quotient, a rank-table error
     included, propagates instead of moving on to another segment."""
     em, en = _ex1_pair()
     for error in (ZeroDivisionError("not a rank-table problem"),
                   InvalidRankSequence("bad perpendicular quotient")):
-        def broken(self, first, last, error=error):
+        def broken(*args, error=error):
             raise error
 
-        monkeypatch.setattr(RankSequence, "_validate_block", broken)
+        monkeypatch.setattr(symdegen, "_perp_step", broken)
         with pytest.raises(type(error)):
             sym_degeneration_path(em, en)
 
