@@ -562,25 +562,21 @@ VERBS = {
 }
 
 
-def _build_parser(only=None):
-    """The argparse.ArgumentParser of every verb, or with the subparser of
-    verb `only` alone when given.  Its usage line still lists every verb,
-    so each message the parser can print for a call naming that verb is
-    the same."""
+def _build_parser():
+    """The argparse.ArgumentParser of every verb.  Only calls that
+    _quick_args does not read build it: help, and calls argparse must
+    report an error for."""
     import argparse
     parser = argparse.ArgumentParser(
         prog="sympdeg",
         description="degeneration calculus for type-A quiver "
                     "representations and their symmetric variants")
-    subs = parser.add_subparsers(
-        dest="verb", required=True,
-        metavar=None if only is None else "{%s}" % ",".join(VERBS))
+    subs = parser.add_subparsers(dest="verb", required=True)
     for verb, (func, help_text, arguments) in VERBS.items():
-        if only in (None, verb):
-            sub = subs.add_parser(verb, help=help_text)
-            for name, options in arguments:
-                sub.add_argument(name, **options)
-            sub.set_defaults(func=func)
+        sub = subs.add_parser(verb, help=help_text)
+        for name, options in arguments:
+            sub.add_argument(name, **options)
+        sub.set_defaults(func=func)
     return parser
 
 
@@ -685,11 +681,8 @@ def _quick_args(argv):
 def run(argv) -> int:
     args = _quick_args(argv)
     if args is None:
-        # a call names its verb first; only --help, a missing or an unknown
-        # verb needs the subparsers of every verb
-        parser = _build_parser(argv[0] if argv and argv[0] in VERBS else None)
         try:
-            args = parser.parse_args(argv)
+            args = _build_parser().parse_args(argv)
         except SystemExit as exc:
             return int(exc.code or 0)
     try:

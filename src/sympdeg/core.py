@@ -165,35 +165,18 @@ class RankSequence:
 
         Raises InvalidRankSequence naming the first offending (i, j).
         """
-        self._validate_block(1, self.n)
+        self._validated_mult()
 
-    def _validate_block(self, first: int, last: int) -> Dict[Segment, int]:
-        """validate() on the rows first..last and the columns up to last,
-        reading every entry outside them as 0.  Raises the same
-        InvalidRankSequence, with the same global indices, on the first
-        offending (i, j) of the block; otherwise returns the block's
-        nonzero multiplicities m_{i,j} = r_{i,j} - r_{i,j+1} - r_{i-1,j}
-        + r_{i-1,j+1}: inequality (c) at (i, j) is m_{i,j} >= 0.
-
-        On a table that is 0 outside the block this decides the validity
-        of the whole table.  The inequalities at (i, j) read r_{i,j},
-        r_{i,j+1}, r_{i-1,j} and r_{i-1,j+1} only, so one that reads no
-        block entry compares zeros and holds; one that reads a block entry
-        has first <= i <= last + 1 and j <= last, hence i <= j <= last
-        (row last + 1 starts past column last), which the block covers.
-        A valid table whose diagonal vanishes outside [first, last] is 0
-        outside the block, since r_{i,j} <= r_{i,i} and r_{i,j} <= r_{j,j};
-        a change of block entries alone leaves it so.  m_{i,j} reads the
-        same four entries, so the block then holds all of rep_of's.
-        """
-        # row i padded with r_{i,last+1} = 0, so entry j sits at index j - i;
-        # the whole table takes every row as it is stored
-        rows, whole = self._rows, last == self.n
+    def _validated_mult(self) -> Dict[Segment, int]:
+        """validate(), returning the table's nonzero multiplicities
+        m_{i,j} = r_{i,j} - r_{i,j+1} - r_{i-1,j} + r_{i-1,j+1} read in the
+        same pass: inequality (c) at (i, j) is m_{i,j} >= 0.  Raises
+        validate()'s InvalidRankSequence on the first offending (i, j)."""
         mult: Dict[Segment, int] = {}
-        above = (0,) * (last - first + 2)
-        for i in range(first, last + 1):
-            row = rows[i - 1]
-            here = (row if whole else row[:last - i + 1]) + (0,)
+        # row i padded with r_{i,n+1} = 0, so entry j sits at index j - i
+        above = (0,) * (self.n + 1)
+        for i, row in enumerate(self._rows, 1):
+            here = row + (0,)
             for j, (v, right, up, up_right) in enumerate(
                     zip(here, here[1:], above, above[1:]), i):
                 if type(v) is not int or v < 0:
@@ -311,7 +294,7 @@ def rep_of(ranks: RankSequence) -> Representation:
     invalid table raises validate()'s InvalidRankSequence and a valid one
     gives non-negative multiplicities.
     """
-    return Representation._of_mult(ranks.n, ranks._validate_block(1, ranks.n))
+    return Representation._of_mult(ranks.n, ranks._validated_mult())
 
 
 def dual(rep: Representation) -> Representation:

@@ -9,7 +9,10 @@ path builder that factors an arbitrary degeneration into elementary moves.
 
 Every move application is audited: the rank sequence of the result is
 recomputed from its multiplicities and checked against the input's ranks
-minus the move's predicted entrywise drop.  apply_move computes the
+less one on the move's box (Move._box), the table _predicted_rows
+builds.  That box is the one description of a move's drop: the paired-
+move walk of symdegen tests its candidates with the same predicted
+table its audit then checks.  apply_move computes the
 input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
 computed once.  The move closure (oracle.closure_enumerate) applies a
@@ -70,13 +73,11 @@ class Move(NamedTuple):
                              % (t, s, q, r))
         return cls("shift", t, s, q, r)
 
-    def drops(self) -> frozenset:
-        """The set of rank entries (k, l) this move lowers by one."""
-        k0, k1, l0, l1 = self._box()
-        return frozenset((k, l) for k in range(k0, k1 + 1) for l in range(l0, l1 + 1))
-
     def _box(self) -> Tuple[int, int, int, int]:
-        """drops() as the rectangle (first k, last k, first l, last l)."""
+        """The rank entries r(k, l) this move lowers by one, as the
+        rectangle (first k, last k, first l, last l); every other entry
+        stays.  The one description of a move's drop: _predicted_rows,
+        and through it every audit, reads it."""
         return self.t, self.q - 1, self.q if self.kind == "cut" else self.r + 1, self.s
 
 

@@ -13,9 +13,10 @@ segment L together with its reflection, replacing M by the subquotient
 degeneration and the per-step rank tables are returned for rendering.
 
 sym_move_refinement writes such a pair as paired moves instead, by a walk
-that commits, at each step, the first paired move keeping the result
-above N.  It cannot stall: in the split types the closure of paired moves
-is exactly symmetric rank domination.
+that commits, at each step, the first paired move whose predicted rank
+table, the one its audit checks, stays above N.  It cannot stall: in the
+split types the closure of paired moves is exactly symmetric rank
+domination.
 """
 
 from __future__ import annotations
@@ -26,8 +27,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _corner_surplus_error,
                    _counted_modules, _dims_arg, ranks_of, sigma)
-from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put,
-                    _take, degenerates, single_moves)
+from .degen import (Move, _apply_audited, _dominated_ranks, _merge,
+                    _predicted_rows, _put, _take, degenerates, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -553,14 +554,13 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
 INCONCLUSIVE = object()
 
 
-def _fits(slack: RankSequence, boxes) -> bool:
-    """Is there room in slack for the drops of two moves added together:
-    one at every entry of either box, two where the boxes overlap?"""
-    (a0, a1, b0, b1), (c0, c1, d0, d1) = boxes
-    overlap = (max(a0, c0), min(a1, c1), max(b0, d0), min(b1, d1))
-    return all(min(slack._rows[k - 1][l0 - k:l1 - k + 1], default=need) >= need
-               for (k0, k1, l0, l1), need in ((boxes[0], 1), (boxes[1], 1), (overlap, 2))
-               for k in range(k0, k1 + 1))
+def _predicted(move: SymMove, sym: SymmetricType, before: RankSequence) -> RankSequence:
+    """The rank table move predicts for its output: before less one on the
+    box of each constituent in turn (degen._predicted_rows), the table
+    _apply_sym_audited checks the result's ranks against."""
+    for constituent in move.expand(sym):
+        before = RankSequence._of_rows(before.n, _predicted_rows(constituent, before))
+    return before
 
 
 # budget is accepted and ignored: perfbench/workloads.py still passes it
@@ -568,21 +568,20 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
                         budget=None) -> List[SymMove]:
     """Paired moves taking start to target, by a deterministic walk.
 
-    Each step commits the first sym_moves entry whose two constituents'
-    drops, added together, fit inside ranks(cur) - ranks(target).  In the
-    split types paired moves generate symmetric rank domination, so some
-    entry always fits and the walk cannot stall; each step lowers the
-    ranks, so it ends.  Returns the moves, [] when start equals target;
-    raises MismatchedType, NotSplitType or NotComparable as _split_pair
-    does.
+    Each step commits the first sym_moves entry whose predicted table
+    (_predicted, what the step's audit then checks) still dominates the
+    target's.  In the split types paired moves generate symmetric rank
+    domination, so some entry always does and the walk cannot stall;
+    each step lowers the ranks, so it ends.  Returns the moves, [] when
+    start equals target; raises MismatchedType, NotSplitType or
+    NotComparable as _split_pair does.
     """
     R, tgt = _split_pair(start, target)
 
     cur, moves = start, []
     while cur.rep != target.rep:
-        slack = R.sub(tgt)
         move = next((mv for mv in sym_moves(cur)
-                     if _fits(slack, [m._box() for m in mv.expand(cur.sym)])), None)
+                     if _predicted(mv, cur.sym, R).dominates(tgt)), None)
         if move is None:
             raise NotComparable("no paired move keeps the walk above the target, "
                                 "which contradicts rank domination")

@@ -292,6 +292,31 @@ def test_poset_matches_closure(capsys):
     assert out.count("->") == len(data["edges"])
 
 
+@pytest.mark.parametrize("dims, nodes, edges", [
+    ("2,2,2", 3, 2), ("1,2,2,2,1", 7, 8), ("2,2,2,2,2", 10, 13)])
+def test_poset_edges_are_the_covers(capsys, dims, nodes, edges):
+    """poset's nodes are the epsilon modules of the dims, and its edges
+    the Hasse diagram of sym_degenerates on them: every pair a > b with no
+    node strictly between.  Each order here has pairs that are not
+    covers, which poset must drop."""
+    sym = SymmetricType(len(dims.split(",")), -1)
+    code, out, err = _run(capsys, "poset", "--type", "odd-neg", "--dims", dims)
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    reps = [EpsilonRep(core.rep_from_json(node), sym) for node in data["nodes"]]
+    assert set(reps) == {EpsilonRep(rep, sym) for rep in
+                         symdegen.epsilon_modules_with_dims(data["dims"], sym)}
+    above = {(a, b) for (a, m), (b, t) in itertools.product(enumerate(reps), repeat=2)
+             if a != b and symdegen.sym_degenerates(m, t)}
+    covers = {(a, b) for a, b in above
+              if not any((a, c) in above and (c, b) in above for c in range(len(reps)))}
+    assert (len(reps), len(covers)) == (nodes, edges) and len(above) > edges
+    assert sorted(map(tuple, data["edges"])) == sorted(covers)
+    code, out, err = _run(capsys, "poset", "--type", "odd-neg", "--dims", dims, "--dot")
+    assert (code, err) == (0, "")
+    assert out.count("->") == edges
+
+
 def test_oracle_verify(capsys):
     code, out, _ = _run(capsys, "oracle-verify", "--seed", "3",
                         "--budget", "10")
@@ -352,6 +377,37 @@ def _malformed(tmp_path, capsys, verb, obj, *args):
     assert out == "" and err.count("\n") == 1, err
     assert err.startswith("MalformedInput: "), err
     return code, err
+
+
+_FILE_FLAGS = ("--rep", "--m", "--n")
+_FILE_VERBS = [verb for verb, (_, _, arguments) in cli.VERBS.items()
+               if any(name in _FILE_FLAGS for name, _ in arguments)]
+
+
+@pytest.mark.parametrize("verb", _FILE_VERBS)
+def test_malformed_json_on_every_file_verb(tmp_path, capsys, verb):
+    """Given as every file it reads, text that is not JSON, a top-level
+    list, {}, JSON nested 1,000 deep and fields of the wrong JSON type
+    make a verb exit 1 (a ValueError of the decoder) or 2 (MalformedInput)
+    with one stderr line and no stdout, never a traceback."""
+    assert len(_FILE_VERBS) == 13
+    inputs = [("{not json", 1), ("[5, []]", 2), ("{}", 2),
+              ("[" * 1000 + "]" * 1000, 1),
+              (json.dumps({"n": "3", "mult": {}, "rows": 1, "entries": "x"}), 2)]
+    for text, want in inputs:
+        path = tmp_path / "in.json"
+        path.write_text(text)
+        argv = [verb]
+        for name, options in cli.VERBS[verb][2]:
+            if name in _FILE_FLAGS:
+                argv += [name, str(path)]
+            elif "choices" in options:
+                argv += [name, options["choices"][0]]
+            elif not name.startswith("-") and options.get("nargs") != "?":
+                argv += ["3"]
+        code, out, err = _run(capsys, *argv)
+        assert (code, out) == (want, ""), (argv, text[:20], err)
+        assert err.count("\n") == 1 and err.endswith("\n"), err
 
 
 def test_malformed_top_level_list(tmp_path, capsys):
@@ -853,8 +909,8 @@ def test_every_verb_takes_the_quick_path(verb):
     ["pbw-fixed-points", "4", "1", "--lis", "x"], ["poset", "--type", "odd"],
 ])
 def test_parser_messages_match_the_full_parser(argv, capsys):
-    """run() builds the chosen verb's subparser alone; whatever the parser
-    prints and exits with is what the parser of every verb gives."""
+    """A call _quick_args does not read goes to the full parser: run()
+    prints and returns what that parser prints and exits with."""
     try:
         cli._build_parser().parse_args(argv)
         code = None

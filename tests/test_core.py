@@ -430,9 +430,9 @@ def test_modules_with_dims_deep_search():
 
 @st.composite
 def blocked_tables(draw):
-    """(a, b, table): the ranks of a module supported in [a, b], so 0
-    outside rows a..b and columns up to b, with up to four block entries
-    moved by -2..2 or replaced by a value that is not a non-negative int."""
+    """The ranks of a module supported in a block [a, b], so 0 outside
+    rows a..b and columns up to b, with up to four block entries moved
+    by -2..2 or replaced by a value that is not a non-negative int."""
     n = draw(st.integers(1, 9))
     a = draw(st.integers(1, n))
     b = draw(st.integers(a, n))
@@ -446,7 +446,7 @@ def blocked_tables(draw):
         rows[i - 1][j - i] = draw(st.one_of(
             st.integers(-2, 2).map(lambda d: rows[i - 1][j - i] + d),
             st.sampled_from([True, 0.5, -1])))
-    return a, b, RankSequence(n, rows)
+    return RankSequence(n, rows)
 
 
 def _verdict(check):
@@ -457,14 +457,14 @@ def _verdict(check):
     return None
 
 
-def _check_block_reader(a, b, table):
-    """The block check and rep_of give validate()'s verdict; on a valid
-    table the block's multiplicities are rep_of's and rebuild the table."""
+def _check_reader(table):
+    """The reader and rep_of give validate()'s verdict; on a valid table
+    the reader's multiplicities are rep_of's and rebuild the table."""
     verdict = _verdict(table.validate)
-    assert _verdict(lambda: table._validate_block(a, b)) == verdict
+    assert _verdict(table._validated_mult) == verdict
     assert _verdict(lambda: rep_of(table)) == verdict
     if verdict is None:
-        mult = table._validate_block(a, b)
+        mult = table._validated_mult()
         assert ranks_of(Representation(table.n, mult)) == table
         assert mult == rep_of(table).mult
     return verdict
@@ -472,19 +472,20 @@ def _check_block_reader(a, b, table):
 
 @given(blocked_tables())
 @settings(max_examples=400)
-def test_validate_block_matches_validate(case):
-    """On a table that is 0 outside rows a..b and columns up to b, the
-    block check and rep_of raise exactly when validate() does, with the
-    same indices and message; otherwise the block check returns the
-    multiplicities of rep_of, whose ranks are the table again."""
-    _check_block_reader(*case)
+def test_validated_mult_matches_validate(table):
+    """On a table that is 0 outside a block, with some block entries
+    changed, the reader (RankSequence._validated_mult) and rep_of raise
+    exactly when validate() does, with the same indices and message;
+    otherwise the reader returns the multiplicities of rep_of, whose
+    ranks are the table again."""
+    _check_reader(table)
 
 
-def test_validate_block_seeded_verdicts():
+def test_validated_mult_seeded_verdicts():
     """Seeded blocked tables with one block entry moved by one reach a
     valid table and each of the three inequalities, with the same
-    verdict from the block check and rep_of as from validate(), and the
-    multiplicities of rep_of from the block check on a valid table."""
+    verdict from the reader and rep_of as from validate(), and the
+    multiplicities of rep_of from the reader on a valid table."""
     rng = random.Random(5)
     kinds = set()
     for _ in range(600):
@@ -496,7 +497,7 @@ def test_validate_block_seeded_verdicts():
         i = rng.randint(a, b)
         j = rng.randint(i, b)
         rows[i - 1][j - i] += rng.choice((-1, 1))
-        got = _check_block_reader(a, b, RankSequence(n, rows))
+        got = _check_reader(RankSequence(n, rows))
         kinds.add(got and next(k for k in ("corner", "<", ">") if k in got[1]))
     assert kinds == {None, "<", ">", "corner"}
 

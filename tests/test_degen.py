@@ -68,10 +68,18 @@ def test_move_rejects_bools_and_floats(make, args):
 
 
 def test_move_drops():
-    cut = Move.cut(1, 3, 2)
-    assert cut.drops() == frozenset({(1, 2), (1, 3)})
-    shift = Move.shift(1, 4, 2, 3)
-    assert shift.drops() == frozenset({(1, 4)})
+    """A move lowers the ranks by one on its box (Move._box), the entries
+    (1, 2) and (1, 3) for the cut and (1, 4) for the shift, and nowhere
+    else."""
+    for move, rep, box in (
+            (Move.cut(1, 3, 2), Representation(3, {(1, 3): 1}), (1, 1, 2, 3)),
+            (Move.shift(1, 4, 2, 3), Representation(4, {(1, 4): 1, (2, 3): 1}),
+             (1, 1, 4, 4))):
+        assert move._box() == box
+        drop = ranks_of(rep).sub(ranks_of(apply_move(rep, move)))
+        k0, k1, l0, l1 = box
+        assert {(k, l): v for k, l, v in drop.entries() if v} == {
+            (k, l): 1 for k in range(k0, k1 + 1) for l in range(l0, l1 + 1)}
 
 
 def test_apply_cut():

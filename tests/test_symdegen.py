@@ -5,13 +5,13 @@ import random
 
 import pytest
 
-from sympdeg import core, degen, symdegen
+from sympdeg import cli, core, degen, symdegen
 from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
 from sympdeg.degen import Move
 from sympdeg.errors import (
     InvalidRankSequence, MismatchedQuiver, MismatchedType,
-    NoEmbedding, NotComparable, NotEpsilon, NotSplitType,
+    NoEmbedding, NotComparable, NotEpsilon, NotSplitType, SympdegError,
 )
 from sympdeg.symdegen import (
     SYM_AUDIT, EpsilonRep, SymMove, SymmetricType,
@@ -374,6 +374,95 @@ def test_refinement_seeded(n):
             assert len(moves) == 10
 
 
+def _fits(slack, boxes):
+    """Is there room in slack for the drops of two moves added together:
+    one at every entry of either box, two where the boxes overlap?"""
+    (a0, a1, b0, b1), (c0, c1, d0, d1) = boxes
+    overlap = (max(a0, c0), min(a1, c1), max(b0, d0), min(b1, d1))
+    return all(min(slack._rows[k - 1][l0 - k:l1 - k + 1], default=need) >= need
+               for (k0, k1, l0, l1), need in ((boxes[0], 1), (boxes[1], 1), (overlap, 2))
+               for k in range(k0, k1 + 1))
+
+
+def _reference_refinement(start, target):
+    """The walk by a slack test: each step commits the first sym_moves
+    entry whose two constituents' boxes, added together, fit inside
+    ranks(cur) - ranks(target)."""
+    R, tgt = symdegen._split_pair(start, target)
+    cur, moves = start, []
+    while cur.rep != target.rep:
+        slack = R.sub(tgt)
+        move = next((mv for mv in symdegen.sym_moves(cur)
+                     if _fits(slack, [m._box() for m in mv.expand(cur.sym)])), None)
+        if move is None:
+            raise NotComparable("no paired move fits")
+        cur = apply_sym_move(cur, move)
+        R = ranks_of(cur.rep)
+        moves.append(move)
+    return moves
+
+
+def _walk_outcome(walk, start, target):
+    """The moves of walk(start, target), or the class of its error."""
+    try:
+        return walk(start, target)
+    except SympdegError as exc:
+        return type(exc)
+
+
+def test_refinement_matches_reference_exhaustive():
+    """On every ordered pair of split-type epsilon modules with one
+    dimension vector, n <= 6 and entries <= 2, the walk gives the
+    reference walk's moves, or raises the same error class."""
+    pairs = moves = 0
+    for n in range(1, 7):
+        sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
+        for half in itertools.product(range(3), repeat=(n + 1) // 2):
+            dims = half + half[:n // 2][::-1]
+            ereps = [EpsilonRep(rep, sym)
+                     for rep in symdegen.epsilon_modules_with_dims(dims, sym)]
+            for m, target in itertools.product(ereps, repeat=2):
+                got = _walk_outcome(sym_move_refinement, m, target)
+                assert got == _walk_outcome(_reference_refinement, m, target), (m, target)
+                pairs += 1
+                moves += len(got) if isinstance(got, list) else 0
+    assert (pairs, moves) == (1247, 591)
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_refinement_matches_reference_seeded(n):
+    """Seeded odd-neg pairs, in both orders: the walk's moves are the
+    reference walk's, and the reversed pair raises NotComparable in
+    both."""
+    for seed in range(12):
+        start, target = _random_pair(n, seed)
+        assert start != target
+        for pair in ((start, target), (target, start)):
+            assert _walk_outcome(sym_move_refinement, *pair) == \
+                _walk_outcome(_reference_refinement, *pair), (n, seed)
+        assert _walk_outcome(sym_move_refinement, target, start) is NotComparable
+
+
+def test_sym_moves_stdout_matches_reference(tmp_path, capsys, monkeypatch):
+    """sympdeg sym-moves prints, byte for byte, what it prints with the
+    reference walk in place of sym_move_refinement, on seeded pairs of
+    both split types."""
+    for n, seed in ((6, 0), (7, 1), (9, 2), (12, 3)):
+        start, target = _random_pair(n, seed)
+        argv = ["sym-moves", "--type", cli._type_name(start.sym)]
+        for flag, erep in (("--m", start), ("--n", target)):
+            path = tmp_path / ("%s.json" % flag[2:])
+            path.write_text(json.dumps(core.rep_to_json(erep.rep)))
+            argv += [flag, str(path)]
+        runs = []
+        for walk in (sym_move_refinement, _reference_refinement):
+            monkeypatch.setattr(symdegen, "sym_move_refinement", walk)
+            assert cli.run(argv) == 0
+            runs.append(capsys.readouterr())
+        assert runs[0] == runs[1], (n, seed)
+        assert runs[0].err == "" and json.loads(runs[0].out)["moves"]
+
+
 def test_refinement_ranks_once_per_module(monkeypatch):
     """The walk carries rank tables: one ranks_of for the start and one
     for the target, then the audit's one per constituent move."""
@@ -398,17 +487,17 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
     no rep_of and makes one validity decision per peel step: the corner
     check of the staircase step (symdegen._perp_step).  No full
     validate() pass runs: validate() and rep_of go through
-    RankSequence._validate_block, which the path never calls."""
+    RankSequence._validated_mult, which the path never calls."""
     calls = {"rep_of": 0, "validate": 0, "step": 0}
-    real_rep_of, real_check, real_step = rep_of, RankSequence._validate_block, symdegen._perp_step
+    real_rep_of, real_check, real_step = rep_of, RankSequence._validated_mult, symdegen._perp_step
 
     def counting_rep_of(ranks):
         calls["rep_of"] += 1
         return real_rep_of(ranks)
 
-    def counting_check(self, first, last):
+    def counting_check(self):
         calls["validate"] += 1
-        return real_check(self, first, last)
+        return real_check(self)
 
     def counting_step(*args):
         calls["step"] += 1
@@ -416,7 +505,7 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
 
     for module in (core, symdegen):
         monkeypatch.setattr(module, "rep_of", counting_rep_of, raising=False)
-    monkeypatch.setattr(RankSequence, "_validate_block", counting_check)
+    monkeypatch.setattr(RankSequence, "_validated_mult", counting_check)
     monkeypatch.setattr(symdegen, "_perp_step", counting_step)
     start, target = _random_pair(20, 0)
     steps = sym_degeneration_path(start, target)
