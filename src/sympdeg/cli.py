@@ -182,22 +182,21 @@ def _matrix_lines(ranks: core.RankSequence, width: int) -> List[str]:
 
 
 def _render_sym_path(steps: List[symdegen.DegenStep], n: int) -> str:
+    tables = [(step.m_ranks, step.n_ranks, core.ranks_of(step.Z.rep)) for step in steps]
     width = 1
-    for step in steps:
-        for ranks in (step.m_ranks, step.n_ranks, step.z_ranks):
-            for row in ranks.rows():
-                for x in row:
-                    width = max(width, len(str(x)))
+    for ranks in itertools.chain.from_iterable(tables):
+        for row in ranks.rows():
+            for x in row:
+                width = max(width, len(str(x)))
     out: List[str] = []
-    for index, step in enumerate(steps):
+    for index, (step, table) in enumerate(zip(steps, tables)):
         if step.L is None:
             out.append("== step %d: terminal ==" % index)
         else:
             a, b = step.support_interval
             out.append("== step %d: peel %s on [%d, %d] =="
                        % (index, symdegen.peel_label(step.L, n), a, b))
-        for label, ranks in (("M", step.m_ranks), ("N", step.n_ranks),
-                             ("Z", step.z_ranks)):
+        for label, ranks in zip("MNZ", table):
             out.append("%s(%d):" % (label, index))
             out.extend(" " + line for line in _matrix_lines(ranks, width))
     return "\n".join(out) + "\n"
@@ -329,7 +328,7 @@ def _cmd_sym_path(args) -> int:
             "support": step.support_interval,
             "m_ranks": core.ranks_to_json(step.m_ranks),
             "n_ranks": core.ranks_to_json(step.n_ranks),
-            "z_ranks": core.ranks_to_json(step.z_ranks),
+            "z_ranks": core.ranks_to_json(core.ranks_of(step.Z.rep)),
         } for index, step in enumerate(steps)],
     })
     return 0

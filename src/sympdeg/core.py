@@ -37,8 +37,7 @@ class Representation:
     isomorphism (multiplicity maps agree).
     """
 
-    # _hash is set by the first __hash__ call, so unhashed modules pay nothing
-    __slots__ = ("n", "mult", "_hash")
+    __slots__ = ("n", "mult")
 
     def __init__(self, n: int, mult: Dict[Segment, int] | None = None):
         if type(n) is not int or n < 1:
@@ -59,8 +58,7 @@ class Representation:
         """Wrap a multiplicity map built inside the package, unchecked.
 
         Every segment must lie in 1..n and every count be a positive int;
-        the map is taken over, so the caller must not change it later
-        (the hash, once computed, is kept).
+        the map is taken over, so the caller must not change it later.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "n", n)
@@ -80,12 +78,7 @@ class Representation:
                 and self.n == other.n and self.mult == other.mult)
 
     def __hash__(self):
-        # getattr with a default: a first hash raises no AttributeError
-        h = getattr(self, "_hash", None)
-        if h is None:
-            h = hash((self.n, frozenset(self.mult.items())))
-            object.__setattr__(self, "_hash", h)
-        return h
+        return hash((self.n, frozenset(self.mult.items())))
 
     def segments(self) -> Iterator[Tuple[Segment, int]]:
         return iter(sorted(self.mult.items()))

@@ -249,11 +249,11 @@ def realize_epsilon_form(erep) -> Tuple[MatrixRealization, Dict[int, list]]:
                 # mirror side, forced by epsilon-symmetry of the pairing
                 forms[spos][index_at[spos - 1][(part, spos)]][index_at[pos - 1][(prim, pos)]] = eps * sign
 
-    _check_epsilon_form(real, forms, instances, sym)
+    _check_epsilon_form(real, forms, sym)
     return real, forms
 
 
-def _check_epsilon_form(real, forms, instances, sym):
+def _check_epsilon_form(real, forms, sym):
     n = real.n
     eps = sym.epsilon
     # non-degeneracy and epsilon-symmetry: B_{sigma(v)} = eps * B_v^T

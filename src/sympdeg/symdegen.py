@@ -312,12 +312,11 @@ def _less(row: Tuple[int, ...], start: int, stop: int) -> Tuple[int, ...]:
 
 
 def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
-               top: int) -> Tuple[RankSequence, List[Tuple[int, int]]]:
+               top: int) -> RankSequence:
     """Ranks of (generic isotropic U[q, top])^perp / U[q, top], where R is
     a valid table, 0 outside its symmetric support block [a, top], and
     mult holds R's multiplicities.  mult is updated in place to the
-    quotient's; the staircase (cA_k, dB_k) of each block row k is
-    returned with the quotient.
+    quotient's.
 
     With sq = sigma(q), the quotient lowers r(k, l) on the block by A + B,
     A = [l >= q and r(q, l) <= r(k, l)] and B = [k <= sq and r(k, sq) <=
@@ -349,7 +348,6 @@ def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
     rows = R._rows
     row_q = rows[q - 1]
     out = list(rows)
-    stairs = []
     cA, dB = top + 1, top
     # row k - 1 of the quotient padded with zeros, and the staircase key of
     # its drop: rows with equal keys drop alike on columns k..top
@@ -373,7 +371,6 @@ def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
         if ca <= top:
             new = _less(new, ca - k, top - k + 1)
         out[k - 1] = new
-        stairs.append((ca, db))
         here, key = new + (0,), (ca if k < q else 0, db if k <= sq else 0)
         if key != key_above:
             # the columns where row k's or row k - 1's drop changes
@@ -392,7 +389,7 @@ def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
                 else:
                     mult.pop((k, l), None)
         above, key_above = here, key
-    return RankSequence._of_rows(n, out), stairs
+    return RankSequence._of_rows(n, out)
 
 
 def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
@@ -420,7 +417,7 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
     if R.r(q, top) - R.r(q, top + 1) <= 0:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, top, erep.rep))
 
-    out = _perp_step(R, dict(erep.rep.mult), q, a, top)[0]
+    out = _perp_step(R, dict(erep.rep.mult), q, a, top)
     sq = sigma(q, n)
     for k in range(1, n + 1):
         want = (R.r(k, k) - (1 if q <= k <= top else 0)
@@ -438,12 +435,12 @@ class DegenStep(NamedTuple):
     """One stage of a symmetric degeneration sequence.
 
     Z is the epsilon-representation reached so far (Z of the first step
-    is M itself, Z of the last is N).  L is the final segment peeled off
-    at this stage, None on the terminal step.  support_interval is the
-    symmetric support block of the remaining pair, None once everything
-    is peeled away.  m_ranks / n_ranks are the rank tables of the
-    remaining source and target, z_ranks the table of Z; all three are
-    in global coordinates.
+    is M itself, Z of the last is N); its rank table is ranks_of(Z.rep).
+    L is the final segment peeled off at this stage, None on the
+    terminal step.  support_interval is the symmetric support block of
+    the remaining pair, None once everything is peeled away.  m_ranks /
+    n_ranks are the rank tables of the remaining source and target, in
+    global coordinates.
     """
 
     Z: "EpsilonRep"
@@ -451,7 +448,6 @@ class DegenStep(NamedTuple):
     support_interval: Optional[Tuple[int, int]]
     m_ranks: RankSequence
     n_ranks: RankSequence
-    z_ranks: RankSequence
 
 
 def peel_label(seg: Segment, n: int) -> str:
@@ -485,20 +481,15 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     recomputes them only at the columns where the drop changes, raising
     InvalidRankSequence on a negative one: every other multiplicity is
     the source's, so that corner check decides validity of the whole
-    table.  A second pass over rows a..top takes the blocks of L and its
-    reflection off the target and lowers z_ranks (below), by slices too,
-    and domination is checked on those rows only.
+    table.  The blocks of L and its reflection come off the target
+    (RankSequence._less_segment), and domination is checked on rows
+    a..top only.
 
     The loop carries only the ranks of the remaining pair, the target's
     multiplicities still to peel (L is chosen from them), the source's
-    and the multiplicities peeled so far.  z_ranks, the source's ranks
-    plus the peeled part's (ranks_of(N) less the remaining target's),
-    loses the quotient's drop less the two peeled blocks: on rows k < q
-    over [cA_k, top], and on rows k <= sigma(q) over (sigma(q), dB_k].
-    Z is M on the first step; each later Z is the source's
-    multiplicities plus the peeled ones, exactly the module of z_ranks
-    as multiplicities are linear in ranks.  A step builds no module for
-    L and builds or checks no row outside a..top.
+    and the multiplicities peeled so far.  Z is M on the first step;
+    each later Z is the source's multiplicities plus the peeled ones.  A
+    step builds no module for L and checks no row outside a..top.
 
     Returns the list of steps, terminal step included.  Raises
     MismatchedType, NotSplitType or NotComparable as _split_pair does.
@@ -508,7 +499,7 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     n = sym.n
     # the source's multiplicities, the target's still to peel, those peeled
     mult, tgt, done = dict(M.rep.mult), dict(N.rep.mult), {}
-    Z, z_ranks = M, rM
+    Z = M
     steps: List[DegenStep] = []
     while rM != rN:
         span = a, top = _support(rM.diagonal())
@@ -516,35 +507,22 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
         finals = {i: tgt[(i, top)] for i in range(a, top + 1) if (i, top) in tgt}
         q = max([i for i, m in finals.items() if m % 2] or finals)
         steps.append(DegenStep(Z=Z, L=(q, top), support_interval=span,
-                               m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
+                               m_ranks=rM, n_ranks=rN))
         sq = sigma(q, n)
-        rM, stairs = _perp_step(rM, mult, q, a, top)
+        rM = _perp_step(rM, mult, q, a, top)
         # L and its reflection come off one by one: a self-dual L comes off
         # twice.  rN stays N less some of its summands, so it needs no
         # validation
         for block in ((q, top), (a, sq)):
             _take(tgt, block)
             _put(done, block)
-        target, z_rows = list(rN._rows), list(z_ranks._rows)
-        for k, (ca, db) in enumerate(stairs, a):
-            row, z_row = target[k - 1], z_rows[k - 1]
-            if k >= q:
-                row = _less(row, 0, top - k + 1)
-            elif ca <= top:
-                z_row = _less(z_row, ca - k, top - k + 1)
-            if k <= sq:
-                row = _less(row, 0, sq - k + 1)
-                if db > sq:
-                    z_row = _less(z_row, sq - k + 1, db - k + 1)
-            target[k - 1], z_rows[k - 1] = row, z_row
-        if not all(map(ge, chain(*rM._rows[a - 1:top]), chain(*target[a - 1:top]))):
+        rN = rN._less_segment(q, top)._less_segment(a, sq)
+        if not all(map(ge, chain(*rM._rows[a - 1:top]), chain(*rN._rows[a - 1:top]))):
             raise NotComparable("no final segment of the target can be peeled, "
                                 "which contradicts rank domination")
-        rN = RankSequence._of_rows(n, target)
-        z_ranks = RankSequence._of_rows(n, z_rows)
         Z = EpsilonRep(Representation._of_mult(n, _merge(mult, done)), sym)
     steps.append(DegenStep(Z=Z, L=None, support_interval=_support(rM.diagonal()),
-                           m_ranks=rM, n_ranks=rN, z_ranks=z_ranks))
+                           m_ranks=rM, n_ranks=rN))
     return steps
 
 

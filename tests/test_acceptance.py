@@ -95,7 +95,7 @@ def _golden_walk_one():
     for idx, step in enumerate(steps):
         assert step.m_ranks.rows() == EX1_TABLE["M"][idx]
         assert step.n_ranks.rows() == EX1_TABLE["N"][idx]
-        assert step.z_ranks.rows() == EX1_TABLE["Z"][idx]
+        assert ranks_of(step.Z.rep).rows() == EX1_TABLE["Z"][idx]
 
 
 def _golden_walk_two():

@@ -529,21 +529,18 @@ def test_unchecked_constructor_matches_checked():
         Representation(3, {(2, 4): 1})
 
 
-def test_representation_hash_is_cached_and_consistent():
-    """The hash is computed on the first hash() call and kept, and every
-    constructor and insertion order gives equal modules equal hashes."""
+def test_representation_hash_is_consistent():
+    """Every constructor and insertion order gives equal modules equal
+    hashes, and a module hashes the same on every call."""
     mult = {(1, 2): 2, (3, 4): 1, (2, 2): 3}
     reps = [Representation(4, mult),
             Representation(4, dict(reversed(mult.items()))),
             Representation(4, {(1, 4): 0, **mult, (2, 3): 0}),
             Representation._of_mult(4, dict(mult)),
             Representation._of_mult(4, dict(sorted(mult.items())))]
-    # no constructor computes the hash
-    assert not any(hasattr(rep, "_hash") for rep in reps)
     hashes = [hash(rep) for rep in reps]
     assert len(set(hashes)) == 1
     assert [hash(rep) for rep in reps] == hashes
-    assert all(rep._hash == hashes[0] for rep in reps)
     assert all(a == b for a in reps for b in reps)
     assert len(set(reps)) == 1
     # a module first hashed inside a set finds its equal already there

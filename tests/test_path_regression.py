@@ -14,7 +14,7 @@ import hashlib
 import json
 import random
 
-from sympdeg.core import Representation, sigma
+from sympdeg.core import Representation, ranks_of, sigma
 from sympdeg.degen import apply_move, degeneration_path, single_moves
 from sympdeg.errors import SympdegError
 from sympdeg.symdegen import (EpsilonRep, SymmetricType, apply_sym_move,
@@ -94,7 +94,7 @@ def symmetric_records():
         steps = sym_degeneration_path(M, N)
         out.append([M.rep.n, sorted(M.rep.mult.items()), sorted(N.rep.mult.items()),
                     [[sorted(step.Z.rep.mult.items()), step.L, step.support_interval,
-                      step.m_ranks.rows(), step.n_ranks.rows(), step.z_ranks.rows()]
+                      step.m_ranks.rows(), step.n_ranks.rows(), ranks_of(step.Z.rep).rows()]
                      for step in steps]])
     return out
 

@@ -126,3 +126,35 @@ def test_collector_switch_in_one_place():
                     found.append("%s gc.%s" % (where, node.attr))
     assert sorted(found) == ["pbw._collector_paused gc.disable",
                              "pbw._collector_paused gc.enable"]
+
+
+def test_every_parameter_is_read():
+    """Every parameter of every function and lambda of the package is read
+    in its body, so no argument is accepted only to be dropped.  Exempt
+    are a method's receiver (self or cls), the parameters a protocol
+    fixes (__setattr__'s name and value, __exit__'s exc_info) and
+    sym_move_refinement's budget, which perfbench/workloads.py passes."""
+    exempt = {("__setattr__", "name"), ("__setattr__", "value"),
+              ("__exit__", "exc_info"), ("sym_move_refinement", "budget")}
+    package = pathlib.Path(sympdeg.__file__).parent
+    found = []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        methods = {id(node) for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                   for node in cls.body if isinstance(node, ast.FunctionDef)
+                   and not any(ast.unparse(d) == "staticmethod" for d in node.decorator_list)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            args = node.args
+            params = args.posonlyargs + args.args + args.kwonlyargs
+            params += [p for p in (args.vararg, args.kwarg) if p]
+            if id(node) in methods:
+                params = params[1:]
+            name = getattr(node, "name", "<lambda>")
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {sub.id for stmt in body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            found += ["%s:%d %s(%s)" % (path.name, node.lineno, name, p.arg) for p in params
+                      if p.arg not in read and (name, p.arg) not in exempt]
+    assert found == []

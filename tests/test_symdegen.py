@@ -173,8 +173,8 @@ def test_golden_walk_one():
             steps, EX1_M_ROWS, EX1_N_ROWSEQ, EX1_Z_ROWS):
         assert step.m_ranks.rows() == m_rows
         assert step.n_ranks.rows() == n_rows
-        assert step.z_ranks.rows() == z_rows
-    assert steps[-1].z_ranks == ranks_of(en.rep)
+        assert ranks_of(step.Z.rep).rows() == z_rows
+    assert steps[-1].Z == en
 
 
 def test_golden_walk_two():
@@ -186,7 +186,7 @@ def test_golden_walk_two():
     for step, m_rows, n_rows in zip(steps, EX2_M_ROWS, EX2_N_ROWS):
         assert step.m_ranks.rows() == m_rows
         assert step.n_ranks.rows() == n_rows
-    assert steps[-1].z_ranks == ranks_of(en.rep)
+    assert steps[-1].Z == en
 
 
 def test_perp_quotient_golden_step():
@@ -463,6 +463,30 @@ def test_sym_moves_stdout_matches_reference(tmp_path, capsys, monkeypatch):
         assert runs[0].err == "" and json.loads(runs[0].out)["moves"]
 
 
+SYM_PATH_STDOUT_DIGEST = "3addbbb7b726413c236a7e4d979be656ab361d07290587ab16bdf7b993fefb93"
+
+
+def test_sym_path_stdout_pinned(tmp_path, capsys):
+    """sympdeg sym-path prints, byte for byte, the pinned JSON and --table
+    output on seeded pairs of both split types (odd-neg n = 9, 15, 21
+    and even-pos n = 16, three pairs each)."""
+    digest = hashlib.sha256()
+    for n in (9, 15, 16, 21):
+        for seed in range(3):
+            start, target = _random_pair(n, seed)
+            argv = ["sym-path", "--type", cli._type_name(start.sym)]
+            for flag, erep in (("--m", start), ("--n", target)):
+                path = tmp_path / ("%s.json" % flag[2:])
+                path.write_text(json.dumps(core.rep_to_json(erep.rep)))
+                argv += [flag, str(path)]
+            for extra in ([], ["--table"]):
+                assert cli.run(argv + extra) == 0
+                out, err = capsys.readouterr()
+                assert err == "", (n, seed, extra)
+                digest.update(out.encode())
+    assert digest.hexdigest() == SYM_PATH_STDOUT_DIGEST
+
+
 def test_refinement_ranks_once_per_module(monkeypatch):
     """The walk carries rank tables: one ranks_of for the start and one
     for the target, then the audit's one per constituent move."""
@@ -516,8 +540,7 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
 def test_sym_path_tables_by_blocks(monkeypatch):
     """A seeded odd-neg n = 31 path computes ranks only for M and N and
     never subtracts whole tables: each step updates the target by the
-    blocks of L and its reflection, and z_ranks on the rows of the
-    support block."""
+    blocks of L and its reflection."""
     calls = {"ranks_of": 0, "sub": 0}
     real_sub = RankSequence.sub
 
@@ -553,7 +576,6 @@ def test_sym_path_scale(n, seed):
     for step in steps:
         assert is_epsilon_rep(step.Z.rep, start.sym)
         here = ranks_of(step.Z.rep)
-        assert step.z_ranks == here
         assert here.diagonal() == before.diagonal()
         assert before.dominates(here)
         before = here
@@ -562,8 +584,7 @@ def test_sym_path_scale(n, seed):
 def test_sym_path_steps_on_support_block():
     """Seeded paths at n = 15, 22, ..., 64 (odd-neg for odd n, even-pos
     for even n): each step's remaining source and target are 0 outside
-    its support block, and each Z, built from carried counts, is the
-    module of its z_ranks."""
+    its support block."""
     for n in range(15, 65, 7):
         start, target = _random_pair(n, n)
         steps = sym_degeneration_path(start, target)
@@ -572,7 +593,6 @@ def test_sym_path_steps_on_support_block():
             a, top = step.support_interval or (1, 0)
             for table in (step.m_ranks, step.n_ranks):
                 assert all(a <= i <= j <= top for i, j, v in table.entries() if v)
-            assert step.Z.rep == rep_of(step.z_ranks)
 
 
 def _perp_formula(R, q, a, top):
@@ -606,7 +626,7 @@ def _check_perp_step(R, q, a, top):
     reference: the same rows and multiplicities.  Returns the step's
     table."""
     mult = dict(rep_of(R).mult)
-    got = symdegen._perp_step(R, mult, q, a, top)[0]
+    got = symdegen._perp_step(R, mult, q, a, top)
     want, module = _perp_reference(R, q, a, top)
     assert got == want, (R, q)
     assert mult == module.mult, (R, q)
@@ -706,6 +726,35 @@ def test_sym_audit():
     assert SYM_AUDIT["applied"] == 1
     assert SYM_AUDIT["violations"] == 0
     reset_sym_audit()
+
+
+def test_sym_audit_counts_violation(monkeypatch):
+    """Constituents that are not a reflection pair leave a module of the
+    wrong type: _apply_sym_audited raises NotEpsilon and counts a
+    violation, not a verified move."""
+    reset_sym_audit()
+    erep = EpsilonRep(Representation(3, {(1, 3): 2}), SymmetricType(3, -1))
+    # the same cut twice leaves U[1,1]^2 + U[2,3]^2, without U[3,3] or U[1,2]
+    monkeypatch.setattr(SymMove, "expand",
+                        lambda self, sym: (Move.cut(1, 3, 2), Move.cut(1, 3, 2)))
+    with pytest.raises(NotEpsilon):
+        apply_sym_move(erep, SymMove.symcut(1, 3, 1))
+    assert SYM_AUDIT == {"applied": 1, "verified": 0, "violations": 1}
+    reset_sym_audit()
+
+
+def test_stalled_sym_peel_raises_not_comparable(monkeypatch):
+    """A quotient that stops dominating the rest of the target is not
+    committed: the peel's guard raises NotComparable."""
+    real = symdegen._perp_step
+
+    def short(R, mult, q, a, top):
+        # the quotient one lower at r(a, a), where dimensions must agree
+        return real(R, mult, q, a, top)._less_segment(a, a)
+
+    monkeypatch.setattr(symdegen, "_perp_step", short)
+    with pytest.raises(NotComparable, match="no final segment of the target"):
+        sym_degeneration_path(*_ex1_pair())
 
 
 def test_peel_label():
