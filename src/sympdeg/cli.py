@@ -579,31 +579,6 @@ def _build_parser():
     return parser
 
 
-# the add_argument keywords _quick_args reads, by kind of argument: a
-# positional, a positional with nargs="?" and a string default, a flag
-# taking one value, and a store_true flag
-_PLAIN_KEYWORDS = {
-    "positional": {"type", "help"},
-    "optional": {"nargs", "default", "type", "help"},
-    "flag": {"required", "choices", "type", "default", "help"},
-    "switch": {"action", "help"},
-}
-
-
-def _plain_kind(name: str, options: dict):
-    """The kind of the argument in _PLAIN_KEYWORDS, None if _quick_args
-    cannot read it."""
-    if name.startswith("--"):
-        kind = "switch" if options.get("action") == "store_true" else "flag"
-    elif name.startswith("-"):
-        return None
-    elif options.get("nargs") == "?" and isinstance(options.get("default"), str):
-        kind = "optional"
-    else:
-        kind = "positional"
-    return kind if set(options) <= _PLAIN_KEYWORDS[kind] else None
-
-
 def _is_value(token: str) -> bool:
     # a token argparse reads as a value whatever the verb: a lone "-" is one
     return not token.startswith("-") or token == "-"
@@ -626,9 +601,13 @@ def _quick_args(argv):
     and every required flag given.  None for any other call: help,
     abbreviations, --flag=value, --, repeated flags, values that start
     with "-" (a lone "-" aside), extra tokens, positionals after a flag,
-    a missing required flag, an argument of no kind in _PLAIN_KEYWORDS,
-    and any value its type rejects.  argparse then parses the call, and
-    reports an error in its own words."""
+    a missing required flag, and any value its type rejects.  argparse
+    then parses the call, and reports an error in its own words.
+
+    An argument's kind is what VERBS declares: a name starting with "--"
+    is a flag, a store_true switch when it has an action; a positional
+    with nargs="?" takes its default when no value is left; any other
+    positional needs a value."""
     if not argv or argv[0] not in VERBS:
         return None
     func, _, arguments = VERBS[argv[0]]
@@ -638,15 +617,12 @@ def _quick_args(argv):
     at = 0
     try:
         for name, options in arguments:
-            kind = _plain_kind(name, options)
-            if kind is None:
-                return None
-            if kind in ("flag", "switch"):
+            if name.startswith("--"):
                 flags[name] = (name[2:].replace("-", "_"), options)
             elif at < len(tokens) and _is_value(tokens[at]):
                 values[name] = _converted(options, tokens[at])
                 at += 1
-            elif kind == "optional":
+            elif options.get("nargs") == "?":
                 values[name] = _converted(options, options["default"])
             else:
                 return None
@@ -662,14 +638,11 @@ def _quick_args(argv):
                 at += 2
             else:
                 return None
-        # the flags not given: argparse's defaults, a string one converted
+        # the flags not given: argparse's defaults
         for dest, options in flags.values():
             if options.get("required"):
                 return None
-            default = options.get("default", False if "action" in options else None)
-            if isinstance(default, str):
-                default = options.get("type", str)(default)
-            values[dest] = default
+            values[dest] = options.get("default", False if "action" in options else None)
     except Exception:
         # only a type converter raises here, and argparse (whose
         # ArgumentTypeError is one such exception) re-runs it and reports it

@@ -101,17 +101,20 @@ def exact_rank(mat) -> int:
     return rank
 
 
+def _instances(rep: Representation) -> List[Tuple[int, int]]:
+    """The segment of each copy, indexed by the instance number in the
+    basis tags (instance, vertex) of realize_matrices."""
+    return [seg for seg, m in rep.segments() for _ in range(m)]
+
+
 def realize_matrices(rep: Representation) -> MatrixRealization:
     """Each segment copy contributes one identity chain of basis vectors."""
     n = rep.n
     spaces = [[] for _ in range(n)]
-    instances = []
-    for (i, j), m in rep.segments():
-        for c in range(m):
-            inst = len(instances)
-            instances.append((i, j))
-            for v in range(i, j + 1):
-                spaces[v - 1].append((inst, v))
+    instances = _instances(rep)
+    for inst, (i, j) in enumerate(instances):
+        for v in range(i, j + 1):
+            spaces[v - 1].append((inst, v))
     maps = []
     for v in range(1, n):
         src, dst = spaces[v - 1], spaces[v]
@@ -210,11 +213,7 @@ def realize_epsilon_form(erep) -> Tuple[MatrixRealization, Dict[int, list]]:
     n, eps = rep.n, sym.epsilon
     real = realize_matrices(rep)
 
-    # reconstruct instance tags in the same order realize_matrices made them
-    instances = []
-    for (i, j), m in rep.segments():
-        for _ in range(m):
-            instances.append((i, j))
+    instances = _instances(rep)
 
     # pick one primary instance per dual pair; lone self-dual copies
     # (non-split types) are their own partner

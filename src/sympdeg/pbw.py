@@ -118,6 +118,17 @@ def theta(subset: PbwSubset) -> Tuple[int, ...]:
 
 # --- Weyl group elements -----------------------------------------------------
 
+def _block_runs(vals: Tuple[int, ...]) -> List[int]:
+    """The block template of both words: for k = len(vals) - 1, ..., 1 the
+    ascending runs k..jj, one per jj from vals[k] + k - 1 down to
+    vals[k - 1] + k."""
+    letters: List[int] = []
+    for k in range(len(vals) - 1, 0, -1):
+        for jj in range(vals[k] + k - 1, vals[k - 1] + k - 1, -1):
+            letters.extend(range(k, jj + 1))
+    return letters
+
+
 def w_i_word(subset: PbwSubset) -> WeylWord:
     """Distinguished type-C word on rank n+t.
 
@@ -130,12 +141,7 @@ def w_i_word(subset: PbwSubset) -> WeylWord:
     letters: List[int] = []
     for j in range(m, t, -1):
         letters.extend(range(j, m + 1))
-    ivals = (0,) + subset.i
-    for k in range(t, 0, -1):
-        lo = ivals[k - 1] + k
-        hi = ivals[k] + k - 1
-        for jj in range(hi, lo - 1, -1):
-            letters.extend(range(k, jj + 1))
+    letters += _block_runs((0,) + subset.i)
     return WeylWord.make("C", m, letters)
 
 
@@ -143,15 +149,8 @@ def u_iprime_word(subset: PbwSubset) -> WeylWord:
     """Companion type-A word on 2(n+t) symbols, same block template as
     w_i_word but driven by the doubled subset with both ends pinned."""
     n, t = subset.n, subset.t
-    m = 2 * (n + t)
-    vals = (0,) + iprime(subset) + (2 * n - 1,)
-    letters: List[int] = []
-    for k in range(2 * t + 1, 0, -1):
-        lo = vals[k - 1] + k
-        hi = vals[k] + k - 1
-        for jj in range(hi, lo - 1, -1):
-            letters.extend(range(k, jj + 1))
-    return WeylWord.make("A", m, letters)
+    return WeylWord.make("A", 2 * (n + t),
+                         _block_runs((0,) + iprime(subset) + (2 * n - 1,)))
 
 
 def check_lemma_ui(subset: PbwSubset) -> dict:

@@ -895,12 +895,35 @@ def _minimal_plain_call(verb):
     return argv + flags
 
 
+def _full_plain_call(verb):
+    """The verb with every positional and every flag, once each: a switch
+    bare, any other argument its first choice or else "1"."""
+    argv, flags = [verb], []
+    for name, options in cli.VERBS[verb][2]:
+        if "action" in options:
+            flags.append(name)
+            continue
+        value = options["choices"][0] if "choices" in options else "1"
+        if name.startswith("-"):
+            flags += [name, value]
+        else:
+            argv.append(value)
+    return argv + flags
+
+
 @pytest.mark.parametrize("verb", list(cli.VERBS))
 def test_every_verb_takes_the_quick_path(verb):
-    """Each verb's minimal plain call is read without argparse, so an
-    argument of a kind _quick_args cannot read fails here instead of
-    quietly costing every call of its verb the parser."""
+    """Each verb's minimal plain call is read without argparse, so no verb
+    quietly costs every call of it the parser."""
     assert _read_quickly(_minimal_plain_call(verb))
+
+
+@pytest.mark.parametrize("verb", list(cli.VERBS))
+def test_every_declared_argument_matches_argparse(verb):
+    """Each verb's full plain call is read without argparse, and the
+    quick_args_checked fixture holds its namespace to argparse's: every
+    argument VERBS declares is read as argparse reads it."""
+    assert _read_quickly(_full_plain_call(verb))
 
 
 @pytest.mark.parametrize("argv", [

@@ -564,3 +564,34 @@ def test_representation_equality_and_hash():
     # comparison with anything else is False, not an error
     for other in (a.key(), a.mult, ranks_of(a), None, 4):
         assert (a == other) is False and (a != other) is True
+
+
+def test_mismatched_chains_raise():
+    """Each two-argument function refuses arguments on chains of different
+    lengths with MismatchedQuiver and its own message."""
+    two, three = Representation(2, {(1, 2): 1}), Representation(3, {(1, 3): 1})
+    with pytest.raises(MismatchedQuiver, match="^hom_dim needs both modules on the same chain$"):
+        hom_dim(two, three)
+    with pytest.raises(MismatchedQuiver, match="^ext_dim needs both modules on the same chain$"):
+        ext_dim(two, three)
+    with pytest.raises(MismatchedQuiver, match="^dimension vectors of different lengths$"):
+        euler_form((1, 1), (1, 1, 1))
+    with pytest.raises(MismatchedQuiver, match="^mismatched sizes in rank addition$"):
+        ranks_of(two).add(ranks_of(three))
+    with pytest.raises(MismatchedQuiver, match="^mismatched sizes in rank subtraction$"):
+        ranks_of(two).sub(ranks_of(three))
+
+
+def test_rank_sequence_value_class():
+    ranks = RankSequence(2, [[2, 1], [1]])
+    same = RankSequence(2, [(2, 1), (1,)])
+    assert ranks == same and hash(ranks) == hash(same)
+    assert ranks != RankSequence(2, [[2, 0], [1]]) and ranks != ranks.rows()
+    assert repr(ranks) == "RankSequence(n=2, [[2, 1], [1]])"
+    with pytest.raises(AttributeError, match="^RankSequence is immutable$"):
+        ranks.n = 3
+
+
+def test_zero_representation_repr():
+    assert repr(Representation(3)) == "Representation(n=3, 0)"
+    assert repr(Representation(3, {(1, 2): 0})) == "Representation(n=3, 0)"

@@ -139,3 +139,19 @@ def test_signed_permutation_rejects_bools_and_non_integers(images):
 def test_a_length_matches_inversions():
     for images in itertools.permutations(range(1, 5)):
         assert PermutationA(images).length() == _a_length(images)
+
+
+@pytest.mark.parametrize("cls, images, other, tag", [
+    (PermutationA, (2, 3, 1), (3, 2, 1), "A"),
+    (SignedPermutation, (-2, 3, 1), (2, 3, 1), "C"),
+])
+def test_permutation_value_classes(cls, images, other, tag):
+    """Equality, hash and repr go by the one-line images; m is their
+    number and w(i) the image of i; assignment raises."""
+    w = cls(images)
+    assert w == cls(list(images)) and hash(w) == hash(cls(images)) == hash((tag, images))
+    assert w != cls(other) and w != images
+    assert repr(w) == "%s(%r)" % (cls.__name__, images)
+    assert w.m == 3 and [w(i) for i in (1, 2, 3)] == list(images)
+    with pytest.raises(AttributeError, match="^%s is immutable$" % cls.__name__):
+        w.images = other

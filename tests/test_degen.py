@@ -488,3 +488,9 @@ def test_stalled_peel_raises_not_comparable(monkeypatch):
     n = Representation(3, {(1, 1): 1, (2, 3): 1})
     with pytest.raises(NotComparable, match="no final segment of the target"):
         degeneration_path(m, n)
+
+
+def test_apply_move_rejects_an_unknown_kind():
+    rep = Representation(3, {(1, 3): 1})
+    with pytest.raises(ValueError, match="^unknown move kind 'drop'$"):
+        apply_move(rep, Move("drop", 1, 2, 2))

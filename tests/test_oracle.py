@@ -9,7 +9,7 @@ import pytest
 import sympdeg
 from sympdeg.core import (Representation, dim_vector, ext_dim, hom_dim,
                           modules_with_dims, ranks_of)
-from sympdeg.errors import InstanceTooLarge
+from sympdeg.errors import InstanceTooLarge, MismatchedQuiver
 from sympdeg import core, degen, oracle, symdegen
 from sympdeg.symdegen import EpsilonRep, SymmetricType
 
@@ -212,6 +212,27 @@ def test_closure_audits_a_wrong_module_on_a_seen_table(monkeypatch):
     with pytest.raises(AssertionError, match="have the same rank table"):
         oracle.closure_enumerate(start, "ORDINARY")
     degen.reset_audit()
+
+
+def test_symmetric_closure_audits_a_wrong_module_on_a_seen_table(monkeypatch):
+    """A SYMMETRIC edge whose audited table is already held by a
+    different module raises, like its ORDINARY twin above."""
+    erep = EpsilonRep(Representation(3, {(1, 3): 2}), SymmetricType(3, -1))
+    held = ranks_of(erep.rep)
+    real = symdegen._apply_sym_audited
+    # every child is a proper degeneration of its parent, so none is the
+    # start, whose table each edge is now made to report
+    monkeypatch.setattr(symdegen, "_apply_sym_audited",
+                        lambda cur, move, before: (real(cur, move, before)[0], held))
+    with pytest.raises(AssertionError, match="have the same rank table"):
+        oracle.closure_enumerate(erep, "SYMMETRIC")
+    symdegen.reset_sym_audit()
+
+
+def test_hom_dim_bruteforce_rejects_mismatched_chains():
+    with pytest.raises(MismatchedQuiver, match="^need modules on the same chain$"):
+        oracle.hom_dim_bruteforce(Representation(2, {(1, 2): 1}),
+                                  Representation(3, {(1, 3): 1}))
 
 
 def test_closure_budget():

@@ -907,3 +907,15 @@ def test_fixed_point_check_survives_optimize():
     assert done.stdout.split("\n") == ["middle member is not self-dual",
                                        "chain has 3 members, not 5",
                                        "member 2 does not map into member 3", ""]
+
+
+def test_root_vector_value_class():
+    """Equality and hash go by n and the entries, whatever their order;
+    the repr lists the entries in key order."""
+    vec = CRootVector(1, {("u", 1, 1): 3})
+    assert vec == CRootVector(1, {("u", 1, 1): 3}) and hash(vec) == hash(CRootVector(1, vec._d))
+    assert vec != zero_root_vector(1) and vec != {("u", 1, 1): 3}
+    assert repr(vec) == "CRootVector(n=1, {('u', 1, 1): 3})"
+    entries = {key: k for k, key in enumerate(canonical_root_keys(2))}
+    shuffled = CRootVector(2, dict(reversed(list(entries.items()))))
+    assert shuffled == CRootVector(2, entries) and hash(shuffled) == hash(CRootVector(2, entries))

@@ -864,3 +864,26 @@ def test_epsilon_modules_reject_bad_dims(dims):
     ValueError, not an empty or coerced list."""
     with pytest.raises(ValueError, match="dims must be one or more"):
         symdegen.epsilon_modules_with_dims(dims, SymmetricType(3, -1))
+
+
+def test_mismatched_type_sizes_raise():
+    """The epsilon tests refuse a module, table or dimension vector whose
+    chain is not the type's, with MismatchedQuiver and its own message."""
+    sym = SymmetricType(3, -1)
+    rep = Representation(2, {(1, 2): 1})
+    with pytest.raises(MismatchedQuiver, match="^rank sequence and type have different sizes$"):
+        is_epsilon_rank(ranks_of(rep), sym)
+    with pytest.raises(MismatchedQuiver, match="^module and type have different sizes$"):
+        is_epsilon_rep(rep, sym)
+    with pytest.raises(MismatchedQuiver,
+                       match="^dimension vector and type have different sizes$"):
+        symdegen.epsilon_modules_with_dims((1, 1), sym)
+
+
+def test_symmetric_value_classes_are_immutable():
+    sym = SymmetricType(3, -1)
+    erep = EpsilonRep(Representation(3, {(1, 3): 2}), sym)
+    with pytest.raises(AttributeError, match="^SymmetricType is immutable$"):
+        sym.epsilon = 1
+    with pytest.raises(AttributeError, match="^EpsilonRep is immutable$"):
+        erep.sym = SymmetricType(3, 1)
