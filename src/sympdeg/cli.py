@@ -37,6 +37,10 @@ _TYPE_OF = {key: name for name, key in TYPE_NAMES.items()}
 # pbw-fixed-points --list prints every point only up to this count; it
 # keeps n <= 5 and n = 6 with the empty subset (46,080 points) listable
 MAX_LISTED_POINTS = 250_000
+# pbw-face refuses a report, weak or strict, of more broken constraints
+# than this, before it prints either; each one listed in both reports
+# costs about 6.4 KB of peak memory, mostly the JSON text
+MAX_REPORTED_ROWS = 25_000
 # poset refuses more epsilon modules than this before it compares every
 # pair and reduces the order transitively, in cubic time
 MAX_POSET_NODES = 100
@@ -51,9 +55,12 @@ MAX_WORD_LETTERS = 1_000_000
 # constraints, (2n-1)(n-1)n/3, than this before building the face or a
 # root vector; n = 91 still passes
 MAX_FACE_ROWS = 500_000
-# each of these three guards stops a call at about 200-225 MB peak memory
-# (n = 1999, 707 and 91 on a 2-core x86-64 host), where the next larger
-# sizes grow to gigabytes and end in MemoryError
+# with these guards, every accepted call of the verbs they cover peaks
+# below 225 MB.  Measured on a 2-core x86-64 host: a rank table at
+# n = 1999 about 200 MB and pbw-weyl at n = 707 about 208 MB, where the
+# next larger sizes grow to gigabytes and end in MemoryError;
+# pbw-interior at n = 91 with every wall about 43 MB; pbw-face at n = 91
+# about 205 MB when both its reports hold MAX_REPORTED_ROWS rows
 
 
 def _load(path: str):
@@ -371,12 +378,25 @@ def _cmd_pbw_weyl(args) -> int:
     return 0
 
 
+def _face_report(subset: pbw.PbwSubset, d: pbw.CRootVector, strict: bool) -> list:
+    """dynkin_face_violations(subset, d, strict), read only up to one row
+    past MAX_REPORTED_ROWS: InstanceTooLarge, before any JSON is written,
+    when the report would be longer."""
+    rows = list(itertools.islice(pbw._face_violations(subset, d, strict),
+                                 MAX_REPORTED_ROWS + 1))
+    if len(rows) > MAX_REPORTED_ROWS:
+        raise InstanceTooLarge("the %s face report of this vector has more than %d rows, "
+                               "the report guard" % ("strict" if strict else "weak",
+                                                     MAX_REPORTED_ROWS))
+    return rows
+
+
 def _cmd_pbw_face(args) -> int:
     subset = _faced_subset(args)
     d = _dvec_from_json(_load(args.rep))
     # the face contains d exactly when d breaks none of its constraints
-    violations = pbw.dynkin_face_violations(subset, d)
-    violations_strict = pbw.dynkin_face_violations(subset, d, strict=True)
+    violations = _face_report(subset, d, False)
+    violations_strict = _face_report(subset, d, True)
     _emit({
         "n": subset.n,
         "i": subset.i,

@@ -14,7 +14,22 @@ not depend on any word combinatorics.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Tuple
+from bisect import bisect_left, insort
+from typing import Iterable, List, NamedTuple, Tuple
+
+
+def _smaller_to_the_right(values: Iterable[int]) -> List[int]:
+    """For distinct values v_1, ..., v_m, the number of b > a with v_b <
+    v_a, for each a.  The values right of a are kept sorted, so each
+    count is one binary search: O(m log m) comparisons, and m list
+    inserts that move at most m pointers each."""
+    seen: List[int] = []
+    counts = []
+    for v in reversed(list(values)):
+        counts.append(bisect_left(seen, v))
+        insort(seen, v)
+    counts.reverse()
+    return counts
 
 
 class PermutationA:
@@ -40,12 +55,8 @@ class PermutationA:
         return self.images[i - 1]
 
     def length(self) -> int:
-        inv = 0
-        for a in range(self.m):
-            for b in range(a + 1, self.m):
-                if self.images[a] > self.images[b]:
-                    inv += 1
-        return inv
+        """The number of inversions a < b with w(a) > w(b)."""
+        return sum(_smaller_to_the_right(self.images))
 
     def __eq__(self, other):
         return isinstance(other, PermutationA) and self.images == other.images
@@ -94,13 +105,10 @@ class SignedPermutation:
         of the two.
         """
         images = self.images
-        mags = [abs(x) for x in images]
         m = len(images)
         count = 0
-        for a, x in enumerate(images):
-            here = mags[a]
-            # the b > a with |w(b)| < |w(a)| send exactly one root each
-            below = sum(1 for y in mags[a + 1:] if y < here)
+        # below: the b > a with |w(b)| < |w(a)|, which send exactly one root each
+        for a, (x, below) in enumerate(zip(images, _smaller_to_the_right(map(abs, images)))):
             count += below
             if x < 0:
                 # 2e_a, and both roots e_a -+ e_b for every other b > a

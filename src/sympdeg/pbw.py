@@ -208,17 +208,32 @@ def check_lemma_ui(subset: PbwSubset) -> dict:
 
 # --- the face of root vectors ------------------------------------------------
 
+class _RootIndex:
+    """The n^2 positive roots at one n, in canonical order: root k is
+    keys[k], keyset holds the same keys, and root k matches the segment
+    [lows[k], highs[k]] of the chain with 2n-1 vertices: ("u", i, j) is
+    [i, j] and ("b", i, j) is [i, 2n-j].  A plain class, not a
+    NamedTuple, which would cost each CLI process about 0.2 ms to build."""
+
+    __slots__ = ("keys", "keyset", "lows", "highs")
+
+    def __init__(self, n: int):
+        keys = tuple([("u", i, j) for i in range(1, n + 1) for j in range(i, n + 1)]
+                     + [("b", i, j) for i in range(1, n) for j in range(i, n)])
+        self.keys = keys
+        self.keyset = frozenset(keys)
+        self.lows = [i for _, i, _ in keys]
+        self.highs = [j if kind == "u" else 2 * n - j for kind, _, j in keys]
+
+
+# the index at n, built once per n
+_root_index = functools.lru_cache(maxsize=8)(_RootIndex)
+
+
 def canonical_root_keys(n: int) -> List[RootKey]:
     """The n^2 positive roots: ("u", i, j) is e_i - e_{j+1} for j < n and
     e_i + e_n for j = n; ("b", i, j) is e_i + e_j, j <= n-1."""
-    keys: List[RootKey] = []
-    for i in range(1, n + 1):
-        for j in range(i, n + 1):
-            keys.append(("u", i, j))
-    for i in range(1, n):
-        for j in range(i, n):
-            keys.append(("b", i, j))
-    return keys
+    return list(_root_index(n).keys)
 
 
 def _key_minus(a: int, b: int) -> RootKey:
@@ -233,13 +248,26 @@ def _key_plus(a: int, b: int, n: int) -> RootKey:
     return ("b", a, b)
 
 
-def _segment_of_root(key: RootKey, n: int) -> Tuple[int, int]:
-    """Each positive root matches a segment of the chain with 2n-1
-    vertices: ("u", i, j) is [i, j] and ("b", i, j) is [i, 2n-j]."""
-    kind, i, j = key
-    if kind == "u":
-        return (i, j)
-    return (i, 2 * n - j)
+def _bad_keys(n: int, entries: dict) -> Tuple[List[RootKey], list]:
+    """The first four missing and the first four extra keys of entries at
+    n, both in sorted order, in O(len(entries)) steps whatever n is: the
+    canonical keys are walked in sorted order only until four are missing,
+    and an extra key is told by its kind and indices alone."""
+    def canonical():
+        for kind, top in (("b", n - 1), ("u", n)):
+            for i in range(1, top + 1):
+                for j in range(i, top + 1):
+                    yield (kind, i, j)
+
+    def is_root(key) -> bool:
+        if not (isinstance(key, tuple) and len(key) == 3):
+            return False
+        kind, i, j = key
+        top = n if kind == "u" else n - 1 if kind == "b" else 0
+        return type(i) is int and type(j) is int and 1 <= i <= j <= top
+
+    missing = list(itertools.islice((key for key in canonical() if key not in entries), 4))
+    return missing, sorted(key for key in entries if not is_root(key))[:4]
 
 
 class CRootVector:
@@ -254,16 +282,14 @@ class CRootVector:
     def __init__(self, n: int, entries: Dict[RootKey, int]):
         if type(n) is not int or n < 1:
             raise ValueError("need an integer n >= 1, got %r" % (n,))
-        need = canonical_root_keys(n)
         entries = dict(entries)
-        if set(entries) != set(need):
-            missing = sorted(set(need) - set(entries))
-            extra = sorted(set(entries) - set(need))
-            raise ValueError("bad root keys: missing %r, extra %r"
-                             % (missing[:4], extra[:4]))
-        for key, value in entries.items():
-            if type(value) is not int:
-                raise ValueError("entry %r is not an integer" % (key,))
+        # the count alone refuses a vector of the wrong size before the
+        # n^2 keys are built
+        if len(entries) != n * n or entries.keys() != _root_index(n).keyset:
+            raise ValueError("bad root keys: missing %r, extra %r" % _bad_keys(n, entries))
+        if not {int}.issuperset(map(type, entries.values())):
+            key = next(key for key, value in entries.items() if type(value) is not int)
+            raise ValueError("entry %r is not an integer" % (key,))
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "_d", entries)
 
@@ -288,29 +314,40 @@ class CRootVector:
 
 
 def zero_root_vector(n: int) -> CRootVector:
-    return CRootVector(n, {key: 0 for key in canonical_root_keys(n)})
+    return CRootVector(n, dict.fromkeys(_root_index(n).keys, 0))
 
 
 @functools.lru_cache(maxsize=8)
-def _face_tables(n: int) -> Tuple[tuple, tuple]:
+def _face_tables(n: int) -> tuple:
     """The constraint rows of the face at n, shared by every subset:
-    every pair row, and a spanning set of the exchange rows.
+    every pair row, and a spanning set of the exchange rows, as the plain
+    tuple (walls, spanning, beta1, beta2, total, bullet1, spanning_index)
+    (not a NamedTuple, for the reason given at _RootIndex).
 
-    Pair rows are (wall, c >= b, (beta1, beta2, total)) for every
-    additive pair of positive roots.  Two positive roots sum to a root
-    exactly when they share a cancelled coordinate e_b: either {e_a -
-    e_b, e_b - e_c} (c > b) or {e_a - e_b, e_b + e_c} (any c).  The
-    junction wall is b - 1: at a chosen wall the vector may exceed
-    additivity, elsewhere it must be exactly additive; which wall is
-    chosen depends on the subset, so the rows carry no family tag.
+    Pair rows come one per additive pair of positive roots.  Two
+    positive roots sum to a root exactly when they share a cancelled
+    coordinate e_b: either {e_a - e_b, e_b - e_c} (c > b) or {e_a - e_b,
+    e_b + e_c} (any c).  The junction wall is b - 1: at a chosen wall the
+    vector may exceed additivity, elsewhere it must be exactly additive;
+    which wall is chosen depends on the subset, so the rows carry no
+    family tag.  Row r is held in integer columns, as positions in the
+    canonical order of _root_index(n).keys: beta1[r] = e_a - e_b,
+    beta2[r] and total[r] = beta1 + beta2; bullet1[r] says whether c >=
+    b.  The rows run by b, then a, then the c > b rows before the c =
+    1..n rows, so the rows of each wall form one run, walls[k] = (wall,
+    start, stop).  For each b the beta2 entries are the same for every a,
+    and the total entries of the c = 1..n rows are the same for every b,
+    so every column is built from those few short lists by list extends,
+    with one int object per root shared by all its mentions.
 
     The exchange rows (_exchange_rows) are O(n^4) equalities, but their
-    rank is O(n^2).  The second table holds O(n^2) of them, as root
-    tuples (k1, k2, k3, k4) for d(k1) + d(k2) == d(k3) + d(k4), whose
-    span contains every exchange row, so d satisfies them all exactly
-    when it satisfies these.  Write u(p, q) and b(p, q) for d at ("u",
-    p, q) and ("b", p, q), and for an exchange row E for the difference
-    of its two sides, a linear form in d.  The spanning rows are
+    rank is O(n^2).  The table holds O(n^2) of them, as root tuples
+    spanning[r] = (k1, k2, k3, k4) for d(k1) + d(k2) == d(k3) + d(k4) and
+    as the four position columns spanning_index, whose span contains
+    every exchange row, so d satisfies them all exactly when it satisfies
+    these.  Write u(p, q) and b(p, q) for d at ("u", p, q) and ("b", p,
+    q), and for an exchange row E for the difference of its two sides, a
+    linear form in d.  The spanning rows are
 
       A4(p, q) = E4(p, p+1, q, q+1)   for p + 1 <= q <= n - 1,
       A5(p, k) = E5(p, p+1, k, p+1)   for p + 1 <= k <= n - 1,
@@ -351,16 +388,29 @@ def _face_tables(n: int) -> Tuple[tuple, tuple]:
     So the table holds (n-1)(n-2) rows of the first two families and
     (n-3)(n-4) of the third: 62 at n = 8 against 448 exchange rows.
     """
-    pairs = []
+    keys = _root_index(n).keys
+    index = list(range(len(keys)))
+    pos = dict(zip(keys, index))
+    # plus[x][c-1] is the position of e_x + e_c, for c = 1..n
+    plus = [None] + [[pos[_key_plus(min(x, c), max(x, c), n)] for c in range(1, n + 1)]
+                     for x in range(1, n + 1)]
+    beta1: List[int] = []
+    beta2: List[int] = []
+    total: List[int] = []
+    bullet1: List[bool] = []
+    walls = []
     for b in range(2, n + 1):
-        wall = b - 1
+        start = len(beta1)
+        # e_b - e_c for c = b+1..n, then e_b + e_c for c = 1..n
+        partners = index[pos[("u", b, b)]:pos[("u", b, n)]] + plus[b]
         for a in range(1, b):
-            beta1 = _key_minus(a, b)
-            for c in range(b + 1, n + 1):
-                pairs.append((wall, True, (beta1, _key_minus(b, c), _key_minus(a, c))))
-            for c in range(1, n + 1):
-                pairs.append((wall, c >= b, (beta1, _key_plus(min(b, c), max(b, c), n),
-                                             _key_plus(min(a, c), max(a, c), n))))
+            beta1 += itertools.repeat(pos[_key_minus(a, b)], len(partners))
+            beta2 += partners
+            # e_a - e_c for c = b+1..n, then e_a + e_c for c = 1..n
+            total += index[pos[("u", a, b)]:pos[("u", a, n)]]
+            total += plus[a]
+        bullet1 += ([True] * (n - b) + [False] * (b - 1) + [True] * (n - b + 1)) * (b - 1)
+        walls.append((b - 1, start, len(beta1)))
     spanning = []
     for p in range(1, n):
         for q in range(p + 1, n):
@@ -374,9 +424,9 @@ def _face_tables(n: int) -> Tuple[tuple, tuple]:
             spanning.append((("b", p, p + 1), ("b", q, q + 1),
                              ("b", p, q + 1), ("b", p + 1, q)))
     # the cache keeps one tuple per root, not one per mention
-    canon = {key: key for key in canonical_root_keys(n)}
-    return (tuple([(wall, ge, tuple([canon[k] for k in roots])) for wall, ge, roots in pairs]),
-            tuple([tuple([canon[k] for k in roots]) for roots in spanning]))
+    spanning = tuple([tuple([keys[pos[k]] for k in roots]) for roots in spanning])
+    return (tuple(walls), spanning, beta1, beta2, total, bullet1,
+            tuple([pos[roots[c]] for roots in spanning] for c in range(4)))
 
 
 def _exchange_rows(n: int) -> Iterator[Tuple[str, Tuple[RootKey, ...]]]:
@@ -409,13 +459,19 @@ def dynkin_face_violations(subset: PbwSubset, d: CRootVector,
     walls in the subset the sum of the parts must exceed the whole
     (weakly, or strictly in strict mode), elsewhere additivity is exact.
     Exchange constraints are equalities in both modes.
+
+    The list is built with the cyclic garbage collector paused
+    (_collector_paused): each row is a dict and a tuple of roots, with no
+    reference cycle among them, so on a running collector a long report
+    sets off full collections that cannot free anything.
     """
-    return list(_face_violations(subset, d, strict))
+    with _collector_paused():
+        return list(_face_violations(subset, d, strict))
 
 
 def dynkin_face_contains(subset: PbwSubset, d: CRootVector,
                          strict: bool = False) -> bool:
-    """Does d satisfy every face constraint?  Stops at the first broken one."""
+    """Does d satisfy every face constraint?  Stops at the first broken wall."""
     return next(_face_violations(subset, d, strict), None) is None
 
 
@@ -423,38 +479,56 @@ def _face_violations(subset: PbwSubset, d: CRootVector,
                      strict: bool) -> Iterator[dict]:
     """The broken constraints, pair rows first, each in table order.
 
-    The rows come from _face_tables(n), built once per n; a pair row is
-    tagged here, from the subset: bullet1 (c >= b) or bullet2 at a chosen
-    wall, bullet3 elsewhere.  The exchange rows are checked on the
-    spanning rows of the table: if those hold, every exchange row holds
-    and there is nothing left to report.  Only when one fails are the
-    full rows of _exchange_rows walked, to report each broken one.
+    The rows come from _face_tables(n), built once per n.  d is read once,
+    into vals in the canonical order of the table's positions, and one
+    pass over the columns gives every pair row's slack, d(beta1) +
+    d(beta2) - d(total): a comprehension over zip of the columns, whose
+    list subscripts the interpreter specializes (at n = 90 it took half
+    the time of a chain of map passes over vals.__getitem__).  A chosen
+    wall holds when the least slack of its run is at least 0 (1 in
+    strict mode), any other wall when its slack is all 0, each decided
+    by min or any over the run.  Only in a wall that fails are the rows
+    walked one by one, each broken one tagged from the subset: bullet1
+    (c >= b) or bullet2 at a chosen wall, bullet3 elsewhere.  The
+    exchange rows are checked on the spanning rows of the table: if
+    those hold, every exchange row holds and there is nothing left to
+    report.  Only when one fails are the full rows of _exchange_rows
+    walked, to report each broken one.
     """
     if d.n != subset.n:
         raise ValueError("vector has n=%d, subset has n=%d" % (d.n, subset.n))
-    pairs, spanning = _face_tables(subset.n)
+    walls, _, beta1, beta2, total, bullet1, spanning_index = _face_tables(subset.n)
+    keys = _root_index(subset.n).keys
+    vals = list(map(d._d.__getitem__, keys))
+    slack = [vals[i] + vals[j] - vals[k] for i, j, k in zip(beta1, beta2, total)]
     chosen = set(subset.i)
-    dd = d._d
+    floor = 1 if strict else 0
     exceeds = ">" if strict else ">="
-    for wall, ge, roots in pairs:
-        b1, b2, total = roots
-        lhs = dd[b1] + dd[b2]
-        rhs = dd[total]
-        if wall in chosen:
-            if lhs > rhs or (lhs == rhs and not strict):
+    for wall, start, stop in walls:
+        run = slack[start:stop]
+        at_chosen = wall in chosen
+        if at_chosen:
+            if min(run) >= floor:
                 continue
-            family, relation = ("bullet1" if ge else "bullet2"), exceeds
-        elif lhs == rhs:
+        elif not any(run):
             continue
-        else:
-            family, relation = "bullet3", "=="
-        yield {"family": family, "wall": wall, "roots": roots,
-               "lhs": lhs, "rhs": rhs, "relation": relation}
-    for k1, k2, k3, k4 in spanning:
-        if dd[k1] + dd[k2] != dd[k3] + dd[k4]:
-            break
-    else:
+        for r in range(start, stop):
+            s = slack[r]
+            if at_chosen:
+                if s >= floor:
+                    continue
+                family, relation = ("bullet1" if bullet1[r] else "bullet2"), exceeds
+            elif not s:
+                continue
+            else:
+                family, relation = "bullet3", "=="
+            rhs = vals[total[r]]
+            yield {"family": family, "wall": wall,
+                   "roots": (keys[beta1[r]], keys[beta2[r]], keys[total[r]]),
+                   "lhs": rhs + s, "rhs": rhs, "relation": relation}
+    if all([vals[i] + vals[j] == vals[k] + vals[l] for i, j, k, l in zip(*spanning_index)]):
         return
+    dd = dict(zip(keys, vals))
     for family, roots in _exchange_rows(subset.n):
         k1, k2, k3, k4 = roots
         lhs = dd[k1] + dd[k2]
@@ -474,15 +548,13 @@ def find_interior_point(subset: PbwSubset) -> CRootVector:
     failure would be a bug, reported as Infeasible.
     """
     n = subset.n
+    roots = _root_index(n)
     ip = set(iprime(subset))
     # below[x] counts the doubled-subset walls < x, so the walls in
     # [x, y) number below[y] - below[x]
     below = list(itertools.accumulate((v in ip for v in range(2 * n)), initial=0))
-    entries = {}
-    for key in canonical_root_keys(n):
-        x, y = _segment_of_root(key, n)
-        entries[key] = below[x] - below[y]
-    d = CRootVector(n, entries)
+    d = CRootVector(n, dict(zip(roots.keys, [below[x] - below[y]
+                                             for x, y in zip(roots.lows, roots.highs)])))
     if not dynkin_face_contains(subset, d, strict=True):
         raise Infeasible("closed-form point fails the strict check")
     return d

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
@@ -665,7 +666,7 @@ def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pbw, "u_iprime_word", stand_in("u", pbw.u_iprime_word(tiny)))
     monkeypatch.setattr(pbw, "check_lemma_ui", stand_in("lemma", {}))
     monkeypatch.setattr(pbw, "find_interior_point", stand_in("interior", pbw.zero_root_vector(1)))
-    monkeypatch.setattr(pbw, "dynkin_face_violations", stand_in("face", []))
+    monkeypatch.setattr(pbw, "_face_violations", stand_in("face", iter(())))
     missing = str(tmp_path / "nope.json")
     word = ("InstanceTooLarge: the type-A word of a locus with n=%d has %d letters, "
             "more than the words guard 1000000\n")
@@ -697,12 +698,118 @@ def test_guard_sizes_are_the_built_sizes():
     n(2n-1) letters and is the longer word (w has at most n^2), and the
     face has (2n-1)(n-1)n/3 pair constraints."""
     for n in range(1, 9):
-        assert len(pbw._face_tables(n)[0]) == (2 * n - 1) * (n - 1) * n // 3
+        # beta1, beta2, total and bullet1: one entry per pair row
+        for column in pbw._face_tables(n)[2:6]:
+            assert len(column) == (2 * n - 1) * (n - 1) * n // 3
         for r in range(n):
             for combo in itertools.combinations(range(1, n), r):
                 subset = pbw.PbwSubset.make(n, combo)
                 assert len(pbw.u_iprime_word(subset).letters) == n * (2 * n - 1)
                 assert len(pbw.w_i_word(subset).letters) <= n * n
+
+
+def test_oversized_root_vector_file_refused_at_once(tmp_path, capsys):
+    """A 70-byte vector file with n = 10**6 and one entry is refused before
+    the n^2 root keys are built: exit 1 and one stderr line at once."""
+    big = _write(tmp_path, "big.json",
+                 {"n": 10 ** 6, "entries": [{"kind": "u", "i": 1, "j": 1, "d": 0}]})
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "pbw-face", "3", "1", "--rep", big)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith("ValueError: bad root keys: missing [('b', 1, 1), ")
+
+
+def _walls(n):
+    return ",".join(map(str, range(1, n)))
+
+
+def test_face_report_guard(tmp_path, capsys, monkeypatch):
+    """pbw-face refuses a weak or strict report of more than
+    MAX_REPORTED_ROWS broken constraints before it prints anything: the
+    zero vector with every wall chosen at n = 91 (496,860 strict rows) and
+    a random vector at n = 40 (O(n^4) broken exchange rows).  The cap
+    itself is accepted."""
+    too_long = "InstanceTooLarge: the %s face report of this vector has more than " \
+               "25000 rows, the report guard\n"
+    assert cli.MAX_REPORTED_ROWS == 25000
+    zero = _write(tmp_path, "zero.json", cli._dvec_to_json(pbw.zero_root_vector(91)))
+    rng = random.Random(40)
+    noisy = _write(tmp_path, "random.json", {"n": 40, "entries": [
+        {"kind": kind, "i": i, "j": j, "d": rng.choice((-1, 0, 1))}
+        for kind, i, j in pbw.canonical_root_keys(40)]})
+    for argv, err in ((("pbw-face", "91", _walls(91), "--rep", zero), too_long % "strict"),
+                      (("pbw-face", "40", "-", "--rep", noisy), too_long % "weak")):
+        start = time.perf_counter()
+        assert _run(capsys, *argv) == (1, "", err), argv
+        assert time.perf_counter() - start < 10
+    # at n = 4 with every wall chosen, zero breaks all 28 pair rows strictly
+    zero4 = _write(tmp_path, "zero4.json", cli._dvec_to_json(pbw.zero_root_vector(4)))
+    for cap, code in ((28, 0), (27, 1)):
+        monkeypatch.setattr(cli, "MAX_REPORTED_ROWS", cap)
+        got, out, err = _run(capsys, "pbw-face", "4", "1,2,3", "--rep", zero4)
+        assert got == code
+        if code:
+            assert (out, err) == ("", "InstanceTooLarge: the strict face report of this "
+                                      "vector has more than 27 rows, the report guard\n")
+        else:
+            assert len(json.loads(out)["violations_strict"]) == 28 and err == ""
+
+
+def _stated_peak_mb():
+    """The peak every guarded call stays below, as the guard comment in
+    cli.py states it."""
+    with open(cli.__file__) as handle:
+        found = re.findall(r"peaks\s*(?:#\s*)?below (\d+) MB", handle.read())
+    assert len(found) == 1
+    return int(found[0])
+
+
+def _child_peak_mb(*argv):
+    """Exit code and peak RSS in MB of one CLI call, run as the only child
+    of a fresh interpreter, so no earlier child of the test run counts."""
+    code = ("import resource, subprocess, sys\n"
+            "done = subprocess.run(sys.argv[1:], stdout=subprocess.DEVNULL)\n"
+            "print(done.returncode, resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n")
+    done = _fresh_python("-c", code, sys.executable, "-m", "sympdeg.cli", *argv)
+    assert done.returncode == 0, done.stderr
+    exit_code, kilobytes = map(int, done.stdout.split())
+    return exit_code, kilobytes / 1024
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_guarded_face_calls_stay_below_the_stated_peak(tmp_path):
+    """The largest face calls the guards accept stay below the peak the
+    guard comment states: pbw-interior at n = 91 with every wall, and
+    pbw-face with both reports close to MAX_REPORTED_ROWS rows, once of
+    pair rows at n = 91 (the largest face) and once of mostly exchange
+    rows at n = 20 (the longer rows)."""
+    limit = _stated_peak_mb()
+    n = 91
+    # the interior point of the walls picked here breaks exactly their
+    # pair rows, (b-1)(2n-b) at wall b-1, for the subset "-"
+    walls, rows = [], 0
+    for wall in range(n - 1, 0, -1):
+        b = wall + 1
+        if rows + (b - 1) * (2 * n - b) <= cli.MAX_REPORTED_ROWS:
+            walls.append(wall)
+            rows += (b - 1) * (2 * n - b)
+    assert rows > 0.99 * cli.MAX_REPORTED_ROWS
+    pairs = _write(tmp_path, "pairs.json", cli._dvec_to_json(
+        pbw.find_interior_point(pbw.PbwSubset.make(n, walls))))
+    rng = random.Random(20)
+    noisy = pbw.CRootVector(20, {key: rng.choice((-1, 0, 1))
+                                 for key in pbw.canonical_root_keys(20)})
+    report = pbw.dynkin_face_violations(pbw.PbwSubset.make(20, ()), noisy)
+    assert 0.9 * cli.MAX_REPORTED_ROWS < len(report) <= cli.MAX_REPORTED_ROWS
+    assert sum(row["wall"] is None for row in report) > 0.8 * len(report)
+    exchange = _write(tmp_path, "exchange.json", cli._dvec_to_json(noisy))
+    for argv in (("pbw-interior", str(n), _walls(n)),
+                 ("pbw-face", str(n), "-", "--rep", pairs),
+                 ("pbw-face", "20", "-", "--rep", exchange)):
+        code, peak = _child_peak_mb(*argv)
+        assert code == 0 and peak < limit, (argv, peak)
 
 
 def test_poset_guard(capsys):

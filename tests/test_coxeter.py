@@ -155,3 +155,12 @@ def test_permutation_value_classes(cls, images, other, tag):
     assert w.m == 3 and [w(i) for i in (1, 2, 3)] == list(images)
     with pytest.raises(AttributeError, match="^%s is immutable$" % cls.__name__):
         w.images = other
+
+
+def test_a_length_matches_inversions_seeded():
+    """The binary-search count against the double loop, m = 5..200."""
+    rng = random.Random(1408)
+    for _ in range(300):
+        images = list(range(1, rng.randint(5, 200) + 1))
+        rng.shuffle(images)
+        assert PermutationA(images).length() == _a_length(images)

@@ -1,3 +1,4 @@
+import collections
 import gc
 import hashlib
 import itertools
@@ -880,6 +881,123 @@ def test_face_violations_pinned():
                     records.append(dynkin_face_violations(s, d, strict))
     digest = hashlib.sha256(json.dumps(records, sort_keys=True).encode()).hexdigest()
     assert digest == FACE_VIOLATIONS_DIGEST
+
+
+def _root_vector(key, n):
+    """The integer vector of a canonical key, by the convention of
+    canonical_root_keys: ("u", i, j) is e_i - e_{j+1} for j < n and e_i +
+    e_n for j = n; ("b", i, j) is e_i + e_j."""
+    kind, i, j = key
+    v = [0] * n
+    v[i - 1] += 1
+    if kind == "u" and j < n:
+        v[j] -= 1
+    else:
+        v[(j if kind == "b" else n) - 1] += 1
+    return tuple(v)
+
+
+def test_face_rows_match_root_arithmetic():
+    """The pair rows, rebuilt from the roots of C_n as integer vectors: for
+    every unordered pair of positive roots whose sum is a root, beta1 is
+    the member with -1 at the cancelled coordinate b (where the two have
+    opposite signs) and the wall is b - 1.  With every wall chosen, the
+    zero vector breaks every pair row in strict mode, so its report lists
+    them all; it must list this multiset exactly.  A row is bullet2
+    exactly when beta2 = e_c + e_b with c < b."""
+    for n in range(1, 9):
+        unit = [tuple(int(k == a) for k in range(n)) for a in range(n)]
+        roots = {tuple(x - y for x, y in zip(unit[a], unit[b]))
+                 for a in range(n) for b in range(a + 1, n)}
+        roots |= {tuple(x + y for x, y in zip(unit[a], unit[b]))
+                  for a in range(n) for b in range(a, n)}
+        assert len(roots) == n * n
+        assert {_root_vector(key, n) for key in canonical_root_keys(n)} == roots
+        want = collections.Counter()
+        bullet2 = collections.Counter()
+        for r1, r2 in itertools.combinations(sorted(roots), 2):
+            total = tuple(x + y for x, y in zip(r1, r2))
+            if total not in roots:
+                continue
+            cancelled = [k for k in range(n) if r1[k] * r2[k] < 0]
+            assert len(cancelled) == 1, (r1, r2)
+            b = cancelled[0] + 1
+            beta1, beta2 = (r1, r2) if r1[b - 1] < 0 else (r2, r1)
+            row = (b - 1, beta1, beta2, total)
+            want[row] += 1
+            if sum(beta2) == 2 and max(beta2) == 1 and beta2.index(1) < b - 1:
+                bullet2[row] += 1
+        rows = dynkin_face_violations(PbwSubset.make(n, range(1, n)), zero_root_vector(n),
+                                      strict=True)
+        got = collections.Counter(
+            (row["wall"],) + tuple(_root_vector(key, n) for key in row["roots"])
+            for row in rows)
+        assert got == want and sum(want.values()) == (2 * n - 1) * (n - 1) * n // 3
+        assert collections.Counter(
+            (row["wall"],) + tuple(_root_vector(key, n) for key in row["roots"])
+            for row in rows if row["family"] == "bullet2") == bullet2
+        assert all((row["lhs"], row["rhs"], row["relation"]) == (0, 0, ">") for row in rows)
+
+
+def test_oversized_root_vector_refused_at_once():
+    """A vector whose entry count is not n^2 is refused before the n^2
+    keys are built: n = 10**6 with one entry raises at once, naming the
+    first four missing keys in sorted order."""
+    start = time.perf_counter()
+    with pytest.raises(ValueError) as caught:
+        CRootVector(10 ** 6, {("u", 1, 1): 0})
+    assert time.perf_counter() - start < 1
+    assert str(caught.value) == ("bad root keys: missing [('b', 1, 1), ('b', 1, 2), "
+                                 "('b', 1, 3), ('b', 1, 4)], extra []")
+
+
+def test_bad_root_keys_message_matches_the_key_sets():
+    """The missing and extra keys of a refused vector are the first four
+    of each set difference with the canonical keys, sorted."""
+    rng = random.Random(60)
+    foreign = [("u", 0, 1), ("b", 2, 1), ("b", 1, 9), ("x", 1, 1), ("u", 1, 99)]
+    for n in range(1, 6):
+        need = canonical_root_keys(n)
+        for _ in range(30):
+            keys = rng.sample(need, rng.randint(0, len(need)))
+            keys += rng.sample(foreign, rng.randint(0, len(foreign)))
+            entries = dict.fromkeys(keys, 0)
+            if set(keys) == set(need):
+                continue
+            missing = sorted(set(need) - set(keys))[:4]
+            extra = sorted(set(keys) - set(need))[:4]
+            with pytest.raises(ValueError) as caught:
+                CRootVector(n, entries)
+            assert str(caught.value) == "bad root keys: missing %r, extra %r" % (missing, extra)
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_face_report_pauses_the_collector(enabled):
+    """dynkin_face_violations builds its list with the collector paused:
+    a report of 17,110 rows, two tracked objects each, starts at most the
+    one collection its rows are due once the collector is back on (45
+    with the pause taken out), and the call leaves the collector as it
+    found it."""
+    n = 30
+    full, zero = PbwSubset.make(n, range(1, n)), zero_root_vector(n)
+    dynkin_face_violations(full, zero)
+    starts = []
+
+    def callback(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    (gc.enable if enabled else gc.disable)()
+    gc.callbacks.append(callback)
+    try:
+        rows = dynkin_face_violations(full, zero, strict=True)
+        during = len(starts)
+        assert gc.isenabled() is enabled
+    finally:
+        gc.callbacks.remove(callback)
+        gc.enable()
+    assert during <= int(enabled)
+    assert len(rows) == (2 * n - 1) * (n - 1) * n // 3 == 17110
 
 
 def test_fixed_point_check_survives_optimize():
