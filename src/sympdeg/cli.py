@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from types import SimpleNamespace
-from typing import List
+from typing import Iterator, List
 
 from . import core, degen, oracle, pbw, symdegen
 from .coxeter import WeylWord, evaluate, word_to_str
@@ -378,12 +378,14 @@ def _cmd_pbw_weyl(args) -> int:
     return 0
 
 
-def _face_report(subset: pbw.PbwSubset, d: pbw.CRootVector, strict: bool) -> list:
-    """dynkin_face_violations(subset, d, strict), read only up to one row
-    past MAX_REPORTED_ROWS: InstanceTooLarge, before any JSON is written,
-    when the report would be longer."""
-    rows = list(itertools.islice(pbw._face_violations(subset, d, strict),
-                                 MAX_REPORTED_ROWS + 1))
+def _capped(rows: Iterator[dict]) -> list:
+    """The rows, read only up to one past MAX_REPORTED_ROWS."""
+    return list(itertools.islice(rows, MAX_REPORTED_ROWS + 1))
+
+
+def _guarded_report(rows: list, strict: bool) -> list:
+    """rows, or InstanceTooLarge, before any JSON is written, when the
+    report is longer than MAX_REPORTED_ROWS."""
     if len(rows) > MAX_REPORTED_ROWS:
         raise InstanceTooLarge("the %s face report of this vector has more than %d rows, "
                                "the report guard" % ("strict" if strict else "weak",
@@ -394,9 +396,15 @@ def _face_report(subset: pbw.PbwSubset, d: pbw.CRootVector, strict: bool) -> lis
 def _cmd_pbw_face(args) -> int:
     subset = _faced_subset(args)
     d = _dvec_from_json(_load(args.rep))
+    vals = pbw._root_values(subset, d)
+    # each report is its pair rows, then the exchange rows, the same in
+    # both modes: they are walked once, after the weak pair rows pass
+    weak = _guarded_report(_capped(pbw._pair_violations(subset, vals, False)), False)
+    exchange = _capped(pbw._exchange_violations(subset.n, vals))
+    violations = _guarded_report(weak + exchange, False)
+    violations_strict = _guarded_report(
+        _capped(pbw._pair_violations(subset, vals, True)) + exchange, True)
     # the face contains d exactly when d breaks none of its constraints
-    violations = _face_report(subset, d, False)
-    violations_strict = _face_report(subset, d, True)
     _emit({
         "n": subset.n,
         "i": subset.i,

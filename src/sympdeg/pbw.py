@@ -477,29 +477,39 @@ def dynkin_face_contains(subset: PbwSubset, d: CRootVector,
 
 def _face_violations(subset: PbwSubset, d: CRootVector,
                      strict: bool) -> Iterator[dict]:
-    """The broken constraints, pair rows first, each in table order.
+    """The broken constraints: the pair rows of _pair_violations, then
+    the exchange rows of _exchange_violations, each in table order."""
+    vals = _root_values(subset, d)
+    yield from _pair_violations(subset, vals, strict)
+    yield from _exchange_violations(subset.n, vals)
 
-    The rows come from _face_tables(n), built once per n.  d is read once,
-    into vals in the canonical order of the table's positions, and one
-    pass over the columns gives every pair row's slack, d(beta1) +
-    d(beta2) - d(total): a comprehension over zip of the columns, whose
-    list subscripts the interpreter specializes (at n = 90 it took half
-    the time of a chain of map passes over vals.__getitem__).  A chosen
-    wall holds when the least slack of its run is at least 0 (1 in
-    strict mode), any other wall when its slack is all 0, each decided
-    by min or any over the run.  Only in a wall that fails are the rows
-    walked one by one, each broken one tagged from the subset: bullet1
-    (c >= b) or bullet2 at a chosen wall, bullet3 elsewhere.  The
-    exchange rows are checked on the spanning rows of the table: if
-    those hold, every exchange row holds and there is nothing left to
-    report.  Only when one fails are the full rows of _exchange_rows
-    walked, to report each broken one.
-    """
+
+def _root_values(subset: PbwSubset, d: CRootVector) -> List[int]:
+    """d read once, into a list in the canonical order of the roots at n,
+    after checking that d and the subset have the same n."""
     if d.n != subset.n:
         raise ValueError("vector has n=%d, subset has n=%d" % (d.n, subset.n))
-    walls, _, beta1, beta2, total, bullet1, spanning_index = _face_tables(subset.n)
+    return list(map(d._d.__getitem__, _root_index(subset.n).keys))
+
+
+def _pair_violations(subset: PbwSubset, vals: List[int],
+                     strict: bool) -> Iterator[dict]:
+    """The broken pair rows of the vector whose values are vals
+    (_root_values), in table order.
+
+    The rows come from _face_tables(n), built once per n.  One pass over
+    the columns gives every pair row's slack, d(beta1) + d(beta2) -
+    d(total): a comprehension over zip of the columns, whose list
+    subscripts the interpreter specializes (at n = 90 it took half the
+    time of a chain of map passes over vals.__getitem__).  A chosen wall
+    holds when the least slack of its run is at least 0 (1 in strict
+    mode), any other wall when its slack is all 0, each decided by min
+    or any over the run.  Only in a wall that fails are the rows walked
+    one by one, each broken one tagged from the subset: bullet1 (c >= b)
+    or bullet2 at a chosen wall, bullet3 elsewhere.
+    """
+    walls, _, beta1, beta2, total, bullet1, _ = _face_tables(subset.n)
     keys = _root_index(subset.n).keys
-    vals = list(map(d._d.__getitem__, keys))
     slack = [vals[i] + vals[j] - vals[k] for i, j, k in zip(beta1, beta2, total)]
     chosen = set(subset.i)
     floor = 1 if strict else 0
@@ -526,10 +536,21 @@ def _face_violations(subset: PbwSubset, d: CRootVector,
             yield {"family": family, "wall": wall,
                    "roots": (keys[beta1[r]], keys[beta2[r]], keys[total[r]]),
                    "lhs": rhs + s, "rhs": rhs, "relation": relation}
-    if all([vals[i] + vals[j] == vals[k] + vals[l] for i, j, k, l in zip(*spanning_index)]):
+
+
+def _exchange_violations(n: int, vals: List[int]) -> Iterator[dict]:
+    """The broken exchange rows of the vector whose values are vals
+    (_root_values), in table order; equalities, so the same rows in
+    both modes.  They are checked on the spanning rows of _face_tables(n)
+    first: if those hold, every exchange row holds and there is nothing
+    to report.  Only when one fails are the full rows of _exchange_rows
+    walked, to report each broken one.
+    """
+    if all([vals[i] + vals[j] == vals[k] + vals[l]
+            for i, j, k, l in zip(*_face_tables(n)[6])]):
         return
-    dd = dict(zip(keys, vals))
-    for family, roots in _exchange_rows(subset.n):
+    dd = dict(zip(_root_index(n).keys, vals))
+    for family, roots in _exchange_rows(n):
         k1, k2, k3, k4 = roots
         lhs = dd[k1] + dd[k2]
         rhs = dd[k3] + dd[k4]
@@ -590,11 +611,11 @@ def fixed_point_chain(fp: FixedPoint) -> Tuple[Tuple[int, ...], ...]:
     return tuple(chain)
 
 
-def _middle_members(n: int) -> Iterator[Tuple[int, ...]]:
-    """The pairing-free n-subsets of 1..2n, in lexicographic order."""
-    for sn in itertools.combinations(range(1, 2 * n + 1), n):
-        if not any(2 * n + 1 - j in sn for j in sn):
-            yield sn
+def _middle_members(n: int) -> List[Tuple[int, ...]]:
+    """The pairing-free n-subsets of 1..2n, in lexicographic order: one
+    element from each pair {j, 2n+1-j}, 2^n subsets in all."""
+    picks = itertools.product(*[(j, 2 * n + 1 - j) for j in range(1, n + 1)])
+    return sorted(map(tuple, map(sorted, picks)))
 
 
 def _members_below(sk: Tuple[int, ...], chosen) -> Iterator[Tuple[int, ...]]:
@@ -615,11 +636,14 @@ class _collector_paused:
     raises.  The lock makes each record-and-switch one step, so no pause
     takes another's for the caller's state and leaves the collector off.
 
-    Nothing is allocated after the switch goes back on, so the one
-    collector pass over what the block made and left alive runs at the
-    caller's next allocation, after the block's own temporaries are
-    freed, and finds nothing to do if the caller has dropped the result
-    by then."""
+    Nothing is allocated after the switch goes back on: the lock is
+    taken and released by explicit calls, as leaving a "with" block on
+    it would call the lock's __exit__ with a fresh tuple of arguments,
+    and that allocation would start the collector pass inside __exit__.
+    So the one collector pass over what the block made and left alive
+    runs at the caller's next allocation, after the block's own
+    temporaries are freed, and finds nothing to do if the caller has
+    dropped the result by then."""
 
     _lock = threading.Lock()
     _open = 0           # pauses open in the process
@@ -635,10 +659,13 @@ class _collector_paused:
 
     def __exit__(self, *exc_info):
         cls = _collector_paused
-        with cls._lock:
+        cls._lock.acquire()
+        try:
             cls._open -= 1
             if not cls._open and cls._restore:
                 gc.enable()
+        finally:
+            cls._lock.release()
 
 
 def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
@@ -666,13 +693,23 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     len(lo) and the mirrored link dual(hi) -> dual(lo) at wall 2n-1-v
     (the test of _maps_into, on the stored sets).
 
-    The chains are then built level by level: every prefix S_1, ..., S_k
-    in the sorted list of prefixes is extended by each entry of
-    above[S_k], in order.  So the prefixes stay sorted at every level,
-    and the list comes out in lexicographic order without a sort.  The
-    full chains are wrapped in one map over zip(repeat(n), chains): each
-    point costs its chain tuple and its FixedPoint, built by tuple.__new__
-    in C, with no per-point bytecode.  Every
+    The chains are then built from two halves that meet at level h =
+    ceil(n/2).  The prefixes S_1, ..., S_h are built level by level: each
+    prefix S_1, ..., S_k in the sorted list is extended by each entry of
+    above[S_k], in order, so they stay sorted.  Going down from the
+    middle members, whose one tail is (), each member S_k at levels n-1
+    .. h gets the sorted list of its tails S_{k+1}, ..., S_n: each entry
+    (S_{k+1},) of above[S_k], in order, joined to each tail of S_{k+1},
+    with the members of a level taken in the sorted order the graph walk
+    left them in.  Every prefix that ends at a member shares its list,
+    so each chain is one join p + t, and no prefix longer than h exists
+    on its own (at n = 7 with the empty subset, 15,288 prefixes and
+    33,152 tails against 418,488 prefixes built level by level).  The
+    prefixes are sorted and so is each tail list, so the list comes out
+    in lexicographic order without a sort.  The full chains are wrapped
+    in one map over zip(repeat(n), chains): each point costs its chain
+    tuple and its FixedPoint, built by tuple.__new__ in C, with no
+    per-point bytecode.  Every
     emitted chain is a path () -> S_1 -> ... -> S_n through checked
     edges, and every condition of _check_fixed_point is a condition on
     one such edge or on S_n, so every point is fully covered, and each
@@ -700,20 +737,22 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     every = set(range(1, 2 * n + 1))
 
     with _collector_paused():
-        level = list(_middle_members(n))
-        for sn in level:
+        middle = list(_middle_members(n))
+        for sn in middle:
             if _dual_subset(sn, n) != sn:
                 raise AssertionError("middle member is not self-dual")
         # sets[S] = (set(S), set(dual(S))); a middle member is its own dual
-        sets = {sn: (set(sn), set(sn)) for sn in level}
+        sets = {sn: (set(sn), set(sn)) for sn in middle}
         # above[S_k]: the 1-tuples (S_{k+1},) that S_k can sit below, with
         # above[()] the 1-element members.  Each level is walked in sorted
         # order, so every list is appended to in sorted order.
         above: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
+        # levels[k]: the sorted list of the members S_k
+        levels = {n: middle}
         for k in range(n, 0, -1):
             v, w = k - 1, 2 * n - k
             below: Dict[Tuple[int, ...], List[Tuple[Tuple[int, ...]]]] = {}
-            for hi in level:
+            for hi in levels[k]:
                 hi_set, dual_hi = sets[hi]
                 if len(hi) != k:
                     raise AssertionError("member %d has wrong size" % k)
@@ -737,14 +776,25 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
                     if v and not dual_hi <= dual_lo:
                         raise AssertionError("member %d does not map into member %d"
                                              % (w, 2 * n - v))
-                    below.setdefault(lo, []).append(up)
+                    ups = below.get(lo)
+                    if ups is None:
+                        below[lo] = [up]
+                    else:
+                        ups.append(up)
             above.update(below)
-            level = sorted(below)
+            levels[k - 1] = sorted(below)
 
-        # above[()] holds the one-member prefixes (S_1,) themselves
-        chains: List[Tuple[Tuple[int, ...], ...]] = above[()]
-        for _ in range(n - 1):
-            chains = [c + up for c in chains for up in above[c[-1]]]
+        h = (n + 1) // 2
+        # the prefixes S_1, ..., S_h, with above[()] the one-member ones
+        prefixes: List[Tuple[Tuple[int, ...], ...]] = above[()]
+        for _ in range(h - 1):
+            prefixes = [c + up for c in prefixes for up in above[c[-1]]]
+        # tails[S_k] for k = h..n: the sorted tails (S_{k+1}, ..., S_n)
+        tails = dict.fromkeys(middle, ((),))
+        for k in range(n - 1, h - 1, -1):
+            for lo in levels[k]:
+                tails[lo] = [up + t for up in above[lo] for t in tails[up[0]]]
+        chains = [p + t for p in prefixes for t in tails[p[-1]]]
         # one C-level pass builds each FixedPoint from a (n, chain) pair that
         # zip reuses, without the namedtuple's Python-level __new__
         return list(map(tuple.__new__, itertools.repeat(FixedPoint),

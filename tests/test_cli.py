@@ -666,7 +666,8 @@ def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(pbw, "u_iprime_word", stand_in("u", pbw.u_iprime_word(tiny)))
     monkeypatch.setattr(pbw, "check_lemma_ui", stand_in("lemma", {}))
     monkeypatch.setattr(pbw, "find_interior_point", stand_in("interior", pbw.zero_root_vector(1)))
-    monkeypatch.setattr(pbw, "_face_violations", stand_in("face", iter(())))
+    monkeypatch.setattr(pbw, "_pair_violations", stand_in("pairs", iter(())))
+    monkeypatch.setattr(pbw, "_exchange_violations", stand_in("exchange", iter(())))
     missing = str(tmp_path / "nope.json")
     word = ("InstanceTooLarge: the type-A word of a locus with n=%d has %d letters, "
             "more than the words guard 1000000\n")
@@ -686,7 +687,8 @@ def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
     for argv, names in ((("pbw-weyl", "707", "1,706"), ["w", "u"]),
                         (("pbw-lemma-ui", "707"), ["lemma"]),
                         (("pbw-interior", "91"), ["interior"]),
-                        (("pbw-face", "91", "1", "--rep", zero), ["face", "face"])):
+                        (("pbw-face", "91", "1", "--rep", zero),
+                         ["pairs", "exchange", "pairs"])):
         code, out, err = _run(capsys, *argv)
         assert (code, err) == (0, "") and json.loads(out) is not None, argv
         assert built == names, argv
@@ -754,6 +756,33 @@ def test_face_report_guard(tmp_path, capsys, monkeypatch):
                                       "vector has more than 27 rows, the report guard\n")
         else:
             assert len(json.loads(out)["violations_strict"]) == 28 and err == ""
+
+
+def test_face_walks_the_exchange_rows_once(tmp_path, capsys, monkeypatch):
+    """The weak and the strict report of pbw-face list the same exchange
+    rows, so a vector that breaks a spanning row has the full exchange
+    rows walked once, not once per report; the output is still the JSON
+    of dynkin_face_violations in both modes."""
+    subset = pbw.PbwSubset.make(6, (1, 3))
+    rng = random.Random(6)
+    d = pbw.CRootVector(6, {key: rng.choice((-1, 0, 1))
+                            for key in pbw.canonical_root_keys(6)})
+    weak = pbw.dynkin_face_violations(subset, d)
+    strict = pbw.dynkin_face_violations(subset, d, strict=True)
+    assert any(row["wall"] is None for row in weak)
+    want = json.dumps({"n": 6, "i": [1, 3], "contains": not weak,
+                       "contains_strict": not strict, "violations": weak,
+                       "violations_strict": strict}, indent=2, sort_keys=True) + "\n"
+    real, walks = pbw._exchange_rows, []
+
+    def exchange_rows(n):
+        walks.append(n)
+        return real(n)
+
+    monkeypatch.setattr(pbw, "_exchange_rows", exchange_rows)
+    path = _write(tmp_path, "d.json", cli._dvec_to_json(d))
+    assert _run(capsys, "pbw-face", "6", "1,3", "--rep", path) == (0, want, "")
+    assert walks == [6]
 
 
 def _stated_peak_mb():

@@ -351,10 +351,10 @@ def test_fixed_point_count_n6():
 
 
 def test_fixed_points_emitted_in_order_n6():
-    """Extending the sorted prefixes level by level, each through its
-    sorted list in the member graph, keeps the chains in lexicographic
-    order: the list is strictly increasing without a sort, with one entry
-    per counted point."""
+    """Joining each sorted prefix of the lower half to each entry of its
+    member's sorted tail list keeps the chains in lexicographic order:
+    the list is strictly increasing without a sort, with one entry per
+    counted point."""
     for i in ((), (1,), (3,), (2, 5)):
         s = PbwSubset.make(6, i)
         points = lagrangian_fixed_points(s)
@@ -377,6 +377,51 @@ def test_fixed_points_pinned_n6():
         points = [list(map(list, fp.subsets)) for fp in found]
         digest.update(json.dumps([6, list(s.i), points]).encode())
     assert digest.hexdigest() == FIXED_POINTS_N6_DIGEST
+
+
+def _reference_fixed_points(subset):
+    """The level-by-level chain build the enumeration used before its
+    chains met in the middle: the member graph from the middle members
+    down, then every prefix S_1, ..., S_k extended by each member above
+    S_k, in sorted order, up to the full chains."""
+    n, chosen = subset.n, set(subset.i)
+    level = list(pbw._middle_members(n))
+    above = {}
+    for _ in range(n):
+        below = {}
+        for hi in level:
+            for lo in pbw._members_below(hi, chosen):
+                below.setdefault(lo, []).append((hi,))
+        above.update(below)
+        level = sorted(below)
+    chains = above[()]
+    for _ in range(n - 1):
+        chains = [c + up for c in chains for up in above[c[-1]]]
+    return [FixedPoint(n, chain) for chain in chains]
+
+
+def test_fixed_points_match_reference_builder():
+    """Prefixes of the lower half joined to the shared tails of the upper
+    half give the level-by-level build's list, point for point and in
+    its order: every subset with n <= 5, and the n = 6 subsets with at
+    most one wall."""
+    subsets = [s for n in range(1, 6) for s in _all_subsets(n)]
+    subsets += [PbwSubset.make(6, i) for i in [()] + [(wall,) for wall in range(1, 6)]]
+    for s in subsets:
+        assert lagrangian_fixed_points(s) == _reference_fixed_points(s), s
+
+
+def _reference_middle_members(n):
+    """The definition: the n-subsets of 1..2n holding no pair {j, 2n+1-j}."""
+    return [sn for sn in itertools.combinations(range(1, 2 * n + 1), n)
+            if not any(2 * n + 1 - j in sn for j in sn)]
+
+
+def test_middle_members_match_definition():
+    for n in range(1, 9):
+        members = list(pbw._middle_members(n))
+        assert members == _reference_middle_members(n), n
+        assert len(members) == 2 ** n
 
 
 def test_fixed_points_leave_no_cyclic_garbage():
@@ -443,6 +488,29 @@ def test_fixed_points_run_no_collection():
         gc.callbacks.remove(callback)
     assert during == 0
     assert len(points) == 2 ** 5 * math.factorial(5)
+
+
+def test_collector_pause_allocates_nothing_once_switched_on():
+    """Leaving a pause allocates nothing after the collector is back on,
+    so the collection that the block's 5,000 live tuples make due starts
+    at the caller's next allocation, not inside __exit__."""
+    frames = []
+
+    def callback(phase, info):
+        if phase == "start":
+            frames.append(sys._getframe(1).f_code.co_name)
+
+    gc.collect()
+    assert gc.isenabled()
+    gc.callbacks.append(callback)
+    try:
+        with pbw._collector_paused():
+            kept = [(j, j, j) for j in range(5000)]
+        after = [(j, j, j) for j in range(10)]
+    finally:
+        gc.callbacks.remove(callback)
+    assert len(kept) == 5000 and len(after) == 10
+    assert frames and "__exit__" not in frames, frames
 
 
 def test_fixed_points_restore_collector_on_error(monkeypatch):
