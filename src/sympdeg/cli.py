@@ -39,7 +39,7 @@ _TYPE_OF = {key: name for name, key in TYPE_NAMES.items()}
 MAX_LISTED_POINTS = 250_000
 # pbw-face refuses a report, weak or strict, of more broken constraints
 # than this, before it prints either; each one listed in both reports
-# costs about 6.4 KB of peak memory, mostly the JSON text
+# costs about 0.6 KB of peak memory
 MAX_REPORTED_ROWS = 25_000
 # poset refuses more epsilon modules than this before it compares every
 # pair and reduces the order transitively, in cubic time
@@ -56,11 +56,11 @@ MAX_WORD_LETTERS = 1_000_000
 # root vector; n = 91 still passes
 MAX_FACE_ROWS = 500_000
 # with these guards, every accepted call of the verbs they cover peaks
-# below 225 MB.  Measured on a 2-core x86-64 host: a rank table at
-# n = 1999 about 200 MB and pbw-weyl at n = 707 about 208 MB, where the
-# next larger sizes grow to gigabytes and end in MemoryError;
-# pbw-interior at n = 91 with every wall about 43 MB; pbw-face at n = 91
-# about 205 MB when both its reports hold MAX_REPORTED_ROWS rows
+# below 225 MB.  Peak RSS of one CLI process on a 2-core x86-64 host:
+# ranks at n = 1999 about 45 MB, pbw-weyl at n = 707 with every wall
+# about 150 MB, pbw-interior at n = 91 with every wall about 41 MB, and
+# pbw-face at n = 91 about 55 MB when both its reports hold close to
+# MAX_REPORTED_ROWS rows (about 42 MB with none)
 
 
 def _load(path: str):
@@ -112,7 +112,11 @@ def _faced_subset(args) -> pbw.PbwSubset:
 
 
 def _emit(obj) -> None:
-    print(json.dumps(obj, indent=2, sort_keys=True))
+    # json.dumps would hold the whole text, and one write per encoder token
+    # (json.dump) is slow on a pipe: the tokens go out joined in batches
+    tokens = json.JSONEncoder(indent=2, sort_keys=True).iterencode(obj)
+    sys.stdout.writelines(iter(lambda: "".join(itertools.islice(tokens, 4096)), ""))
+    sys.stdout.write("\n")
 
 
 def _sym_type(n: int, name: str) -> symdegen.SymmetricType:
@@ -557,7 +561,7 @@ VERBS = {
                  _M_N + (_TYPE, ("--table", {
                      "action": "store_true",
                      "help": "render as a text table instead of JSON"}))),
-    "sym-moves": (_cmd_sym_moves, "symmetric move chain from M to N by paired-move walk",
+    "sym-moves": (_cmd_sym_moves, "symmetric move chain from M to N, paired moves read off the peel",
                   _M_N + (_TYPE,)),
     "pbw-build": (_cmd_pbw_build, "distinguished module of a locus", _PBW),
     "pbw-weyl": (_cmd_pbw_weyl, "index sequences and Weyl words of a locus",

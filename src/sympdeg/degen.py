@@ -10,9 +10,9 @@ path builder that factors an arbitrary degeneration into elementary moves.
 Every move application is audited: the rank sequence of the result is
 recomputed from its multiplicities and checked against the input's ranks
 less one on the move's box (Move._box), the table _predicted_rows
-builds.  That box is the one description of a move's drop: the paired-
-move walk of symdegen tests its candidates with the same predicted
-table its audit then checks.  apply_move computes the
+builds.  That box is the one description of a move's drop, and
+symdegen's paired-move audit checks the same predicted table for each
+constituent.  apply_move computes the
 input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
 computed once.  The move closure (oracle.closure_enumerate) applies a

@@ -12,11 +12,11 @@ segment L together with its reflection, replacing M by the subquotient
 (generic isotropic copy of L)^perp / L.  The intermediate stages Z of the
 degeneration and the per-step rank tables are returned for rendering.
 
-sym_move_refinement writes such a pair as paired moves instead, by a walk
-that commits, at each step, the first paired move whose predicted rank
-table, the one its audit checks, stays above N.  It cannot stall: in the
-split types the closure of paired moves is exactly symmetric rank
-domination.
+sym_move_refinement writes such a pair as paired moves instead, read off
+the same peel: each step's generic quotient (degen.generic_quotient)
+gives one corner move per staircase corner, and each corner move is
+paired with its reflection.  Every paired move is audited, and the chain
+is checked to end on N.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from operator import ge
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _corner_surplus_error,
-                   _counted_modules, _dims_arg, ranks_of, sigma)
-from .degen import (Move, _apply_audited, _dominated_ranks, _merge,
-                    _predicted_rows, _put, _take, degenerates, single_moves)
+                   _counted_modules, _dims_arg, ranks_of, rep_of, sigma)
+from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put, _take,
+                    degenerates, generic_quotient, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -288,8 +288,8 @@ def _split_pair(M: EpsilonRep, N: EpsilonRep) -> Tuple[RankSequence, RankSequenc
     """(ranks_of(M.rep), ranks_of(N.rep)) for a pair of one split type
     with N a degeneration of M.  Raises MismatchedType for different
     types, then NotSplitType outside the split types, then
-    NotComparable as degen._dominated_ranks does.  Both symmetric walks
-    open with it."""
+    NotComparable as degen._dominated_ranks does.  The peel, and through
+    it the paired-move refinement, opens with it."""
     if M.sym != N.sym:
         raise MismatchedType("cannot relate %r with %r" % (M.sym, N.sym))
     if not M.sym.split:
@@ -532,37 +532,31 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
 INCONCLUSIVE = object()
 
 
-def _predicted(move: SymMove, sym: SymmetricType, before: RankSequence) -> RankSequence:
-    """The rank table move predicts for its output: before less one on the
-    box of each constituent in turn (degen._predicted_rows), the table
-    _apply_sym_audited checks the result's ranks against."""
-    for constituent in move.expand(sym):
-        before = RankSequence._of_rows(before.n, _predicted_rows(constituent, before))
-    return before
-
-
 # budget is accepted and ignored: perfbench/workloads.py still passes it
 def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
                         budget=None) -> List[SymMove]:
-    """Paired moves taking start to target, by a deterministic walk.
-
-    Each step commits the first sym_moves entry whose predicted table
-    (_predicted, what the step's audit then checks) still dominates the
-    target's.  In the split types paired moves generate symmetric rank
-    domination, so some entry always does and the walk cannot stall;
-    each step lowers the ranks, so it ends.  Returns the moves, [] when
+    """Paired moves taking start to target, read off the peel: for each
+    corner move of generic_quotient(remaining source, L) on each step of
+    sym_degeneration_path, the paired move whose second constituent it
+    is: cut(t, s, q) gives symcut(s', t', q'), shift(t, s, q, r) gives
+    symshift(s', t', r', q'), where v' = sigma(v).  Each is audited, and
+    a chain that misses target raises AssertionError.  Returns [] when
     start equals target; raises MismatchedType, NotSplitType or
-    NotComparable as _split_pair does.
+    NotComparable as sym_degeneration_path does.
     """
-    R, tgt = _split_pair(start, target)
-
-    cur, moves = start, []
-    while cur.rep != target.rep:
-        move = next((mv for mv in sym_moves(cur)
-                     if _predicted(mv, cur.sym, R).dominates(tgt)), None)
-        if move is None:
-            raise NotComparable("no paired move keeps the walk above the target, "
-                                "which contradicts rank domination")
-        cur, R = _apply_sym_audited(cur, move, R)
-        moves.append(move)
+    steps = sym_degeneration_path(start, target)
+    n = start.sym.n
+    # the first step's source table is ranks_of(start.rep)
+    cur, R, moves = start, steps[0].m_ranks, []
+    for step in steps[:-1]:
+        report = generic_quotient(rep_of(step.m_ranks), *step.L, _ranks=step.m_ranks)
+        for m in report.moves:
+            # the paired move whose second constituent is m
+            ends = (m.s, m.t, m.q) if m.kind == "cut" else (m.s, m.t, m.r, m.q)
+            move = SymMove("sym" + m.kind, *[sigma(v, n) for v in ends])
+            cur, R = _apply_sym_audited(cur, move, R)
+            moves.append(move)
+    if cur.rep != target.rep:
+        raise AssertionError("paired moves from the peel end on %r, not on %r"
+                             % (cur.rep, target.rep))
     return moves

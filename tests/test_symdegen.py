@@ -295,8 +295,8 @@ def test_refinement_found():
 
 
 def test_refinement_ignores_budget():
-    """The walk has no search to bound: budget is accepted and ignored,
-    even at 0, and the chain still reaches the target."""
+    """The refinement has no search to bound: budget is accepted and
+    ignored, even at 0, and the chain still reaches the target."""
     em, en = _ex1_pair()
     moves = sym_move_refinement(em, en, budget=0)
     assert moves == sym_move_refinement(em, en)
@@ -309,11 +309,17 @@ def test_refinement_identity():
 
 
 def test_refinement_stall(monkeypatch):
-    """A walk with no paired move left to try raises NotComparable instead
-    of looping or returning a partial chain."""
+    """A quotient that emits no moves leaves the chain short of the
+    target: the endpoint check raises AssertionError instead of
+    returning a partial chain."""
     em, en = _ex1_pair()
-    monkeypatch.setattr(symdegen, "sym_moves", lambda erep: iter(()))
-    with pytest.raises(NotComparable, match="contradicts rank domination"):
+    real = degen.generic_quotient
+
+    def no_moves(*args, **kwargs):
+        return real(*args, **kwargs)._replace(moves=())
+
+    monkeypatch.setattr(symdegen, "generic_quotient", no_moves)
+    with pytest.raises(AssertionError, match="paired moves from the peel end on"):
         sym_move_refinement(em, en)
 
 
@@ -361,9 +367,10 @@ def test_sym_moves_follow_single_moves():
     assert len(kinds) == 935 and set(kinds) == {"symcut", "symshift"}
 
 
-@pytest.mark.parametrize("n", [9, 12, 17, 24, 33])
+@pytest.mark.parametrize("n", [9, 12, 17, 24, 33, 65])
 def test_refinement_seeded(n):
-    """The walk reaches every seeded target.  At n = 12, seed 0 needs 10
+    """The refinement reaches every seeded target, at n = 65 too, where it
+    runs in about the peel's time.  At n = 12, seed 0 the peel gives 12
     paired moves; a breadth-first search over paired moves expands more
     than 2000 states before it finds a chain there."""
     for seed in range(4):
@@ -371,7 +378,7 @@ def test_refinement_seeded(n):
         moves = sym_move_refinement(start, target)
         assert _replay(start, moves) == target
         if (n, seed) == (12, 0):
-            assert len(moves) == 10
+            assert len(moves) == 12
 
 
 def _fits(slack, boxes):
@@ -410,10 +417,25 @@ def _walk_outcome(walk, start, target):
         return type(exc)
 
 
+def _check_against_reference(start, target):
+    """The refinement's outcome on (start, target) against the reference
+    walk's: the same error class, or a chain that replays from start to
+    target where the reference finds one.  Returns the refinement's
+    moves or its error class."""
+    got = _walk_outcome(sym_move_refinement, start, target)
+    want = _walk_outcome(_reference_refinement, start, target)
+    if isinstance(want, list):
+        assert isinstance(got, list) and _replay(start, got) == target, (start, target)
+    else:
+        assert got is want, (start, target)
+    return got
+
+
 def test_refinement_matches_reference_exhaustive():
     """On every ordered pair of split-type epsilon modules with one
-    dimension vector, n <= 6 and entries <= 2, the walk gives the
-    reference walk's moves, or raises the same error class."""
+    dimension vector, n <= 6 and entries <= 2, the refinement raises the
+    reference walk's error class, or gives a chain that replays to the
+    target where the reference walk finds one."""
     pairs = moves = 0
     for n in range(1, 7):
         sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
@@ -422,45 +444,70 @@ def test_refinement_matches_reference_exhaustive():
             ereps = [EpsilonRep(rep, sym)
                      for rep in symdegen.epsilon_modules_with_dims(dims, sym)]
             for m, target in itertools.product(ereps, repeat=2):
-                got = _walk_outcome(sym_move_refinement, m, target)
-                assert got == _walk_outcome(_reference_refinement, m, target), (m, target)
+                got = _check_against_reference(m, target)
                 pairs += 1
                 moves += len(got) if isinstance(got, list) else 0
-    assert (pairs, moves) == (1247, 591)
+    assert (pairs, moves) == (1247, 606)
 
 
 @pytest.mark.parametrize("n", [7, 9])
 def test_refinement_matches_reference_seeded(n):
-    """Seeded odd-neg pairs, in both orders: the walk's moves are the
-    reference walk's, and the reversed pair raises NotComparable in
-    both."""
+    """Seeded odd-neg pairs, in both orders: the refinement's chain
+    replays to the target as the reference walk's does, and the reversed
+    pair raises NotComparable in both."""
     for seed in range(12):
         start, target = _random_pair(n, seed)
         assert start != target
         for pair in ((start, target), (target, start)):
-            assert _walk_outcome(sym_move_refinement, *pair) == \
-                _walk_outcome(_reference_refinement, *pair), (n, seed)
+            _check_against_reference(*pair)
         assert _walk_outcome(sym_move_refinement, target, start) is NotComparable
 
 
+def _pair_argv(tmp_path, verb, start, target):
+    """The arguments of a verb on the pair (start, target), each module
+    written to a JSON file under tmp_path."""
+    argv = [verb, "--type", cli._type_name(start.sym)]
+    for flag, erep in (("--m", start), ("--n", target)):
+        path = tmp_path / ("%s.json" % flag[2:])
+        path.write_text(json.dumps(core.rep_to_json(erep.rep)))
+        argv += [flag, str(path)]
+    return argv
+
+
+SYM_MOVES_STDOUT_DIGEST = "92bdd12a5bb88f71a0e43dc9174f2ea8a2bb4abfc361144a4b4683dcaea2119e"
+
+
 def test_sym_moves_stdout_matches_reference(tmp_path, capsys, monkeypatch):
-    """sympdeg sym-moves prints, byte for byte, what it prints with the
-    reference walk in place of sym_move_refinement, on seeded pairs of
-    both split types."""
+    """sympdeg sym-moves answers seeded pairs of both split types as it
+    does with the reference walk in place of sym_move_refinement: exit
+    0, nothing on stderr, and found moves that replay to the target.
+    Its own output is pinned byte for byte."""
+    digest = hashlib.sha256()
     for n, seed in ((6, 0), (7, 1), (9, 2), (12, 3)):
         start, target = _random_pair(n, seed)
-        argv = ["sym-moves", "--type", cli._type_name(start.sym)]
-        for flag, erep in (("--m", start), ("--n", target)):
-            path = tmp_path / ("%s.json" % flag[2:])
-            path.write_text(json.dumps(core.rep_to_json(erep.rep)))
-            argv += [flag, str(path)]
-        runs = []
-        for walk in (sym_move_refinement, _reference_refinement):
+        argv = _pair_argv(tmp_path, "sym-moves", start, target)
+        for walk in (_reference_refinement, sym_move_refinement):
             monkeypatch.setattr(symdegen, "sym_move_refinement", walk)
             assert cli.run(argv) == 0
-            runs.append(capsys.readouterr())
-        assert runs[0] == runs[1], (n, seed)
-        assert runs[0].err == "" and json.loads(runs[0].out)["moves"]
+            out, err = capsys.readouterr()
+            data = json.loads(out)
+            assert err == "" and data["status"] == "found" and data["moves"]
+            moves = [SymMove(**move) for move in data["moves"]]
+            assert _replay(start, moves) == target, (n, seed, walk)
+        digest.update(out.encode())
+    assert digest.hexdigest() == SYM_MOVES_STDOUT_DIGEST
+
+
+def test_sym_moves_cli_at_scale(tmp_path, capsys):
+    """sympdeg sym-moves answers a seeded even-pos pair at n = 100 with
+    exit 0 and a chain that replays to the target."""
+    start, target = _random_pair(100, 0)
+    argv = _pair_argv(tmp_path, "sym-moves", start, target)
+    assert cli.run(argv) == 0
+    out, err = capsys.readouterr()
+    data = json.loads(out)
+    assert err == "" and data["status"] == "found"
+    assert _replay(start, [SymMove(**move) for move in data["moves"]]) == target
 
 
 SYM_PATH_STDOUT_DIGEST = "3addbbb7b726413c236a7e4d979be656ab361d07290587ab16bdf7b993fefb93"
@@ -474,11 +521,7 @@ def test_sym_path_stdout_pinned(tmp_path, capsys):
     for n in (9, 15, 16, 21):
         for seed in range(3):
             start, target = _random_pair(n, seed)
-            argv = ["sym-path", "--type", cli._type_name(start.sym)]
-            for flag, erep in (("--m", start), ("--n", target)):
-                path = tmp_path / ("%s.json" % flag[2:])
-                path.write_text(json.dumps(core.rep_to_json(erep.rep)))
-                argv += [flag, str(path)]
+            argv = _pair_argv(tmp_path, "sym-path", start, target)
             for extra in ([], ["--table"]):
                 assert cli.run(argv + extra) == 0
                 out, err = capsys.readouterr()
@@ -488,8 +531,11 @@ def test_sym_path_stdout_pinned(tmp_path, capsys):
 
 
 def test_refinement_ranks_once_per_module(monkeypatch):
-    """The walk carries rank tables: one ranks_of for the start and one
-    for the target, then the audit's one per constituent move."""
+    """The refinement carries rank tables: one ranks_of for the start and
+    one for the target (the peel's opening), then one per audited move,
+    both those generic_quotient re-applies to the remaining source and
+    the two constituents of each paired move.  Each corner move gives
+    one paired move, so a chain of k moves makes 2 + 3k calls."""
     calls = [0]
 
     def counting(rep):
@@ -502,8 +548,8 @@ def test_refinement_ranks_once_per_module(monkeypatch):
     calls[0] = 0
     reset_sym_audit()
     moves = sym_move_refinement(start, target)
-    assert len(moves) == SYM_AUDIT["verified"] == 38
-    assert calls[0] == 2 + 2 * len(moves)
+    assert len(moves) == SYM_AUDIT["verified"] == 91
+    assert calls[0] == 2 + 3 * len(moves) == 275
 
 
 def test_sym_path_validates_once_per_peel(monkeypatch):
