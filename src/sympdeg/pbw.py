@@ -618,6 +618,31 @@ def _middle_members(n: int) -> List[Tuple[int, ...]]:
     return sorted(map(tuple, map(sorted, picks)))
 
 
+class _MemberSets(dict):
+    """The sets of the members met at one n, kept across enumerations:
+    table[S] = (frozenset(S), frozenset(dual(S))), with dual(S) = 1..2n
+    less the mirror images 2n+1-j of the elements j of S.  An entry is
+    made when a member is first looked up, in C-level set operations,
+    and depends on n and S alone, so the middle members get theirs like
+    any other member."""
+
+    __slots__ = ("every", "mirror")
+
+    def __init__(self, n: int):
+        super().__init__()
+        self.every = frozenset(range(1, 2 * n + 1))
+        # mirror[j] = 2n+1-j
+        self.mirror = range(2 * n + 1, -1, -1)
+
+    def __missing__(self, s: Tuple[int, ...]) -> Tuple[frozenset, frozenset]:
+        entry = self[s] = (frozenset(s), self.every.difference(map(self.mirror.__getitem__, s)))
+        return entry
+
+
+# the member sets at n, grown by every enumeration at n
+_member_table = functools.lru_cache(maxsize=8)(_MemberSets)
+
+
 def _members_below(sk: Tuple[int, ...], chosen) -> Iterator[Tuple[int, ...]]:
     """Every S_{k-1} that member S_k = sk (sorted) can sit above: sk less
     one element or, at a chosen wall k-1 (whose projection may discard
@@ -682,9 +707,15 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     middle members level by level collects every member some chain can
     pass through, and above[S_k] lists the members S_{k+1} that S_k can
     sit below, as sorted 1-tuples (S_{k+1},).  Each member's set and the
-    set of its dual are computed once, when the member is first met (one
-    dict probe per edge), the dual's set directly as 1..2n less the
-    mirror images 2n+1-j of the member's elements.
+    set of its dual come from the member table at n (_member_table),
+    which is kept across calls: the first call at n that meets a member
+    adds its two frozensets, the dual's directly as 1..2n less the
+    mirror images 2n+1-j of the member's elements, and every later call
+    reads them with one dict lookup per edge.  The table depends on n
+    alone, never on the subset, and holds nothing else: the middle
+    members, the graph, every self-check below and the chains are
+    still made on every call, so a call at an n already enumerated
+    saves only the set building (286 entries at n = 5, 924 at n = 6).
 
     The self-check runs on the graph, not on the points.  Each middle
     member is checked to be self-dual, and each edge lo -> hi, as it is
@@ -716,15 +747,20 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     verdict is computed once instead of once per chain through it.
 
     The graph and the chains are built with the cyclic garbage collector
-    paused (_collector_paused).  Every point is two tuples the collector
-    tracks, so on a running collector the build sets off hundreds of
-    collections that cannot free anything: the build makes only tuples,
-    lists, dicts and sets, with no reference cycle among them
-    (tests/test_pbw.py pins that).  The caller's collector state is
-    restored when the call returns or raises.  The switch is
-    process-wide, so while a call runs no other thread's cycles are
-    collected either; they wait until it returns, or until the last of
-    several overlapping calls returns.
+    paused (_collector_paused), on every call, whatever the table holds.
+    Every point is two tuples the collector tracks, so on a running
+    collector the build sets off hundreds of collections that cannot
+    free anything: the build makes only tuples, lists, dicts and sets,
+    with no reference cycle among them (tests/test_pbw.py pins that).
+    The caller's collector state is restored when the call returns or
+    raises.  The switch is process-wide, so while a call runs no other
+    thread's cycles are collected either; they wait until it returns, or
+    until the last of several overlapping calls returns.  Threads may
+    fill the table at one n together: an entry is the same whoever makes
+    it.  The pause ends with the call, but the points stay tracked:
+    FixedPoint is a tuple subclass, and the collector untracks only
+    exact tuples, so a list of points the caller holds is scanned again
+    by every later generation-1 and full collection.
 
     The list has one entry per point, so its length is the Euler
     characteristic of the locus: 2^n n! for the empty subset, 60,134,210
@@ -734,15 +770,14 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
     n = subset.n
     chosen = set(subset.i)
     degenerate = set(iprime(subset))
-    every = set(range(1, 2 * n + 1))
+    # sets[S] = (frozenset(S), frozenset(dual(S))), made on first lookup
+    sets = _member_table(n)
 
     with _collector_paused():
         middle = list(_middle_members(n))
         for sn in middle:
             if _dual_subset(sn, n) != sn:
                 raise AssertionError("middle member is not self-dual")
-        # sets[S] = (set(S), set(dual(S))); a middle member is its own dual
-        sets = {sn: (set(sn), set(sn)) for sn in middle}
         # above[S_k]: the 1-tuples (S_{k+1},) that S_k can sit below, with
         # above[()] the 1-element members.  Each level is walked in sorted
         # order, so every list is appended to in sorted order.
@@ -766,10 +801,7 @@ def lagrangian_fixed_points(subset: PbwSubset) -> List[FixedPoint]:
                     dual_hi = dual_hi - {w + 1}
                 up = (hi,)
                 for lo in _members_below(hi, chosen):
-                    lo_sets = sets.get(lo)
-                    if lo_sets is None:
-                        lo_sets = sets[lo] = (set(lo), every - {2 * n + 1 - j for j in lo})
-                    lo_set, dual_lo = lo_sets
+                    lo_set, dual_lo = sets[lo]
                     if v and not lo_set <= hi_set:
                         raise AssertionError("member %d does not map into member %d"
                                              % (v, k))

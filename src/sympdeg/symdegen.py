@@ -26,7 +26,7 @@ from operator import ge
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _corner_surplus_error,
-                   _counted_modules, _dims_arg, ranks_of, rep_of, sigma)
+                   _counted_modules, _dims_arg, ranks_of, sigma)
 from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put, _take,
                     degenerates, generic_quotient, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
@@ -543,13 +543,31 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
     a chain that misses target raises AssertionError.  Returns [] when
     start equals target; raises MismatchedType, NotSplitType or
     NotComparable as sym_degeneration_path does.
+
+    A step's remaining source is Z's multiplicities less the blocks the
+    earlier steps peeled, so no table is read back into a module: the
+    peel's corner check already decided that step.m_ranks is valid, and
+    generic_quotient takes it as the source's table.
     """
     steps = sym_degeneration_path(start, target)
     n = start.sym.n
     # the first step's source table is ranks_of(start.rep)
     cur, R, moves = start, steps[0].m_ranks, []
+    peeled: Dict[Segment, int] = {}
     for step in steps[:-1]:
-        report = generic_quotient(rep_of(step.m_ranks), *step.L, _ranks=step.m_ranks)
+        # the remaining source: Z less the blocks peeled at earlier steps
+        mult = dict(step.Z.rep.mult)
+        for seg, m in peeled.items():
+            left = mult[seg] - m
+            if left:
+                mult[seg] = left
+            else:
+                del mult[seg]
+        source = Representation._of_mult(n, mult)
+        report = generic_quotient(source, *step.L, _ranks=step.m_ranks)
+        # the peel takes off L = U[q, top] and its reflection U[a, sigma(q)]
+        for block in (step.L, (step.support_interval[0], sigma(step.L[0], n))):
+            _put(peeled, block)
         for m in report.moves:
             # the paired move whose second constituent is m
             ends = (m.s, m.t, m.q) if m.kind == "cut" else (m.s, m.t, m.r, m.q)

@@ -411,6 +411,44 @@ def test_fixed_points_match_reference_builder():
         assert lagrangian_fixed_points(s) == _reference_fixed_points(s), s
 
 
+def _reference_member_sets(member, n):
+    """(set of the member, set of its dual), from the definition."""
+    return (frozenset(member),
+            frozenset(x for x in range(1, 2 * n + 1) if 2 * n + 1 - x not in member))
+
+
+def test_member_table_kept_across_calls():
+    """From an empty table, every subset with n <= 5, in ascending and
+    then in descending order, gives the reference builder's list.  The
+    first pass fills one table per n, whose entries are the definition's
+    frozensets; the second pass adds no entry."""
+    subsets = [s for n in range(1, 6) for s in _all_subsets(n)]
+    pbw._member_table.cache_clear()
+    for s in subsets:
+        assert lagrangian_fixed_points(s) == _reference_fixed_points(s), s
+    tables = {n: pbw._member_table(n) for n in range(1, 6)}
+    sizes = {n: len(table) for n, table in tables.items()}
+    for s in reversed(subsets):
+        assert lagrangian_fixed_points(s) == _reference_fixed_points(s), s
+    assert all(pbw._member_table(n) is table for n, table in tables.items())
+    assert {n: len(table) for n, table in tables.items()} == sizes
+    for n, table in tables.items():
+        # the middle members and () are members at every n
+        assert set(pbw._middle_members(n)) | {()} <= set(table)
+        for member, entry in table.items():
+            assert type(entry) is tuple and list(map(type, entry)) == [frozenset] * 2
+            assert entry == _reference_member_sets(member, n), (n, member)
+
+
+def test_member_table_same_list_cold_and_warm():
+    """A call on an empty table and a call on a full one return equal
+    lists, for every subset at n = 4."""
+    for s in _all_subsets(4):
+        pbw._member_table.cache_clear()
+        cold = lagrangian_fixed_points(s)
+        assert lagrangian_fixed_points(s) == cold, s
+
+
 def _reference_middle_members(n):
     """The definition: the n-subsets of 1..2n holding no pair {j, 2n+1-j}."""
     return [sn for sn in itertools.combinations(range(1, 2 * n + 1), n)
@@ -558,6 +596,45 @@ def test_overlapping_calls_keep_collector_off(monkeypatch):
     assert gc.isenabled()
 
 
+def test_overlapping_first_calls_share_the_table(monkeypatch):
+    """Two threads make the first calls at n = 4 on an empty table: the
+    first stops at its first member below, the second runs to the end
+    meanwhile, and the first then finishes on the table the second
+    filled.  Both lists equal the reference, every entry is the
+    definition's, and the collector is on after both."""
+    pbw._member_table.cache_clear()
+    real = pbw._members_below
+    first_in, second_done = threading.Event(), threading.Event()
+
+    def members_below(sk, chosen):
+        if threading.current_thread().name == "first" and not first_in.is_set():
+            first_in.set()
+            second_done.wait(10)
+        return real(sk, chosen)
+
+    monkeypatch.setattr(pbw, "_members_below", members_below)
+    s = PbwSubset.make(4, (1, 3))
+    found = {}
+
+    def run():
+        found[threading.current_thread().name] = lagrangian_fixed_points(s)
+
+    first = threading.Thread(name="first", target=run)
+    second = threading.Thread(name="second", target=run)
+    first.start()
+    assert first_in.wait(10)
+    second.start()
+    second.join(10)
+    assert not second.is_alive()
+    second_done.set()
+    first.join(10)
+    assert not first.is_alive()
+    assert found["first"] == found["second"] == _reference_fixed_points(s)
+    assert gc.isenabled()
+    for member, entry in pbw._member_table(4).items():
+        assert entry == _reference_member_sets(member, 4), member
+
+
 def test_concurrent_calls_leave_collector_on():
     """Stress: eight threads (more than cores) call the enumeration at
     once, with a short switch interval so pauses interleave at every
@@ -652,6 +729,14 @@ def test_fixed_point_check_mirrored_half():
     assert _fault(fp, PbwSubset.make(4, [1])) == "member 4 does not map into member 5"
 
 
+@pytest.fixture
+def member_table_cleared():
+    """Clear the member table after the test, so that no member a test
+    injected stays in it."""
+    yield
+    pbw._member_table.cache_clear()
+
+
 def _inject_below(monkeypatch, target, extra):
     """Make _members_below also offer extra as a member below target."""
     real = pbw._members_below
@@ -670,7 +755,8 @@ def _inject_below(monkeypatch, target, extra):
     ((1, 1), "member 4 has wrong size"),
     ((1, 4), "member 2 does not map into member 3"),
 ])
-def test_enumeration_rejects_bad_member_below(monkeypatch, extra, message):
+def test_enumeration_rejects_bad_member_below(monkeypatch, member_table_cleared,
+                                              extra, message):
     """A bad member offered below the middle member (1, 2, 3) of n = 3
     fails the check of its edge, before any point is built."""
     _inject_below(monkeypatch, (1, 2, 3), extra)
@@ -684,6 +770,27 @@ def test_enumeration_rejects_bad_middle_member(monkeypatch):
                         lambda n: itertools.chain(real(n), [(1, 3, 4)]))
     with pytest.raises(AssertionError, match="middle member is not self-dual"):
         lagrangian_fixed_points(PbwSubset.make(3, ()))
+
+
+def test_enumeration_checks_run_on_a_full_table(monkeypatch, member_table_cleared):
+    """The self-checks run on every call, not once per member of the
+    table: after a call at n = 3 has filled it, a bad middle member and
+    each bad member below (1, 2, 3) still fail with their messages."""
+    s = PbwSubset.make(3, ())
+    lagrangian_fixed_points(s)
+    real_middle = pbw._middle_members
+    with monkeypatch.context() as patch:
+        patch.setattr(pbw, "_middle_members",
+                      lambda n: itertools.chain(real_middle(n), [(1, 3, 4)]))
+        with pytest.raises(AssertionError, match="middle member is not self-dual"):
+            lagrangian_fixed_points(s)
+    for extra, message in [((1, 2, 3), "member 2 has wrong size"),
+                           ((1, 1), "member 4 has wrong size"),
+                           ((1, 4), "member 2 does not map into member 3")]:
+        with monkeypatch.context() as patch:
+            _inject_below(patch, (1, 2, 3), extra)
+            with pytest.raises(AssertionError, match=re.escape(message)):
+                lagrangian_fixed_points(s)
 
 
 def test_enumeration_rejects_broken_mirrored_link(monkeypatch):

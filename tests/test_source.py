@@ -158,3 +158,44 @@ def test_every_parameter_is_read():
             found += ["%s:%d %s(%s)" % (path.name, node.lineno, name, p.arg) for p in params
                       if p.arg not in read and (name, p.arg) not in exempt]
     assert found == []
+
+
+def test_every_cache_is_bounded():
+    """Every functools.lru_cache of the package is called with an integer
+    maxsize, so no module-level cache grows without bound.  A bare
+    decorator, functools.cache (unbounded) and a maxsize that is not an
+    int literal are each reported, under either spelling: functools.name
+    or a name imported from functools."""
+    package = pathlib.Path(sympdeg.__file__).parent
+    caches, found = [], []
+    for path in sorted(package.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = {alias.asname or alias.name: alias.name for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module == "functools"
+                    for alias in node.names}
+
+        def cache_name(node):
+            if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id == "functools"):
+                name = node.attr
+            elif isinstance(node, ast.Name):
+                name = imported.get(node.id)
+            else:
+                return None
+            return name if name in ("lru_cache", "cache") else None
+
+        bounded = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and cache_name(node.func) == "lru_cache":
+                sizes = node.args[:1] + [kw.value for kw in node.keywords
+                                         if kw.arg == "maxsize"]
+                if (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+                        and type(sizes[0].value) is int):
+                    bounded.add(id(node.func))
+        for node in ast.walk(tree):
+            name = cache_name(node)
+            if name:
+                where = "%s:%d %s" % (path.name, node.lineno, name)
+                (caches if id(node) in bounded else found).append(where)
+    assert found == []
+    assert len(caches) >= 3

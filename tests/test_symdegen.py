@@ -583,6 +583,26 @@ def test_sym_path_validates_once_per_peel(monkeypatch):
     assert calls == {"rep_of": 0, "validate": 0, "step": len(steps) - 1}
 
 
+def test_sym_refinement_reads_no_table_back(monkeypatch):
+    """Each step's remaining source is Z less the blocks peeled before it,
+    so refining seeded pairs (n = 20 and 33) reads no rank table back
+    into a module: no RankSequence._validated_mult call, which rep_of
+    and validate() both make.  The chain still ends on the target."""
+    calls = [0]
+    real_check = RankSequence._validated_mult
+
+    def counting_check(self):
+        calls[0] += 1
+        return real_check(self)
+
+    monkeypatch.setattr(RankSequence, "_validated_mult", counting_check)
+    for n, seed in ((20, 0), (33, 0), (33, 1)):
+        start, target = _random_pair(n, seed)
+        moves = sym_move_refinement(start, target)
+        assert moves and _replay(start, moves) == target
+    assert calls == [0]
+
+
 def test_sym_path_tables_by_blocks(monkeypatch):
     """A seeded odd-neg n = 31 path computes ranks only for M and N and
     never subtracts whole tables: each step updates the target by the
