@@ -553,21 +553,16 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
     n = start.sym.n
     # the first step's source table is ranks_of(start.rep)
     cur, R, moves = start, steps[0].m_ranks, []
-    peeled: Dict[Segment, int] = {}
+    peeled: List[Segment] = []
     for step in steps[:-1]:
         # the remaining source: Z less the blocks peeled at earlier steps
         mult = dict(step.Z.rep.mult)
-        for seg, m in peeled.items():
-            left = mult[seg] - m
-            if left:
-                mult[seg] = left
-            else:
-                del mult[seg]
-        source = Representation._of_mult(n, mult)
-        report = generic_quotient(source, *step.L, _ranks=step.m_ranks)
+        for block in peeled:
+            _take(mult, block)
+        report = generic_quotient(Representation._of_mult(n, mult), *step.L,
+                                  _ranks=step.m_ranks)
         # the peel takes off L = U[q, top] and its reflection U[a, sigma(q)]
-        for block in (step.L, (step.support_interval[0], sigma(step.L[0], n))):
-            _put(peeled, block)
+        peeled += [step.L, (step.support_interval[0], sigma(step.L[0], n))]
         for m in report.moves:
             # the paired move whose second constituent is m
             ends = (m.s, m.t, m.q) if m.kind == "cut" else (m.s, m.t, m.r, m.q)
