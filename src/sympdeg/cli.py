@@ -55,6 +55,11 @@ MAX_WORD_LETTERS = 1_000_000
 # constraints, (2n-1)(n-1)n/3, than this before building the face or a
 # root vector; n = 91 still passes
 MAX_FACE_ROWS = 500_000
+# sym-moves refuses a source of total dimension D on n vertices with
+# D (n(n+1)/2 + 1000) above this before any peel step: a chain has at
+# most D/2 paired moves, each auditing two n(n+1)/2-entry tables at a
+# fixed cost of about 1000 more entries
+MAX_SYM_MOVES_WORK = 50_000_000
 # with these guards, every accepted call of the verbs they cover peaks
 # below 225 MB.  Peak RSS of one CLI process on a 2-core x86-64 host:
 # ranks at n = 1999 about 45 MB, pbw-weyl at n = 707 with every wall
@@ -346,7 +351,15 @@ def _cmd_sym_path(args) -> int:
 
 
 def _cmd_sym_moves(args) -> int:
-    found = symdegen.sym_move_refinement(*_sym_pair(args))
+    em, en = _sym_pair(args)
+    n = em.rep.n
+    dim = sum(m * (j - i + 1) for (i, j), m in em.rep.mult.items())
+    work = dim * (n * (n + 1) // 2 + 1000)
+    if work > MAX_SYM_MOVES_WORK:
+        raise InstanceTooLarge("paired moves from total dimension %d on %d vertices have a work "
+                               "bound of %d, more than the sym-moves guard %d"
+                               % (dim, n, work, MAX_SYM_MOVES_WORK))
+    found = symdegen.sym_move_refinement(em, en)
     _emit({"status": "found", "moves": [degen.move_to_json(mv) for mv in found]})
     return 0
 

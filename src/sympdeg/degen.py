@@ -3,23 +3,23 @@
 M degenerates to N (same dimension vector) exactly when the rank sequence
 of M dominates that of N entrywise.  This module provides the two
 elementary moves that generate the order, a generic-quotient construction
-that produces the moves witnessing one peeling step (one move per corner
-of the staircase where a generic copy of the segment meets M), and a
-path builder that factors an arbitrary degeneration into elementary moves.
+that produces the moves witnessing one peeling step, and a path builder
+that factors an arbitrary degeneration into elementary moves.  The moves
+come from one staircase walk over M's rank table (_staircase): one move
+per corner where a generic copy of the segment meets M, none when it
+splits off; symdegen's paired-move refinement reads the same walk.
 
 Every move application is audited: the rank sequence of the result is
 recomputed from its multiplicities and checked against the input's ranks
-less one on the move's box (Move._box), the table _predicted_rows
-builds.  That box is the one description of a move's drop, and
-symdegen's paired-move audit checks the same predicted table for each
-constituent.  apply_move computes the
+less one on the move's box (Move._box, the one description of a move's
+drop), the table _predicted_rows builds; symdegen's paired-move audit
+checks the same table for each constituent.  apply_move computes the
 input's ranks itself; generic_quotient and the path builder pass on the
 ranks they already hold, so along a path each module's ranks are
 computed once.  The move closure (oracle.closure_enumerate) applies a
 move (_applied), predicts its table (_predicted_rows) and audits it
-(_audit) as separate steps: every edge is audited against ranks_of of
-the child, computed once per distinct module the closure reaches.  The
-path builder also carries each quotient module as generic_quotient took
+(_audit) as separate steps, against ranks_of of each distinct child.
+The path builder carries each quotient module as generic_quotient took
 it out of the last audited stage, so it never rebuilds a module from its
 ranks or re-validates a rank table.  Modules built here are wrapped
 without re-checking their segments (Representation._of_mult), a peeled
@@ -248,53 +248,32 @@ class QuotientReport(NamedTuple):
     stages: Tuple[Representation, ...] = ()
 
 
-def generic_quotient(M: Representation, q: int, s: int, *,
-                     _ranks: Optional[RankSequence] = None) -> QuotientReport:
-    """Generic quotient of M by one copy of U[q, s], with witnessing moves.
+def _staircase(R: RankSequence, q: int, s: int
+               ) -> Tuple[Tuple[Move, ...], List[Tuple[int, int]], RankSequence]:
+    """(moves, corners, ranks of U[q, s] + Q) for the generic quotient Q
+    by an embedding U[q, s] of the module with valid rank table R.
 
-    Requires that U[q, s] embeds into M.  When the segment is a direct
-    summand the quotient just drops it and no moves are needed.  Otherwise
-    a staircase locates where a generic copy of U[q, s] sits inside M.
     How far short of split the embedding is at (k, l) is
         f(k, l) = (r(q, l) - r(k, l)) - (r(q, s + 1) - r(k, s + 1)),
-    the count of segments [k', l'] of M with k < k' <= q and
-    l <= l' <= s.  Walking l = q..s, t_l = min{k : f(k, l) = 0} (t = q
-    before the walk) only falls, and a corner (t_l, l) is recorded
-    wherever it does.  One move per corner degenerates M to
-    U[q, s] + Q, whose ranks are M's less one exactly on the staircase,
-    at (k, l) with t_l <= k < q; the rows of M outside t_s..q-1 are
-    reused as they are.  The emitted moves are re-applied under audit and the
-    result's ranks are checked against the predicted ranks of U[q, s] + Q
-    before returning.  That check is the validity guard: once it passes,
-    the predicted table is the rank table of a real module, so neither
-    it nor ranks_Q is validated separately.  The last move puts U[q, s],
-    and Q is the last stage without it.
-    The path builder passes _ranks = ranks_of(M), which it already holds.
-    Vertices other than ints 1 <= q <= s <= n raise ValueError.
+    the count of segments [k', l'] with k < k' <= q and l <= l' <= s.
+    Walking l = q..s, t_l = min{k : f(k, l) = 0} (t = q before the walk)
+    only falls, and a corner (t_l, l) is recorded wherever it does.  One
+    move per corner degenerates the module to U[q, s] + Q, whose ranks
+    are R's less one exactly at (k, l) with t_l <= k < q; the other rows
+    are R's own.  A split embedding has no corner, as f(q - 1, l) >=
+    m_{q,s} > 0 for every l; otherwise f(q - 1, s) = m_{q,s} = 0.
     """
-    n = M.n
-    if not (type(q) is type(s) is int and 1 <= q <= s <= n):
-        raise ValueError("segment (%r, %r) out of range" % (q, s))
-    R = ranks_of(M) if _ranks is None else _ranks
     rows = R._rows
     # row q, and r(q, s + 1), which is the boundary zero at s = n
     rq = rows[q - 1]
-    inside = s < n
+    inside = s < R.n
     rq_out = rq[s + 1 - q] if inside else 0
-    if rq[s - q] - rq_out <= 0:
-        raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, s, M))
-
-    if M.m(q, s) > 0:
-        mult = dict(M.mult)
-        _take(mult, (q, s))
-        return QuotientReport(ranks_Q=R._less_segment(q, s), ranks_LQ=R, moves=(),
-                              markers=None, Q=Representation._of_mult(n, mult))
-
+    # a split embedding skips the walk: m_{q,s} = f(q - 1, s) > 0
+    if rq[s - q] - rq_out > R.r(q - 1, s) - R.r(q - 1, s + 1):
+        return (), [], R
     # f shrinks as k or l grows, so its zeros form the staircase.  f(k, l)
-    # = 0 reads rows q and k only: r(k, l) - r(k, s + 1) equals r(q, l) -
-    # r(q, s + 1).  A non-split embedding forces q >= 2 and f(q-1, s) =
-    # m_{q,s} = 0, so there is at least one corner.  A corner (t, l) that
-    # drops t from above lowers rows t..above-1 on columns l..s.
+    # = 0 reads rows q and k only.  A corner (t, l) that drops t from
+    # above lowers rows t..above-1 on columns l..s.
     corners: List[Tuple[int, int]] = []
     lq_rows = list(rows)
     t = q
@@ -316,20 +295,40 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     ends = [c - 1 for _, c in corners[1:]] + [s]
     moves = tuple(Move.cut(t, e, q) if c == q else Move.shift(t, e, q, c - 1)
                   for (t, c), e in zip(corners, ends))
-    ranks_LQ = RankSequence._of_rows(n, lq_rows)
+    return moves, corners, RankSequence._of_rows(R.n, lq_rows)
 
+
+def generic_quotient(M: Representation, q: int, s: int, *,
+                     _ranks: Optional[RankSequence] = None) -> QuotientReport:
+    """Generic quotient of M by one copy of U[q, s], with witnessing moves.
+
+    Requires that U[q, s] embeds into M.  The staircase of M's rank
+    table (_staircase) gives one move per corner, none when U[q, s] is a
+    direct summand, and the predicted ranks of U[q, s] + Q.  The moves
+    are applied under audit and must land on those ranks; that check is
+    the validity guard, so neither table is validated separately.  Q is
+    the last stage (M when there are no moves) less one copy of U[q, s].
+    The path builder passes _ranks = ranks_of(M), which it already holds.
+    Vertices other than ints 1 <= q <= s <= n raise ValueError.
+    """
+    n = M.n
+    if not (type(q) is type(s) is int and 1 <= q <= s <= n):
+        raise ValueError("segment (%r, %r) out of range" % (q, s))
+    R = ranks_of(M) if _ranks is None else _ranks
+    if R.r(q, s) <= R.r(q, s + 1):
+        raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, s, M))
+    moves, corners, ranks_LQ = _staircase(R, q, s)
     # applying the moves is what raises InsufficientMultiplicity on a bad list
-    stages = []
-    cur, ranks = M, R
+    stages, cur, ranks = [], M, R
     for move in moves:
         cur, ranks = _apply_audited(cur, move, ranks)
         stages.append(cur)
     if ranks != ranks_LQ:
         raise AssertionError("moves do not realise the predicted generic quotient")
     mult = dict(cur.mult)
-    _take(mult, (q, s), moves[-1])
+    _take(mult, (q, s))
     return QuotientReport(ranks_Q=ranks_LQ._less_segment(q, s), ranks_LQ=ranks_LQ,
-                          moves=moves, markers=corners[0] + corners[-1],
+                          moves=moves, markers=corners[0] + corners[-1] if corners else None,
                           stages=tuple(stages), Q=Representation._of_mult(n, mult))
 
 

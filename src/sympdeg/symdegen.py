@@ -13,10 +13,10 @@ segment L together with its reflection, replacing M by the subquotient
 degeneration and the per-step rank tables are returned for rendering.
 
 sym_move_refinement writes such a pair as paired moves instead, read off
-the same peel: each step's generic quotient (degen.generic_quotient)
-gives one corner move per staircase corner, and each corner move is
-paired with its reflection.  Every paired move is audited, and the chain
-is checked to end on N.
+the same peel: the staircase of each step's remaining source table by L
+(degen._staircase, the walk of degen.generic_quotient) gives one corner
+move per corner, and each corner move is paired with its reflection.
+Every paired move is audited, and the chain is checked to end on N.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from .core import (RankSequence, Representation, Segment, _corner_surplus_error,
                    _counted_modules, _dims_arg, ranks_of, sigma)
-from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put, _take,
-                    degenerates, generic_quotient, single_moves)
+from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put, _staircase,
+                    _take, degenerates, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -536,34 +536,21 @@ INCONCLUSIVE = object()
 def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
                         budget=None) -> List[SymMove]:
     """Paired moves taking start to target, read off the peel: for each
-    corner move of generic_quotient(remaining source, L) on each step of
-    sym_degeneration_path, the paired move whose second constituent it
-    is: cut(t, s, q) gives symcut(s', t', q'), shift(t, s, q, r) gives
-    symshift(s', t', r', q'), where v' = sigma(v).  Each is audited, and
-    a chain that misses target raises AssertionError.  Returns [] when
-    start equals target; raises MismatchedType, NotSplitType or
-    NotComparable as sym_degeneration_path does.
-
-    A step's remaining source is Z's multiplicities less the blocks the
-    earlier steps peeled, so no table is read back into a module: the
-    peel's corner check already decided that step.m_ranks is valid, and
-    generic_quotient takes it as the source's table.
+    corner move that degen._staircase (generic_quotient's walk) reads off
+    the source table of each step of sym_degeneration_path, the paired
+    move whose second constituent it is: cut(t, s, q) gives symcut(s',
+    t', q'), shift(t, s, q, r) gives symshift(s', t', r', q'), where v' =
+    sigma(v).  Each corner move is audited once, as a constituent of its
+    paired move, and a chain that misses target raises AssertionError.
+    Returns [] when start equals target; raises MismatchedType,
+    NotSplitType or NotComparable as sym_degeneration_path does.
     """
     steps = sym_degeneration_path(start, target)
     n = start.sym.n
     # the first step's source table is ranks_of(start.rep)
     cur, R, moves = start, steps[0].m_ranks, []
-    peeled: List[Segment] = []
     for step in steps[:-1]:
-        # the remaining source: Z less the blocks peeled at earlier steps
-        mult = dict(step.Z.rep.mult)
-        for block in peeled:
-            _take(mult, block)
-        report = generic_quotient(Representation._of_mult(n, mult), *step.L,
-                                  _ranks=step.m_ranks)
-        # the peel takes off L = U[q, top] and its reflection U[a, sigma(q)]
-        peeled += [step.L, (step.support_interval[0], sigma(step.L[0], n))]
-        for m in report.moves:
+        for m in _staircase(step.m_ranks, *step.L)[0]:
             # the paired move whose second constituent is m
             ends = (m.s, m.t, m.q) if m.kind == "cut" else (m.s, m.t, m.r, m.q)
             move = SymMove("sym" + m.kind, *[sigma(v, n) for v in ends])

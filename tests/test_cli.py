@@ -646,6 +646,36 @@ def test_rank_table_guard_on_every_table_verb(tmp_path, capsys, verb, flags, gua
         assert (code, err) == (0, "") and json.loads(out)
 
 
+def test_sym_moves_guard_before_the_peel(tmp_path, capsys, monkeypatch):
+    """sym-moves refuses a source of total dimension D on n vertices with
+    D (n(n+1)/2 + 1000) above 50,000,000: one InstanceTooLarge line and
+    exit 1 at once, before any peel step.  2c copies of [1, 2] down to
+    2c copies of each simple have D = 4c, so c = 12,462 (49,997,544)
+    still reaches the refinement, stood in for here, and c = 12,463 does
+    not."""
+    reached = []
+
+    def stand_in(start, target):
+        reached.append(start.rep.m(1, 2))
+        return []
+
+    monkeypatch.setattr(symdegen, "sym_move_refinement", stand_in)
+    for c, refused in ((12463, True), (12462, False)):
+        m = _write(tmp_path, "m.json", core.rep_to_json(core.Representation(
+            2, {(1, 2): 2 * c})))
+        n = _write(tmp_path, "n.json", core.rep_to_json(core.Representation(
+            2, {(1, 1): 2 * c, (2, 2): 2 * c})))
+        code, out, err = _run(capsys, "sym-moves", "--type", "even-pos", "--m", m, "--n", n)
+        if refused:
+            assert (code, out, reached) == (1, "", [])
+            assert err == ("InstanceTooLarge: paired moves from total dimension 49852 on 2 "
+                           "vertices have a work bound of 50001556, more than the sym-moves "
+                           "guard 50000000\n")
+        else:
+            assert (code, err, reached) == (0, "", [2 * c])
+            assert json.loads(out) == {"status": "found", "moves": []}
+
+
 def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
     """pbw-weyl and pbw-lemma-ui refuse a locus whose type-A word has more
     than 1,000,000 letters, pbw-interior and pbw-face one whose face has

@@ -225,12 +225,13 @@ def test_generic_quotient_random_consistency():
 
 
 def _staircase_reference(R, q, s):
-    """(moves, markers, rank rows of L + Q) of the non-split quotient by
-    U[q, s], from generic_quotient's docstring: t_l = min{k : f(k, l) = 0}
-    for l = q..s, a corner (t_l, l) wherever t_l falls (t = q before the
+    """(moves, markers, rank rows of L + Q) of the quotient by U[q, s],
+    from degen._staircase's docstring: t_l = min{k : f(k, l) = 0} for
+    l = q..s, a corner (t_l, l) wherever t_l falls (t = q before the
     walk), and L + Q one rank below M at (k, l) with t_l <= k < q.  A
     corner (t, c) gives cut(t, e, q) if c = q, else shift(t, e, q, c - 1),
-    where e is one less than the next corner's column, or s for the last."""
+    where e is one less than the next corner's column, or s for the last.
+    The markers are None when there is no corner."""
     r = R.r
 
     def f(k, l):
@@ -247,22 +248,24 @@ def _staircase_reference(R, q, s):
     ends = [c - 1 for _, c in corners[1:]] + [s]
     moves = tuple(Move.cut(t, e, q) if c == q else Move.shift(t, e, q, c - 1)
                   for (t, c), e in zip(corners, ends))
-    return moves, corners[0] + corners[-1], rows
+    return moves, corners[0] + corners[-1] if corners else None, rows
 
 
 def test_generic_quotient_matches_staircase_reference():
     """Every module of every dims with n <= 5 and entries <= 2, quotiented
-    by every segment that embeds without splitting off: the moves, markers
-    and ranks of L + Q are the staircase's, and the rows of M that the
-    staircase leaves alone are reused as they are."""
-    quotients = 0
+    by every segment that embeds: the moves, markers and ranks of L + Q
+    are the staircase's, and the rows of M that the staircase leaves
+    alone are reused as they are.  The staircase has no corner exactly
+    when the segment splits off, and then the report is the split one:
+    no moves or stages, markers None, L + Q = M, Q = M less one copy."""
+    quotients = split = 0
     for n in range(1, 6):
         for dims in itertools.product(range(3), repeat=n):
             for m in modules_with_dims(dims):
                 R = ranks_of(m)
                 for q in range(1, n + 1):
                     for s in range(q, n + 1):
-                        if R.r(q, s) == R.r(q, s + 1) or m.m(q, s):
+                        if R.r(q, s) == R.r(q, s + 1):
                             continue
                         # R passed in as the path builder does, so the
                         # reused rows can be told by identity
@@ -271,12 +274,24 @@ def test_generic_quotient_matches_staircase_reference():
                         assert report.moves == moves
                         assert report.markers == markers
                         assert report.ranks_LQ.rows() == rows
-                        lowest = markers[2]
+                        split_off = m.m(q, s) > 0
+                        assert (markers is None) == split_off
+                        assert (not degen._staircase(R, q, s)[1]) == split_off
+                        lowest = q if markers is None else markers[2]
                         for i, (got, was) in enumerate(
                                 zip(report.ranks_LQ._rows, R._rows), 1):
                             assert (got is was) == (not lowest <= i < q)
                         quotients += 1
-    assert quotients == 4112
+                        if markers is None:
+                            assert report.stages == ()
+                            assert report.ranks_LQ == R
+                            assert report.ranks_Q == R._less_segment(q, s)
+                            mult = dict(m.mult)
+                            degen._take(mult, (q, s))
+                            assert report.Q == Representation(n, mult)
+                            split += 1
+    # 4,112 of them do not split
+    assert (quotients, split) == (14176, 10064)
 
 
 def test_degeneration_path_simple():

@@ -309,16 +309,16 @@ def test_refinement_identity():
 
 
 def test_refinement_stall(monkeypatch):
-    """A quotient that emits no moves leaves the chain short of the
+    """A staircase that gives no moves leaves the chain short of the
     target: the endpoint check raises AssertionError instead of
     returning a partial chain."""
     em, en = _ex1_pair()
-    real = degen.generic_quotient
+    real = degen._staircase
 
-    def no_moves(*args, **kwargs):
-        return real(*args, **kwargs)._replace(moves=())
+    def no_moves(*args):
+        return ((),) + real(*args)[1:]
 
-    monkeypatch.setattr(symdegen, "generic_quotient", no_moves)
+    monkeypatch.setattr(symdegen, "_staircase", no_moves)
     with pytest.raises(AssertionError, match="paired moves from the peel end on"):
         sym_move_refinement(em, en)
 
@@ -532,10 +532,11 @@ def test_sym_path_stdout_pinned(tmp_path, capsys):
 
 def test_refinement_ranks_once_per_module(monkeypatch):
     """The refinement carries rank tables: one ranks_of for the start and
-    one for the target (the peel's opening), then one per audited move,
-    both those generic_quotient re-applies to the remaining source and
-    the two constituents of each paired move.  Each corner move gives
-    one paired move, so a chain of k moves makes 2 + 3k calls."""
+    one for the target (the peel's opening), then one per audited
+    constituent.  The corner moves are read off each step's source
+    table (degen._staircase) with no audit of their own, and each gives
+    one paired move of two constituents, so a chain of k moves makes
+    2 + 2k calls."""
     calls = [0]
 
     def counting(rep):
@@ -549,7 +550,7 @@ def test_refinement_ranks_once_per_module(monkeypatch):
     reset_sym_audit()
     moves = sym_move_refinement(start, target)
     assert len(moves) == SYM_AUDIT["verified"] == 91
-    assert calls[0] == 2 + 3 * len(moves) == 275
+    assert calls[0] == 2 + 2 * len(moves) == 184
 
 
 def test_sym_path_validates_once_per_peel(monkeypatch):
