@@ -55,17 +55,24 @@ MAX_WORD_LETTERS = 1_000_000
 # constraints, (2n-1)(n-1)n/3, than this before building the face or a
 # root vector; n = 91 still passes
 MAX_FACE_ROWS = 500_000
-# sym-moves refuses a source of total dimension D on n vertices with
-# D (n(n+1)/2 + 1000) above this before any peel step: a chain has at
-# most D/2 paired moves, each auditing two n(n+1)/2-entry tables at a
-# fixed cost of about 1000 more entries
+# the path verbs refuse a source of total dimension D on n vertices whose
+# work bound D (n(n+1)/2 + 1000) is above their guard, before any peel
+# step (_path_work).  sym-moves: a chain has at most D/2 paired moves,
+# each auditing two n(n+1)/2-entry tables at a fixed cost of about 1000
+# more entries
 MAX_SYM_MOVES_WORK = 50_000_000
+# degen-path: a chain has at most D moves, each auditing a table and
+# printing a module of at most n(n+1)/2 segments
+MAX_DEGEN_PATH_WORK = 5_000_000
+# sym-path: a peel has at most D/2 steps, each printing three tables
+MAX_SYM_PATH_WORK = 4_000_000
 # with these guards, every accepted call of the verbs they cover peaks
 # below 225 MB.  Peak RSS of one CLI process on a 2-core x86-64 host:
 # ranks at n = 1999 about 45 MB, pbw-weyl at n = 707 with every wall
 # about 150 MB, pbw-interior at n = 91 with every wall about 41 MB, and
 # pbw-face at n = 91 about 55 MB when both its reports hold close to
-# MAX_REPORTED_ROWS rows (about 42 MB with none)
+# MAX_REPORTED_ROWS rows (about 42 MB with none), degen-path at its edge
+# about 103 MB and sym-path --table at its edge about 127 MB
 
 
 def _load(path: str):
@@ -88,6 +95,18 @@ def _tabled_rep(path: str) -> core.Representation:
                                "than the ranks guard %d"
                                % (rep.n, entries, MAX_RANK_ENTRIES))
     return rep
+
+
+def _path_work(rep: core.Representation, what: str, verb: str, limit: int) -> None:
+    """InstanceTooLarge, before any peel step, when the source rep of a
+    path verb has a work bound above limit (see MAX_SYM_MOVES_WORK)."""
+    n = rep.n
+    dim = sum(m * (j - i + 1) for (i, j), m in rep.mult.items())
+    work = dim * (n * (n + 1) // 2 + 1000)
+    if work > limit:
+        raise InstanceTooLarge("%s from total dimension %d on %d vertices have a work "
+                               "bound of %d, more than the %s guard %d"
+                               % (what, dim, n, work, verb, limit))
 
 
 def _worded_subset(args) -> pbw.PbwSubset:
@@ -302,6 +321,7 @@ def _cmd_degen_check(args) -> int:
 def _cmd_degen_path(args) -> int:
     m = _tabled_rep(args.m)
     n = _tabled_rep(args.n)
+    _path_work(m, "degeneration moves", "degen-path", MAX_DEGEN_PATH_WORK)
     path = degen.degeneration_path(m, n)
     _emit({
         "n": m.n,
@@ -328,6 +348,7 @@ def _cmd_sym_check(args) -> int:
 
 def _cmd_sym_path(args) -> int:
     em, en = _sym_pair(args)
+    _path_work(em.rep, "peel steps", "sym-path", MAX_SYM_PATH_WORK)
     steps = symdegen.sym_degeneration_path(em, en)
     if args.table:
         sys.stdout.write(_render_sym_path(steps, em.rep.n))
@@ -352,13 +373,7 @@ def _cmd_sym_path(args) -> int:
 
 def _cmd_sym_moves(args) -> int:
     em, en = _sym_pair(args)
-    n = em.rep.n
-    dim = sum(m * (j - i + 1) for (i, j), m in em.rep.mult.items())
-    work = dim * (n * (n + 1) // 2 + 1000)
-    if work > MAX_SYM_MOVES_WORK:
-        raise InstanceTooLarge("paired moves from total dimension %d on %d vertices have a work "
-                               "bound of %d, more than the sym-moves guard %d"
-                               % (dim, n, work, MAX_SYM_MOVES_WORK))
+    _path_work(em.rep, "paired moves", "sym-moves", MAX_SYM_MOVES_WORK)
     found = symdegen.sym_move_refinement(em, en)
     _emit({"status": "found", "moves": [degen.move_to_json(mv) for mv in found]})
     return 0

@@ -7,7 +7,9 @@ that produces the moves witnessing one peeling step, and a path builder
 that factors an arbitrary degeneration into elementary moves.  The moves
 come from one staircase walk over M's rank table (_staircase): one move
 per corner where a generic copy of the segment meets M, none when it
-splits off; symdegen's paired-move refinement reads the same walk.
+splits off.  symdegen reads the same walk twice: its peel step applies
+each corner move and its reflection to the source's multiplicities
+(_move_mult), and its paired-move refinement lists the same pairs.
 
 Every move application is audited: the rank sequence of the result is
 recomputed from its multiplicities and checked against the input's ranks
@@ -144,6 +146,13 @@ def _applied(rep: Representation, move: Move) -> Representation:
     """rep with its multiplicities changed by move, not yet audited.
     Raises InsufficientMultiplicity as apply_move does."""
     mult = dict(rep.mult)
+    _move_mult(mult, move)
+    return Representation._of_mult(rep.n, mult)
+
+
+def _move_mult(mult: Dict[Segment, int], move: Move) -> None:
+    """Change the multiplicities mult by move, in place.  Raises
+    InsufficientMultiplicity when mult lacks a segment move consumes."""
     if move.kind == "cut":
         _take(mult, (move.t, move.s), move)
         _put(mult, (move.t, move.q - 1))
@@ -155,7 +164,6 @@ def _applied(rep: Representation, move: Move) -> Representation:
         _put(mult, (move.q, move.s))
     else:
         raise ValueError("unknown move kind %r" % (move.kind,))
-    return Representation._of_mult(rep.n, mult)
 
 
 def _predicted_rows(move: Move, before: RankSequence) -> Tuple[Tuple[int, ...], ...]:
@@ -249,9 +257,9 @@ class QuotientReport(NamedTuple):
 
 
 def _staircase(R: RankSequence, q: int, s: int
-               ) -> Tuple[Tuple[Move, ...], List[Tuple[int, int]], RankSequence]:
-    """(moves, corners, ranks of U[q, s] + Q) for the generic quotient Q
-    by an embedding U[q, s] of the module with valid rank table R.
+               ) -> Tuple[Tuple[Move, ...], List[Tuple[int, int]]]:
+    """(moves, corners) of the generic quotient Q by an embedding U[q, s]
+    of the module with valid rank table R.
 
     How far short of split the embedding is at (k, l) is
         f(k, l) = (r(q, l) - r(k, l)) - (r(q, s + 1) - r(k, s + 1)),
@@ -259,9 +267,10 @@ def _staircase(R: RankSequence, q: int, s: int
     Walking l = q..s, t_l = min{k : f(k, l) = 0} (t = q before the walk)
     only falls, and a corner (t_l, l) is recorded wherever it does.  One
     move per corner degenerates the module to U[q, s] + Q, whose ranks
-    are R's less one exactly at (k, l) with t_l <= k < q; the other rows
-    are R's own.  A split embedding has no corner, as f(q - 1, l) >=
-    m_{q,s} > 0 for every l; otherwise f(q - 1, s) = m_{q,s} = 0.
+    are R's less one exactly at (k, l) with t_l <= k < q (generic_quotient
+    builds them from the corners).  A split embedding has no corner, as
+    f(q - 1, l) >= m_{q,s} > 0 for every l; otherwise f(q - 1, s) =
+    m_{q,s} = 0.
     """
     rows = R._rows
     # row q, and r(q, s + 1), which is the boundary zero at s = n
@@ -270,12 +279,10 @@ def _staircase(R: RankSequence, q: int, s: int
     rq_out = rq[s + 1 - q] if inside else 0
     # a split embedding skips the walk: m_{q,s} = f(q - 1, s) > 0
     if rq[s - q] - rq_out > R.r(q - 1, s) - R.r(q - 1, s + 1):
-        return (), [], R
+        return (), []
     # f shrinks as k or l grows, so its zeros form the staircase.  f(k, l)
-    # = 0 reads rows q and k only.  A corner (t, l) that drops t from
-    # above lowers rows t..above-1 on columns l..s.
+    # = 0 reads rows q and k only
     corners: List[Tuple[int, int]] = []
-    lq_rows = list(rows)
     t = q
     for l in range(q, s + 1):
         above = t
@@ -287,15 +294,12 @@ def _staircase(R: RankSequence, q: int, s: int
             t -= 1
         if t < above:
             corners.append((t, l))
-            for k in range(t, above):
-                row, a, b = rows[k - 1], l - k, s - k + 1
-                lq_rows[k - 1] = row[:a] + tuple([v - 1 for v in row[a:b]]) + row[b:]
     # one move per corner, on the segment ending just before the next one;
     # the last ends at s, so it puts the copy of U[q, s] that Q lacks
     ends = [c - 1 for _, c in corners[1:]] + [s]
     moves = tuple(Move.cut(t, e, q) if c == q else Move.shift(t, e, q, c - 1)
                   for (t, c), e in zip(corners, ends))
-    return moves, corners, RankSequence._of_rows(R.n, lq_rows)
+    return moves, corners
 
 
 def generic_quotient(M: Representation, q: int, s: int, *,
@@ -304,12 +308,15 @@ def generic_quotient(M: Representation, q: int, s: int, *,
 
     Requires that U[q, s] embeds into M.  The staircase of M's rank
     table (_staircase) gives one move per corner, none when U[q, s] is a
-    direct summand, and the predicted ranks of U[q, s] + Q.  The moves
-    are applied under audit and must land on those ranks; that check is
-    the validity guard, so neither table is validated separately.  Q is
-    the last stage (M when there are no moves) less one copy of U[q, s].
-    The path builder passes _ranks = ranks_of(M), which it already holds.
-    Vertices other than ints 1 <= q <= s <= n raise ValueError.
+    direct summand.  The predicted ranks of U[q, s] + Q are built from
+    the corners: a corner (t, l) that drops the staircase from above
+    lowers rows t..above-1 on columns l..s, and every other row is M's
+    own.  The moves are applied under audit and must land on those
+    ranks; that check is the validity guard, so neither table is
+    validated separately.  Q is the last stage (M when there are no
+    moves) less one copy of U[q, s].  The path builder passes _ranks =
+    ranks_of(M), which it already holds.  Vertices other than ints
+    1 <= q <= s <= n raise ValueError.
     """
     n = M.n
     if not (type(q) is type(s) is int and 1 <= q <= s <= n):
@@ -317,7 +324,15 @@ def generic_quotient(M: Representation, q: int, s: int, *,
     R = ranks_of(M) if _ranks is None else _ranks
     if R.r(q, s) <= R.r(q, s + 1):
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, s, M))
-    moves, corners, ranks_LQ = _staircase(R, q, s)
+    moves, corners = _staircase(R, q, s)
+    rows = R._rows
+    lq_rows, above = list(rows), q
+    for t, l in corners:
+        for k in range(t, above):
+            row, a, b = rows[k - 1], l - k, s - k + 1
+            lq_rows[k - 1] = row[:a] + tuple([v - 1 for v in row[a:b]]) + row[b:]
+        above = t
+    ranks_LQ = RankSequence._of_rows(n, lq_rows)
     # applying the moves is what raises InsufficientMultiplicity on a bad list
     stages, cur, ranks = [], M, R
     for move in moves:

@@ -12,11 +12,13 @@ segment L together with its reflection, replacing M by the subquotient
 (generic isotropic copy of L)^perp / L.  The intermediate stages Z of the
 degeneration and the per-step rank tables are returned for rendering.
 
-sym_move_refinement writes such a pair as paired moves instead, read off
-the same peel: the staircase of each step's remaining source table by L
-(degen._staircase, the walk of degen.generic_quotient) gives one corner
-move per corner, and each corner move is paired with its reflection.
-Every paired move is audited, and the chain is checked to end on N.
+A symmetric degeneration is an ordinary one inside the type-A chain, so
+the peel has no walk of its own: the staircase of each step's remaining
+source table by L (degen._staircase, the walk of degen.generic_quotient)
+gives one corner move per corner, the step applies each corner move
+after its reflection (_reflected) and then takes off L and its
+reflection.  sym_move_refinement lists the same pairs as paired moves
+(_paired), each audited, and checks that the chain ends on N.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from itertools import chain
 from operator import ge
 from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
-from .core import (RankSequence, Representation, Segment, _corner_surplus_error,
-                   _counted_modules, _dims_arg, ranks_of, sigma)
-from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _put, _staircase,
-                    _take, degenerates, single_moves)
+from .core import (RankSequence, Representation, Segment, _counted_modules, _dims_arg,
+                   ranks_of, sigma)
+from .degen import (Move, _apply_audited, _dominated_ranks, _merge, _move_mult, _put,
+                    _staircase, _take, degenerates, single_moves)
 from .errors import (MismatchedQuiver, MismatchedType, NoEmbedding,
                      NotComparable, NotEpsilon, NotSplitType)
 
@@ -211,13 +213,28 @@ class SymMove(NamedTuple):
         return cls("symshift", t, s, q, r)
 
     def expand(self, sym: SymmetricType) -> Tuple[Move, Move]:
-        n = sym.n
         if self.kind == "symcut":
-            return (Move.cut(self.t, self.s, self.q + 1),
-                    Move.cut(sigma(self.s, n), sigma(self.t, n), sigma(self.q, n)))
-        return (Move.shift(self.t, self.s, self.q, self.r),
-                Move.shift(sigma(self.s, n), sigma(self.t, n),
-                           sigma(self.r, n), sigma(self.q, n)))
+            first = Move.cut(self.t, self.s, self.q + 1)
+        else:
+            first = Move.shift(self.t, self.s, self.q, self.r)
+        return first, _reflected(first, sym.n)
+
+
+def _reflected(move: Move, n: int) -> Move:
+    """The move that does to the reflected segments what move does to its
+    own: cut(t, s, q) gives cut(s', t', q' + 1), shift(t, s, q, r) gives
+    shift(s', t', r', q'), where v' = sigma(v).  It is valid when move is."""
+    if move.kind == "cut":
+        return Move("cut", sigma(move.s, n), sigma(move.t, n), sigma(move.q, n) + 1)
+    return Move("shift", sigma(move.s, n), sigma(move.t, n),
+                sigma(move.r, n), sigma(move.q, n))
+
+
+def _paired(move: Move) -> SymMove:
+    """The paired move whose first constituent is move."""
+    if move.kind == "cut":
+        return SymMove("symcut", move.t, move.s, move.q - 1)
+    return SymMove("symshift", move.t, move.s, move.q, move.r)
 
 
 def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:
@@ -231,11 +248,7 @@ def sym_moves(erep: EpsilonRep) -> Iterator[SymMove]:
     is the reflection of the other, since [q, r] = [sigma(s), sigma(t)]
     would make t < q <= r < s force t + s < n + 1 < t + s.
     """
-    for move in single_moves(erep.rep):
-        if move.kind == "cut":
-            yield SymMove("symcut", move.t, move.s, move.q - 1)
-        else:
-            yield SymMove("symshift", move.t, move.s, move.q, move.r)
+    return map(_paired, single_moves(erep.rep))
 
 
 SYM_AUDIT = {"applied": 0, "verified": 0, "violations": 0}
@@ -306,90 +319,33 @@ def _support(diag) -> Optional[Tuple[int, int]]:
     return (nz[0], nz[-1])
 
 
-def _less(row: Tuple[int, ...], start: int, stop: int) -> Tuple[int, ...]:
-    """row less 1 at the indices start..stop-1 (start < stop), by slices."""
-    return row[:start] + tuple([v - 1 for v in row[start:stop]]) + row[stop:]
-
-
 def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
                top: int) -> RankSequence:
     """Ranks of (generic isotropic U[q, top])^perp / U[q, top], where R is
-    a valid table, 0 outside its symmetric support block [a, top], and
-    mult holds R's multiplicities.  mult is updated in place to the
-    quotient's.
+    the table of an epsilon module of a split type, 0 outside its
+    symmetric support block [a, top], and mult holds R's multiplicities.
+    mult is updated in place to the quotient's.
 
-    With sq = sigma(q), the quotient lowers r(k, l) on the block by A + B,
-    A = [l >= q and r(q, l) <= r(k, l)] and B = [k <= sq and r(k, sq) <=
-    r(k, l)].  As R is valid, both are runs along each row:
-    - rows k >= q have r(q, l) <= r(k, l), so A is 1 on [k, top].  Above
-      q, r(q, l) - r(k, l) counts the segments [i, j] with k < i <= q and
-      j >= l, so A is 1 on [cA_k, top], cA_k the first column >= q with
-      r(k, l) = r(q, l) (top + 1 if none); cA_k grows going up.
-    - rows k <= sq have r(k, sq) <= r(k, l) for l <= sq, and past sq
-      r(k, sq) - r(k, l) counts the segments [i, j] with i <= k and
-      sq <= j < l, so B is 1 on [k, dB_k], dB_k the last column >= sq
-      with r(k, l) = r(k, sq); dB_k falls going down.
-    One pass down rows a..top moves one pointer per staircase and builds
-    each row by tuple slices; rows outside the block are reused.
-
-    The drop changes along row k only at columns cA_k - 1, dB_k and top
-    (past top it is 0), so m_{k,l} = r(k,l) - r(k,l+1) - r(k-1,l) +
-    r(k-1,l+1) changes only at those columns of rows k and k - 1.  Every
-    other multiplicity is R's, >= 0.  The step recomputes m there from
-    the new rows, in row-major order (skipping a row whose drop matches
-    the row above's), and raises RankSequence.validate()'s corner-surplus
-    InvalidRankSequence at the first negative one.  A table that is 0
-    outside the block is valid iff every m is >= 0, so this decides
-    validity exactly as validate() does, though validate() may name an
-    earlier entry that the negative multiplicity makes fail.
+    The quotient is what remains after the paired moves of the ordinary
+    staircase (degen._staircase, the walk of degen.generic_quotient):
+    for each corner move m of the quotient by U[q, top], the reflection
+    of m and then m itself, the paired move sym_move_refinement forms;
+    then one copy of U[q, top] and one of its reflection U[a, sigma(q)]
+    come off.  A move or a peel that finds a segment missing raises
+    InsufficientMultiplicity, which no epsilon module reaches.  The table
+    is ranks_of the multiplicities left.
     """
     n = R.n
-    sq = sigma(q, n)
-    rows = R._rows
-    row_q = rows[q - 1]
-    out = list(rows)
-    cA, dB = top + 1, top
-    # row k - 1 of the quotient padded with zeros, and the staircase key of
-    # its drop: rows with equal keys drop alike on columns k..top
-    above, key_above = (0,) * (n + 3 - a), None
-    for k in range(a, top + 1):
-        row = new = rows[k - 1]
-        if k < q:
-            while cA > q and row[cA - 1 - k] == row_q[cA - 1 - q]:
-                cA -= 1
-            ca = cA
-        else:
-            ca = k
-        if k <= sq:
-            corner = row[sq - k]
-            while row[dB - k] != corner:
-                dB -= 1
-            db = dB
-            new = _less(new, 0, db - k + 1)
-        else:
-            db = k - 1
-        if ca <= top:
-            new = _less(new, ca - k, top - k + 1)
-        out[k - 1] = new
-        here, key = new + (0,), (ca if k < q else 0, db if k <= sq else 0)
-        if key != key_above:
-            # the columns where row k's or row k - 1's drop changes
-            cols = {top, ca - 1, db}
-            if key_above:
-                cols.update((key_above[0] - 1, key_above[1]))
-            for l in sorted(cols):
-                if l < k:
-                    continue
-                j = l - k
-                m = here[j] - here[j + 1] - above[j + 1] + above[j + 2]
-                if m < 0:
-                    raise _corner_surplus_error(k, l)
-                if m:
-                    mult[(k, l)] = m
-                else:
-                    mult.pop((k, l), None)
-        above, key_above = here, key
-    return RankSequence._of_rows(n, out)
+    for move in _staircase(R, q, top)[0]:
+        _move_mult(mult, _reflected(move, n))
+        _move_mult(mult, move)
+    _take(mult, (q, top))
+    _take(mult, (a, sigma(q, n)))
+    # the wrapper is dropped at once, so the caller may change mult later.
+    # Rows outside the block are 0 before and after: R's own are kept, so
+    # the tables of a held path share them
+    rows = ranks_of(Representation._of_mult(n, mult))._rows
+    return RankSequence._of_rows(n, R._rows[:a - 1] + rows[a - 1:top] + R._rows[top:])
 
 
 def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
@@ -398,9 +354,9 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
 
     Only meaningful in the split types.  The result is returned in the
     coordinates of the full chain, with zeros outside the support block.
-    It is the staircase step of sym_degeneration_path (_perp_step), whose
-    corner check validates it; the diagonal drop and the symmetry are
-    checked on top.
+    It is the step of sym_degeneration_path (_perp_step), the paired
+    moves of the ordinary staircase less L and its reflection; the
+    diagonal drop and the symmetry are checked on top.
     """
     if type(q) is not int:
         raise ValueError("vertex must be an int, got %r" % (q,))
@@ -471,17 +427,14 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     Rank domination carries over to the remaining pair; a step where it
     does not raises NotComparable.
 
-    A step works on the support block [a, top] of the remaining pair
-    only (rows a..top, columns up to top): the remaining source and
-    target are 0 outside it, L and its reflection U[a, sigma(q)] lie in
-    it, and the perpendicular quotient changes nothing outside it.  The
-    quotient is a staircase step (_perp_step): its drop is 1 on two runs
-    per row, bounded by two monotone staircases, so each row is built by
-    tuple slices.  The step carries the source's multiplicities and
-    recomputes them only at the columns where the drop changes, raising
-    InvalidRankSequence on a negative one: every other multiplicity is
-    the source's, so that corner check decides validity of the whole
-    table.  The blocks of L and its reflection come off the target
+    A step works on the support block [a, top] of the remaining pair:
+    the remaining source and target are 0 outside it, L and its
+    reflection U[a, sigma(q)] lie in it, and the perpendicular quotient
+    changes nothing outside it.  The quotient (_perp_step) changes the
+    source's multiplicities by the paired moves of the ordinary
+    staircase of its table by L, the moves sym_move_refinement lists,
+    takes L and its reflection off, and reads the table off what is
+    left.  The blocks of L and its reflection come off the target
     (RankSequence._less_segment), and domination is checked on rows
     a..top only.
 
@@ -536,11 +489,12 @@ INCONCLUSIVE = object()
 def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
                         budget=None) -> List[SymMove]:
     """Paired moves taking start to target, read off the peel: for each
-    corner move that degen._staircase (generic_quotient's walk) reads off
-    the source table of each step of sym_degeneration_path, the paired
-    move whose second constituent it is: cut(t, s, q) gives symcut(s',
-    t', q'), shift(t, s, q, r) gives symshift(s', t', r', q'), where v' =
-    sigma(v).  Each corner move is audited once, as a constituent of its
+    corner move m that degen._staircase (generic_quotient's walk) reads
+    off the source table of each step of sym_degeneration_path, the
+    paired move whose second constituent it is, _paired(_reflected(m)).
+    These are the moves the peel's step (_perp_step) applies to the
+    source's multiplicities, so the chain passes through every Z of the
+    peel.  Each corner move is audited once, as a constituent of its
     paired move, and a chain that misses target raises AssertionError.
     Returns [] when start equals target; raises MismatchedType,
     NotSplitType or NotComparable as sym_degeneration_path does.
@@ -552,8 +506,7 @@ def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
     for step in steps[:-1]:
         for m in _staircase(step.m_ranks, *step.L)[0]:
             # the paired move whose second constituent is m
-            ends = (m.s, m.t, m.q) if m.kind == "cut" else (m.s, m.t, m.r, m.q)
-            move = SymMove("sym" + m.kind, *[sigma(v, n) for v in ends])
+            move = _paired(_reflected(m, n))
             cur, R = _apply_sym_audited(cur, move, R)
             moves.append(move)
     if cur.rep != target.rep:

@@ -14,7 +14,7 @@ import time
 import pytest
 
 import sympdeg
-from sympdeg import cli, core, oracle, pbw, symdegen
+from sympdeg import cli, core, degen, oracle, pbw, symdegen
 from sympdeg.symdegen import EpsilonRep, SymmetricType
 
 EXAMPLE = core.Representation(5, {(1, 4): 1, (2, 5): 1, (3, 3): 2})
@@ -676,6 +676,45 @@ def test_sym_moves_guard_before_the_peel(tmp_path, capsys, monkeypatch):
             assert json.loads(out) == {"status": "found", "moves": []}
 
 
+@pytest.mark.parametrize("verb, module, walk, c, copies, err", [
+    ("degen-path", degen, "degeneration_path", 2492, 1,
+     "InstanceTooLarge: degeneration moves from total dimension 4986 on 2 vertices have "
+     "a work bound of 5000958, more than the degen-path guard 5000000\n"),
+    ("sym-path", symdegen, "sym_degeneration_path", 997, 2,
+     "InstanceTooLarge: peel steps from total dimension 3992 on 2 vertices have "
+     "a work bound of 4003976, more than the sym-path guard 4000000\n"),
+], ids=["degen-path", "sym-path"])
+def test_path_guards_before_the_peel(tmp_path, capsys, monkeypatch, verb, module, walk,
+                                     c, copies, err):
+    """degen-path and sym-path refuse a source of total dimension D on n
+    vertices with D (n(n+1)/2 + 1000) above their guards, 5,000,000 and
+    4,000,000: one InstanceTooLarge line and exit 1 at once, before any
+    peel step.  k copies of [1, 2] down to k copies of each simple have
+    D = 2k; with k = copies * c the walk, stood in for here, is still
+    reached, and with k = copies * (c + 1) it is not.  Before the guards, 80
+    copies of [1, 60] down to simples took 1.9 s and printed 14 MB on
+    degen-path, and 7 s and 212 MB on sym-path."""
+    reached = []
+
+    def stand_in(start, target):
+        reached.append(target)
+        return []
+
+    monkeypatch.setattr(module, walk, stand_in)
+    argv = [verb] + (["--type", "even-pos"] if verb == "sym-path" else [])
+    for count, refused in ((c + 1, True), (c, False)):
+        m = _write(tmp_path, "m.json", core.rep_to_json(core.Representation(
+            2, {(1, 2): copies * count})))
+        n = _write(tmp_path, "n.json", core.rep_to_json(core.Representation(
+            2, {(1, 1): copies * count, (2, 2): copies * count})))
+        code, out, got = _run(capsys, *argv, "--m", m, "--n", n)
+        if refused:
+            assert (code, out, got, reached) == (1, "", err, [])
+        else:
+            assert (code, got, len(reached)) == (0, "", 1)
+            assert json.loads(out)[{"degen-path": "path", "sym-path": "steps"}[verb]] == []
+
+
 def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
     """pbw-weyl and pbw-lemma-ui refuse a locus whose type-A word has more
     than 1,000,000 letters, pbw-interior and pbw-face one whose face has
@@ -867,6 +906,43 @@ def test_guarded_face_calls_stay_below_the_stated_peak(tmp_path):
     for argv in (("pbw-interior", str(n), _walls(n)),
                  ("pbw-face", str(n), "-", "--rep", pairs),
                  ("pbw-face", "20", "-", "--rep", exchange)):
+        code, peak = _child_peak_mb(*argv)
+        assert code == 0 and peak < limit, (argv, peak)
+
+
+def _work(rep):
+    """The work bound the path verbs' guards read off a source."""
+    dim = sum(m * (j - i + 1) for (i, j), m in rep.mult.items())
+    return dim * (rep.n * (rep.n + 1) // 2 + 1000)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_guarded_path_calls_stay_below_the_stated_peak(tmp_path):
+    """The heaviest path calls found at the guards' edges stay below the
+    peak the guard comment states: degen-path from every segment of
+    n = 26 once (the modules it prints have the most segments), and
+    sym-path --table from [1, 2] + [1409, 1410] at n = 1410 (the largest
+    tables).  The same shapes at n = 27 and n = 1420 are past the guards."""
+    limit = _stated_peak_mb()
+    calls = []
+    for verb, rep, bigger, guard in (
+            ("degen-path", core.Representation(26, {(i, j): 1 for i in range(1, 27)
+                                                    for j in range(i, 27)}),
+             core.Representation(27, {(i, j): 1 for i in range(1, 28)
+                                      for j in range(i, 28)}),
+             cli.MAX_DEGEN_PATH_WORK),
+            ("sym-path", core.Representation(1410, {(1, 2): 1, (1409, 1410): 1}),
+             core.Representation(1420, {(1, 2): 1, (1419, 1420): 1}),
+             cli.MAX_SYM_PATH_WORK)):
+        assert _work(rep) <= guard < _work(bigger)
+        simples = {(v, v): m for v, m in enumerate(core.dim_vector(rep), 1) if m}
+        m = _write(tmp_path, verb + "-m.json", core.rep_to_json(rep))
+        n = _write(tmp_path, verb + "-n.json", core.rep_to_json(
+            core.Representation(rep.n, simples)))
+        calls.append([verb, "--m", m, "--n", n] +
+                     (["--type", "even-pos", "--table"] if verb == "sym-path" else []))
+    for argv in calls:
         code, peak = _child_peak_mb(*argv)
         assert code == 0 and peak < limit, (argv, peak)
 

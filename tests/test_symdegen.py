@@ -10,7 +10,7 @@ from sympdeg.core import (Representation, RankSequence, modules_with_dims,
                           ranks_of, rep_of, sigma)
 from sympdeg.degen import Move
 from sympdeg.errors import (
-    InvalidRankSequence, MismatchedQuiver, MismatchedType,
+    InsufficientMultiplicity, InvalidRankSequence, MismatchedQuiver, MismatchedType,
     NoEmbedding, NotComparable, NotEpsilon, NotSplitType, SympdegError,
 )
 from sympdeg.symdegen import (
@@ -309,16 +309,13 @@ def test_refinement_identity():
 
 
 def test_refinement_stall(monkeypatch):
-    """A staircase that gives no moves leaves the chain short of the
+    """Paired moves that change nothing leave the chain short of the
     target: the endpoint check raises AssertionError instead of
-    returning a partial chain."""
+    returning a partial chain.  The stand-in is the refinement's own
+    audited application, which the peel does not use."""
     em, en = _ex1_pair()
-    real = degen._staircase
-
-    def no_moves(*args):
-        return ((),) + real(*args)[1:]
-
-    monkeypatch.setattr(symdegen, "_staircase", no_moves)
+    monkeypatch.setattr(symdegen, "_apply_sym_audited",
+                        lambda erep, move, before: (erep, before))
     with pytest.raises(AssertionError, match="paired moves from the peel end on"):
         sym_move_refinement(em, en)
 
@@ -340,6 +337,19 @@ def _random_pair(n, seed):
             break
         cur = apply_sym_move(cur, rng.choice(options))
     return start, cur
+
+
+def _replay_by_stage(steps, moves):
+    """Replay moves, a refinement of the peel steps, one peel step at a
+    time: the paired moves of each step, one per corner move of the
+    staircase of its source by L, must take its Z to the next step's Z,
+    and none may be left over.  Returns the number of peel steps."""
+    chain = iter(moves)
+    for here, after in zip(steps, steps[1:]):
+        corners = len(degen._staircase(here.m_ranks, *here.L)[0])
+        assert _replay(here.Z, itertools.islice(chain, corners)) == after.Z, here.L
+    assert next(chain, None) is None
+    return len(steps) - 1
 
 
 def _sym_moves_double_loop(erep):
@@ -370,13 +380,16 @@ def test_sym_moves_follow_single_moves():
 @pytest.mark.parametrize("n", [9, 12, 17, 24, 33, 65])
 def test_refinement_seeded(n):
     """The refinement reaches every seeded target, at n = 65 too, where it
-    runs in about the peel's time.  At n = 12, seed 0 the peel gives 12
-    paired moves; a breadth-first search over paired moves expands more
-    than 2000 states before it finds a chain there."""
+    runs in about the peel's time, and passes through every stage of the
+    peel on the way.  At n = 12, seed 0 the peel gives 12 paired moves; a
+    breadth-first search over paired moves expands more than 2000 states
+    before it finds a chain there."""
     for seed in range(4):
         start, target = _random_pair(n, seed)
         moves = sym_move_refinement(start, target)
-        assert _replay(start, moves) == target
+        steps = sym_degeneration_path(start, target)
+        assert steps[0].Z == start and steps[-1].Z == target
+        assert _replay_by_stage(steps, moves) > 0
         if (n, seed) == (12, 0):
             assert len(moves) == 12
 
@@ -532,11 +545,12 @@ def test_sym_path_stdout_pinned(tmp_path, capsys):
 
 def test_refinement_ranks_once_per_module(monkeypatch):
     """The refinement carries rank tables: one ranks_of for the start and
-    one for the target (the peel's opening), then one per audited
+    one for the target (the peel's opening), one per peel step for the
+    remaining source (symdegen._perp_step), then one per audited
     constituent.  The corner moves are read off each step's source
     table (degen._staircase) with no audit of their own, and each gives
-    one paired move of two constituents, so a chain of k moves makes
-    2 + 2k calls."""
+    one paired move of two constituents, so a chain of k moves over p
+    peel steps makes 2 + 2k + p calls."""
     calls = [0]
 
     def counting(rep):
@@ -546,11 +560,12 @@ def test_refinement_ranks_once_per_module(monkeypatch):
     monkeypatch.setattr(symdegen, "ranks_of", counting)
     monkeypatch.setattr(degen, "ranks_of", counting)
     start, target = _random_pair(33, 0)
+    peels = len(sym_degeneration_path(start, target)) - 1
     calls[0] = 0
     reset_sym_audit()
     moves = sym_move_refinement(start, target)
-    assert len(moves) == SYM_AUDIT["verified"] == 91
-    assert calls[0] == 2 + 2 * len(moves) == 184
+    assert len(moves) == SYM_AUDIT["verified"] == 91 and peels == 37
+    assert calls[0] == 2 + 2 * len(moves) + peels == 221
 
 
 def test_sym_path_validates_once_per_peel(monkeypatch):
@@ -605,7 +620,8 @@ def test_sym_refinement_reads_no_table_back(monkeypatch):
 
 
 def test_sym_path_tables_by_blocks(monkeypatch):
-    """A seeded odd-neg n = 31 path computes ranks only for M and N and
+    """A seeded odd-neg n = 31 path computes ranks for M and N and once
+    per peel step, for the remaining source from its multiplicities, and
     never subtracts whole tables: each step updates the target by the
     blocks of L and its reflection."""
     calls = {"ranks_of": 0, "sub": 0}
@@ -625,8 +641,8 @@ def test_sym_path_tables_by_blocks(monkeypatch):
     start, target = _random_pair(31, 0)
     calls["ranks_of"] = 0
     steps = sym_degeneration_path(start, target)
-    assert len(steps) > 10 and steps[-1].Z == target
-    assert calls == {"ranks_of": 2, "sub": 0}
+    assert len(steps) == 31 and steps[-1].Z == target
+    assert calls == {"ranks_of": 2 + 30, "sub": 0}
 
 
 @pytest.mark.parametrize("n, seed", [(47, 0), (63, 1), (64, 2)])
@@ -755,18 +771,15 @@ def test_perp_step_corner_check():
     """U[2, 4] on n = 5, a valid table that is 0 outside its block [2, 4],
     found by a brute-force search over the modules with n <= 5 and dims
     entries <= 2.  It is no epsilon module of the split type (a self-dual
-    segment of odd multiplicity), so no path reaches it.  Peeling U[3, 4] and
-    its reflection U[2, 3] drops row 2 by A on [3, 4] and B on [2, 4],
-    so m_{2,4} becomes -1 at the breakpoint dB_2 = top = 4.  The step
-    raises validate()'s corner-surplus error there, at the reference
-    table's first negative multiplicity; the reference's first bad entry,
+    segment of odd multiplicity), so no path reaches it.  The quotient by
+    U[3, 4] has one corner move, cut(2, 4, 3), and its reflection
+    cut(2, 4, 4) takes the one copy of U[2, 4] first, so the step raises
+    InsufficientMultiplicity.  The formula has no quotient there either:
+    its first negative multiplicity is m_{2,4}, and its first bad entry,
     r[2,3] = -1, is what that negative multiplicity forces."""
     R = ranks_of(Representation(5, {(2, 4): 1}))
-    with pytest.raises(InvalidRankSequence,
-                       match=r"^corner surplus fails at \(2,4\): "
-                             r"r\[1,4\]-r\[1,5\] > r\[2,4\]-r\[2,5\]$") as info:
+    with pytest.raises(InsufficientMultiplicity, match=r"consumes U\[2,4\] but none is left$"):
         symdegen._perp_step(R, {(2, 4): 1}, 3, 2, 4)
-    assert info.value.indices == (2, 4)
     reference = _perp_formula(R, 3, 2, 4)
     assert _first_negative_mult(reference) == (2, 4)
     with pytest.raises(InvalidRankSequence, match=r"entry r\[2,3\] is not"):
@@ -832,8 +845,8 @@ def test_peel_label():
 
 def test_choose_peel_errors_propagate(monkeypatch):
     """The one peel of a step is committed or fails: an error from the
-    staircase step of the perpendicular quotient, a rank-table error
-    included, propagates instead of moving on to another segment."""
+    step of the perpendicular quotient, a rank-table error included,
+    propagates instead of moving on to another segment."""
     em, en = _ex1_pair()
     for error in (ZeroDivisionError("not a rank-table problem"),
                   InvalidRankSequence("bad perpendicular quotient")):
@@ -850,8 +863,10 @@ def test_split_types_exhaustive():
     <= 2: each paired move from sym_moves applies, every rank-dominated
     pair M > N has a paired-move chain that replays from M to N, and its
     path replays from M to N through epsilon stages with one dimension
-    vector, each dominated by the stage before it."""
-    modules = moves = pairs = 0
+    vector, each dominated by the stage before it.  The chain passes
+    through every stage: over the 3,600 peel steps, replaying the paired
+    moves of a step (_replay_by_stage) lands on the next step's Z."""
+    modules = moves = pairs = stages = 0
     for n in range(2, 8):
         sym = SymmetricType(n, 1 if n % 2 == 0 else -1)
         for half in itertools.product(range(3), repeat=(n + 1) // 2):
@@ -868,9 +883,8 @@ def test_split_types_exhaustive():
                 for target in ereps:
                     if m == target or not ranks[m].dominates(ranks[target]):
                         continue
-                    assert _replay(m, sym_move_refinement(m, target)) == target
                     steps = sym_degeneration_path(m, target)
-                    assert steps[0].Z == m and steps[-1].Z == target
+                    stages += _replay_by_stage(steps, sym_move_refinement(m, target))
                     before = ranks[m]
                     for step in steps[1:]:
                         assert is_epsilon_rep(step.Z.rep, sym)
@@ -880,7 +894,7 @@ def test_split_types_exhaustive():
                         before = here
                     pairs += 1
     # 437 modules besides the six zero modules
-    assert (modules, moves, pairs) == (443, 1233, 1300)
+    assert (modules, moves, pairs) == (443, 1233, 1300) and stages == 3600
 
 
 def test_epsilon_modules_listed_directly():
