@@ -66,13 +66,25 @@ MAX_SYM_MOVES_WORK = 50_000_000
 MAX_DEGEN_PATH_WORK = 5_000_000
 # sym-path: a peel has at most D/2 steps, each printing three tables
 MAX_SYM_PATH_WORK = 4_000_000
+# render-coeff refuses a drawing of more characters than this before
+# drawing any line: a header and a row per copy of a segment, each
+# len(str(n)) + 2 characters per vertex before the trailing blanks go
+MAX_RENDERED_CHARS = 12_000_000
+# pbw-build refuses a locus whose JSON may print more lines than this
+# before building its module: one per entry of dims and e (2n - 1 each),
+# one per wall, and five per segment, of which there are at most 1 + 4t
+# for t walls
+MAX_BUILT_LINES = 2_000_000
 # with these guards, every accepted call of the verbs they cover peaks
 # below 225 MB.  Peak RSS of one CLI process on a 2-core x86-64 host:
 # ranks at n = 1999 about 45 MB, pbw-weyl at n = 707 with every wall
 # about 150 MB, pbw-interior at n = 91 with every wall about 41 MB, and
 # pbw-face at n = 91 about 55 MB when both its reports hold close to
 # MAX_REPORTED_ROWS rows (about 42 MB with none), degen-path at its edge
-# about 103 MB and sym-path --table at its edge about 127 MB
+# about 103 MB, sym-path --table at its edge about 85 MB, sym-moves at its
+# edge about 20 MB, render-coeff with 1,999,999 copies of [1, 2] about
+# 172 MB, and pbw-build at n = 500,000 with no wall about 103 MB and at
+# n = 80,000 with every wall about 154 MB
 
 
 def _load(path: str):
@@ -216,25 +228,25 @@ def _matrix_lines(ranks: core.RankSequence, width: int) -> List[str]:
     return lines
 
 
-def _render_sym_path(steps: List[symdegen.DegenStep], n: int) -> str:
-    tables = [(step.m_ranks, step.n_ranks, core.ranks_of(step.Z.rep)) for step in steps]
-    width = 1
-    for ranks in itertools.chain.from_iterable(tables):
-        for row in ranks.rows():
-            for x in row:
-                width = max(width, len(str(x)))
-    out: List[str] = []
-    for index, (step, table) in enumerate(zip(steps, tables)):
+def _write_sym_path(M: symdegen.EpsilonRep, N: symdegen.EpsilonRep) -> None:
+    """sym-path --table: each step of the peel written as it is made, its
+    three tables M, N and Z right-aligned in one column width."""
+    n = M.rep.n
+    # no rank exceeds its table's diagonal entry, and no diagonal entry of
+    # any table the source's dimension, so M's dimensions set the width
+    width = len(str(max(core.dim_vector(M.rep))))
+    for index, (step, _) in enumerate(symdegen._peel(M, N)):
         if step.L is None:
-            out.append("== step %d: terminal ==" % index)
+            out = ["== step %d: terminal ==" % index]
         else:
             a, b = step.support_interval
-            out.append("== step %d: peel %s on [%d, %d] =="
-                       % (index, symdegen.peel_label(step.L, n), a, b))
-        for label, ranks in zip("MNZ", table):
+            out = ["== step %d: peel %s on [%d, %d] =="
+                   % (index, symdegen.peel_label(step.L, n), a, b)]
+        for label, ranks in zip("MNZ", (step.m_ranks, step.n_ranks,
+                                        core.ranks_of(step.Z.rep))):
             out.append("%s(%d):" % (label, index))
             out.extend(" " + line for line in _matrix_lines(ranks, width))
-    return "\n".join(out) + "\n"
+        sys.stdout.write("\n".join(out) + "\n")
 
 
 def _render_coeff(rep: core.Representation) -> str:
@@ -349,10 +361,10 @@ def _cmd_sym_check(args) -> int:
 def _cmd_sym_path(args) -> int:
     em, en = _sym_pair(args)
     _path_work(em.rep, "peel steps", "sym-path", MAX_SYM_PATH_WORK)
-    steps = symdegen.sym_degeneration_path(em, en)
     if args.table:
-        sys.stdout.write(_render_sym_path(steps, em.rep.n))
+        _write_sym_path(em, en)
         return 0
+    steps = symdegen.sym_degeneration_path(em, en)
     n = em.rep.n
     _emit({
         "n": n,
@@ -381,6 +393,11 @@ def _cmd_sym_moves(args) -> int:
 
 def _cmd_pbw_build(args) -> int:
     subset = pbw.PbwSubset.make(args.n, args.i)
+    lines = 2 * (2 * subset.n - 1) + 21 * subset.t
+    if lines > MAX_BUILT_LINES:
+        raise InstanceTooLarge("the module of a locus with n=%d and %d walls may print "
+                               "%d lines, more than the build guard %d"
+                               % (subset.n, subset.t, lines, MAX_BUILT_LINES))
     erep, e = pbw.build_Mi(subset)
     _emit({
         "n": subset.n,
@@ -557,6 +574,12 @@ def _cmd_oracle_verify(args) -> int:
 
 def _cmd_render_coeff(args) -> int:
     rep = core.rep_from_json(_load(args.rep))
+    rows = 1 + sum(rep.mult.values())
+    chars = rows * rep.n * (len(str(rep.n)) + 2)
+    if chars > MAX_RENDERED_CHARS:
+        raise InstanceTooLarge("a drawing of %d rows on %d vertices has %d characters, "
+                               "more than the render guard %d"
+                               % (rows, rep.n, chars, MAX_RENDERED_CHARS))
     sys.stdout.write(_render_coeff(rep))
     return 0
 

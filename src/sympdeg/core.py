@@ -294,11 +294,14 @@ def dual(rep: Representation) -> Representation:
 
 
 def dim_vector(rep: Representation) -> DimVector:
-    d = [0] * rep.n
+    # U[i, j] adds its multiplicity from vertex i on and takes it off past
+    # j, so the vector is a running sum, one step per segment and vertex
+    steps = [0] * rep.n
     for (i, j), m in rep.mult.items():
-        for v in range(i, j + 1):
-            d[v - 1] += m
-    return tuple(d)
+        steps[i - 1] += m
+        if j < rep.n:
+            steps[j] -= m
+    return tuple(accumulate(steps))
 
 
 def _counted_modules(n: int, remaining: List[int], items) -> Iterator[Representation]:

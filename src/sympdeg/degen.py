@@ -7,9 +7,9 @@ that produces the moves witnessing one peeling step, and a path builder
 that factors an arbitrary degeneration into elementary moves.  The moves
 come from one staircase walk over M's rank table (_staircase): one move
 per corner where a generic copy of the segment meets M, none when it
-splits off.  symdegen reads the same walk twice: its peel step applies
+splits off.  symdegen walks it once per peel step: the step applies
 each corner move and its reflection to the source's multiplicities
-(_move_mult), and its paired-move refinement lists the same pairs.
+(_move_mult), and its paired-move refinement lists the pairs it applied.
 
 Every move application is audited: the rank sequence of the result is
 recomputed from its multiplicities and checked against the input's ranks

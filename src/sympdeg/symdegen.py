@@ -17,8 +17,9 @@ the peel has no walk of its own: the staircase of each step's remaining
 source table by L (degen._staircase, the walk of degen.generic_quotient)
 gives one corner move per corner, the step applies each corner move
 after its reflection (_reflected) and then takes off L and its
-reflection.  sym_move_refinement lists the same pairs as paired moves
-(_paired), each audited, and checks that the chain ends on N.
+reflection.  One generator, _peel, makes the steps and yields each with
+the corner moves it applied; sym_move_refinement turns these into paired
+moves (_paired), each audited, and checks that the chain ends on N.
 """
 
 from __future__ import annotations
@@ -320,23 +321,22 @@ def _support(diag) -> Optional[Tuple[int, int]]:
 
 
 def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
-               top: int) -> RankSequence:
-    """Ranks of (generic isotropic U[q, top])^perp / U[q, top], where R is
-    the table of an epsilon module of a split type, 0 outside its
-    symmetric support block [a, top], and mult holds R's multiplicities.
-    mult is updated in place to the quotient's.
-
-    The quotient is what remains after the paired moves of the ordinary
-    staircase (degen._staircase, the walk of degen.generic_quotient):
-    for each corner move m of the quotient by U[q, top], the reflection
-    of m and then m itself, the paired move sym_move_refinement forms;
-    then one copy of U[q, top] and one of its reflection U[a, sigma(q)]
-    come off.  A move or a peel that finds a segment missing raises
+               top: int) -> Tuple[RankSequence, Tuple[Move, ...]]:
+    """(table, moves): the ranks of (generic isotropic U[q, top])^perp /
+    U[q, top], where R is the table of an epsilon module of a split type,
+    0 outside its symmetric support block [a, top], and mult holds R's
+    multiplicities, and the corner moves of the ordinary staircase of R
+    by U[q, top] (degen._staircase, generic_quotient's walk).  mult
+    becomes the quotient's: for each corner move m, the reflection of m
+    and then m itself, the paired move sym_move_refinement forms; then
+    one copy of U[q, top] and one of its reflection U[a, sigma(q)] come
+    off.  A move or a peel that finds a segment missing raises
     InsufficientMultiplicity, which no epsilon module reaches.  The table
     is ranks_of the multiplicities left.
     """
     n = R.n
-    for move in _staircase(R, q, top)[0]:
+    moves = _staircase(R, q, top)[0]
+    for move in moves:
         _move_mult(mult, _reflected(move, n))
         _move_mult(mult, move)
     _take(mult, (q, top))
@@ -345,7 +345,7 @@ def _perp_step(R: RankSequence, mult: Dict[Segment, int], q: int, a: int,
     # Rows outside the block are 0 before and after: R's own are kept, so
     # the tables of a held path share them
     rows = ranks_of(Representation._of_mult(n, mult))._rows
-    return RankSequence._of_rows(n, R._rows[:a - 1] + rows[a - 1:top] + R._rows[top:])
+    return RankSequence._of_rows(n, R._rows[:a - 1] + rows[a - 1:top] + R._rows[top:]), moves
 
 
 def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
@@ -373,7 +373,7 @@ def perp_quotient_ranks(erep: EpsilonRep, q: int) -> RankSequence:
     if R.r(q, top) - R.r(q, top + 1) <= 0:
         raise NoEmbedding("U[%d,%d] does not embed into %r" % (q, top, erep.rep))
 
-    out = _perp_step(R, dict(erep.rep.mult), q, a, top)
+    out = _perp_step(R, dict(erep.rep.mult), q, a, top)[0]
     sq = sigma(q, n)
     for k in range(1, n + 1):
         want = (R.r(k, k) - (1 if q <= k <= top else 0)
@@ -438,34 +438,35 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
     (RankSequence._less_segment), and domination is checked on rows
     a..top only.
 
-    The loop carries only the ranks of the remaining pair, the target's
-    multiplicities still to peel (L is chosen from them), the source's
-    and the multiplicities peeled so far.  Z is M on the first step;
-    each later Z is the source's multiplicities plus the peeled ones.  A
-    step builds no module for L and checks no row outside a..top.
-
     Returns the list of steps, terminal step included.  Raises
     MismatchedType, NotSplitType or NotComparable as _split_pair does.
     """
+    return [step for step, _ in _peel(M, N)]
+
+
+def _peel(M: EpsilonRep, N: EpsilonRep) -> Iterator[Tuple[DegenStep, Tuple[Move, ...]]]:
+    """sym_degeneration_path's loop: each step once its domination check
+    passed, with the corner moves its _perp_step applied (() with the
+    terminal step).  It carries only the ranks of the remaining pair, the
+    target's multiplicities still to peel (L is chosen from them), the
+    source's and those peeled so far.  Z is M on the first step; each
+    later Z is the source's multiplicities plus the peeled ones.  A step
+    builds no module for L and checks no row outside a..top."""
     rM, rN = _split_pair(M, N)
-    sym = M.sym
-    n = sym.n
+    sym, n = M.sym, M.sym.n
     # the source's multiplicities, the target's still to peel, those peeled
     mult, tgt, done = dict(M.rep.mult), dict(N.rep.mult), {}
     Z = M
-    steps: List[DegenStep] = []
     while rM != rN:
         span = a, top = _support(rM.diagonal())
         # the target is 0 outside [a, top], so its final segments start in it
         finals = {i: tgt[(i, top)] for i in range(a, top + 1) if (i, top) in tgt}
         q = max([i for i, m in finals.items() if m % 2] or finals)
-        steps.append(DegenStep(Z=Z, L=(q, top), support_interval=span,
-                               m_ranks=rM, n_ranks=rN))
+        step = DegenStep(Z=Z, L=(q, top), support_interval=span, m_ranks=rM, n_ranks=rN)
         sq = sigma(q, n)
-        rM = _perp_step(rM, mult, q, a, top)
-        # L and its reflection come off one by one: a self-dual L comes off
-        # twice.  rN stays N less some of its summands, so it needs no
-        # validation
+        rM, moves = _perp_step(rM, mult, q, a, top)
+        # L and its reflection come off one by one (a self-dual L twice); rN
+        # stays N less some of its summands, so it needs no validation
         for block in ((q, top), (a, sq)):
             _take(tgt, block)
             _put(done, block)
@@ -473,10 +474,10 @@ def sym_degeneration_path(M: EpsilonRep, N: EpsilonRep) -> List[DegenStep]:
         if not all(map(ge, chain(*rM._rows[a - 1:top]), chain(*rN._rows[a - 1:top]))):
             raise NotComparable("no final segment of the target can be peeled, "
                                 "which contradicts rank domination")
+        yield step, moves
         Z = EpsilonRep(Representation._of_mult(n, _merge(mult, done)), sym)
-    steps.append(DegenStep(Z=Z, L=None, support_interval=_support(rM.diagonal()),
-                           m_ranks=rM, n_ranks=rN))
-    return steps
+    yield DegenStep(Z=Z, L=None, support_interval=_support(rM.diagonal()),
+                    m_ranks=rM, n_ranks=rN), ()
 
 
 # --- refinement into explicit paired moves -----------------------------------
@@ -488,25 +489,24 @@ INCONCLUSIVE = object()
 # budget is accepted and ignored: perfbench/workloads.py still passes it
 def sym_move_refinement(start: EpsilonRep, target: EpsilonRep,
                         budget=None) -> List[SymMove]:
-    """Paired moves taking start to target, read off the peel: for each
-    corner move m that degen._staircase (generic_quotient's walk) reads
-    off the source table of each step of sym_degeneration_path, the
+    """Paired moves taking start to target, read off the peel step by step
+    (_peel): for each corner move m a step's _perp_step applied (the
+    degen._staircase walk of the step's source table, walked once), the
     paired move whose second constituent it is, _paired(_reflected(m)).
-    These are the moves the peel's step (_perp_step) applies to the
-    source's multiplicities, so the chain passes through every Z of the
-    peel.  Each corner move is audited once, as a constituent of its
-    paired move, and a chain that misses target raises AssertionError.
-    Returns [] when start equals target; raises MismatchedType,
-    NotSplitType or NotComparable as sym_degeneration_path does.
+    These are the moves the step applies to the source's multiplicities,
+    so the chain passes through every Z of the peel.  Each corner move is
+    audited once, as a constituent of its paired move, and a chain that
+    misses target raises AssertionError.  Returns [] when start equals
+    target; raises MismatchedType, NotSplitType or NotComparable as
+    sym_degeneration_path does.
     """
-    steps = sym_degeneration_path(start, target)
-    n = start.sym.n
-    # the first step's source table is ranks_of(start.rep)
-    cur, R, moves = start, steps[0].m_ranks, []
-    for step in steps[:-1]:
-        for m in _staircase(step.m_ranks, *step.L)[0]:
+    cur, R, moves = start, None, []
+    for step, corner_moves in _peel(start, target):
+        # the first step's source table is ranks_of(start.rep)
+        R = step.m_ranks if R is None else R
+        for m in corner_moves:
             # the paired move whose second constituent is m
-            move = _paired(_reflected(m, n))
+            move = _paired(_reflected(m, start.sym.n))
             cur, R = _apply_sym_audited(cur, move, R)
             moves.append(move)
     if cur.rep != target.rep:

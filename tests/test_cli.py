@@ -715,6 +715,81 @@ def test_path_guards_before_the_peel(tmp_path, capsys, monkeypatch, verb, module
             assert json.loads(out)[{"degen-path": "path", "sym-path": "steps"}[verb]] == []
 
 
+def test_render_coeff_guard_before_drawing(tmp_path, capsys, monkeypatch):
+    """render-coeff refuses a drawing of more than 12,000,000 characters,
+    a header and a row per copy of a segment at len(str(n)) + 2 per
+    vertex: one InstanceTooLarge line and exit 1 at once, before any line
+    is drawn.  On 2 vertices a row has 6, so 1,999,999 copies of [1, 2]
+    still reach the drawing, stood in for here, and 2,000,000 do not; a
+    header alone on 1,333,333 vertices has 9 per vertex and passes.
+    Before the guard, 3,000,000 copies of [1, 3] peaked at 266 MB."""
+    drawn = []
+
+    def stand_in(rep):
+        drawn.append((rep.n, sum(rep.mult.values())))
+        return ""
+
+    monkeypatch.setattr(cli, "_render_coeff", stand_in)
+    for n, mult, refused in (
+            (2, {(1, 2): 2_000_000}, "a drawing of 2000001 rows on 2 vertices has 12000006"),
+            (2, {(1, 2): 1_999_999}, None),
+            (1_333_334, {}, "a drawing of 1 rows on 1333334 vertices has 12000006"),
+            (1_333_333, {}, None)):
+        rep = _write(tmp_path, "rep.json", core.rep_to_json(core.Representation(n, mult)))
+        code, out, err = _run(capsys, "render-coeff", "--rep", rep)
+        if refused:
+            assert (code, out, drawn) == (1, "", [])
+            assert err == ("InstanceTooLarge: %s characters, more than the render "
+                           "guard 12000000\n" % refused)
+        else:
+            assert (code, out, err, drawn) == (0, "", "", [(n, sum(mult.values()))])
+            drawn.clear()
+
+
+def test_pbw_build_guard_before_building(capsys, monkeypatch):
+    """pbw-build refuses a locus whose JSON may print more than 2,000,000
+    lines, 2(2n - 1) for dims and e and 21 per wall: one InstanceTooLarge
+    line and exit 1 at once, before the module is built.  n = 500,000
+    with no wall and n = 80,000 with every wall still reach the builder,
+    stood in for here; n = 500,001 and n = 80,001 do not.  Before the
+    guard, pbw-build 1000000 - peaked at 182 MB and printed 51 MB."""
+    built, tiny = [], pbw.build_Mi(pbw.PbwSubset.make(1, ()))
+
+    def stand_in(subset):
+        built.append((subset.n, subset.t))
+        return tiny
+
+    monkeypatch.setattr(pbw, "build_Mi", stand_in)
+    for n, walls, lines in ((500_001, "-", 2_000_002), (80_001, "all", 2_000_002),
+                            (500_000, "-", None), (80_000, "all", None)):
+        subset = walls if walls == "-" else ",".join(map(str, range(1, n)))
+        code, out, err = _run(capsys, "pbw-build", str(n), subset)
+        t = 0 if walls == "-" else n - 1
+        if lines:
+            assert (code, out, built) == (1, "", [])
+            assert err == ("InstanceTooLarge: the module of a locus with n=%d and %d walls "
+                           "may print %d lines, more than the build guard 2000000\n"
+                           % (n, t, lines))
+        else:
+            assert (code, err, built) == (0, "", [(n, t)])
+            assert json.loads(out)["quiver_n"] == 1
+            built.clear()
+
+
+def test_pbw_build_every_wall_in_linear_time(capsys):
+    """The dims of pbw-build take one step per segment and vertex
+    (core.dim_vector), not one per vertex of every segment: with every
+    wall at n = 20,000 (4n - 3 segments, most of length about n) it
+    answers at once, where summing segment by segment took minutes."""
+    n = 20_000
+    start = time.perf_counter()
+    code, out, err = _run(capsys, "pbw-build", str(n), ",".join(map(str, range(1, n))))
+    assert time.perf_counter() - start < 5
+    data = json.loads(out)
+    assert (code, err, len(data["module"]["mult"])) == (0, "", 4 * n - 3)
+    assert data["dims"] == [2 * n] * (2 * n - 1)
+
+
 def test_word_and_face_guards_before_building(tmp_path, capsys, monkeypatch):
     """pbw-weyl and pbw-lemma-ui refuse a locus whose type-A word has more
     than 1,000,000 letters, pbw-interior and pbw-face one whose face has
@@ -921,9 +996,11 @@ def _work(rep):
 def test_guarded_path_calls_stay_below_the_stated_peak(tmp_path):
     """The heaviest path calls found at the guards' edges stay below the
     peak the guard comment states: degen-path from every segment of
-    n = 26 once (the modules it prints have the most segments), and
+    n = 26 once (the modules it prints have the most segments),
     sym-path --table from [1, 2] + [1409, 1410] at n = 1410 (the largest
-    tables).  The same shapes at n = 27 and n = 1420 are past the guards."""
+    tables), and sym-moves from 1,078 copies of [1, 31] (the longest
+    chain found).  The same shapes at n = 27, n = 1420 and 1,080 copies
+    are past the guards."""
     limit = _stated_peak_mb()
     calls = []
     for verb, rep, bigger, guard in (
@@ -934,15 +1011,33 @@ def test_guarded_path_calls_stay_below_the_stated_peak(tmp_path):
              cli.MAX_DEGEN_PATH_WORK),
             ("sym-path", core.Representation(1410, {(1, 2): 1, (1409, 1410): 1}),
              core.Representation(1420, {(1, 2): 1, (1419, 1420): 1}),
-             cli.MAX_SYM_PATH_WORK)):
+             cli.MAX_SYM_PATH_WORK),
+            ("sym-moves", core.Representation(31, {(1, 31): 2 * 539}),
+             core.Representation(31, {(1, 31): 2 * 540}), cli.MAX_SYM_MOVES_WORK)):
         assert _work(rep) <= guard < _work(bigger)
         simples = {(v, v): m for v, m in enumerate(core.dim_vector(rep), 1) if m}
         m = _write(tmp_path, verb + "-m.json", core.rep_to_json(rep))
         n = _write(tmp_path, verb + "-n.json", core.rep_to_json(
             core.Representation(rep.n, simples)))
-        calls.append([verb, "--m", m, "--n", n] +
-                     (["--type", "even-pos", "--table"] if verb == "sym-path" else []))
+        calls.append([verb, "--m", m, "--n", n] + {
+            "degen-path": [], "sym-path": ["--type", "even-pos", "--table"],
+            "sym-moves": ["--type", "odd-neg"]}[verb])
     for argv in calls:
+        code, peak = _child_peak_mb(*argv)
+        assert code == 0 and peak < limit, (argv, peak)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in kilobytes on Linux only")
+def test_guarded_drawing_and_build_stay_below_the_stated_peak(tmp_path):
+    """render-coeff and pbw-build at their guards' edges stay below the
+    peak the guard comment states: 1,999,999 copies of [1, 2] (the most
+    rows per character), and pbw-build 500000 - (the most vertices; every
+    wall at n = 80,000 needs a subset longer than one argument may be)."""
+    limit = _stated_peak_mb()
+    rep = _write(tmp_path, "rep.json", core.rep_to_json(core.Representation(
+        2, {(1, 2): 1_999_999})))
+    for argv in (["render-coeff", "--rep", rep], ["pbw-build", "500000", "-"]):
         code, peak = _child_peak_mb(*argv)
         assert code == 0 and peak < limit, (argv, peak)
 

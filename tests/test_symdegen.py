@@ -550,30 +550,38 @@ def test_refinement_ranks_once_per_module(monkeypatch):
     constituent.  The corner moves are read off each step's source
     table (degen._staircase) with no audit of their own, and each gives
     one paired move of two constituents, so a chain of k moves over p
-    peel steps makes 2 + 2k + p calls."""
-    calls = [0]
+    peel steps makes 2 + 2k + p calls.  The staircase is walked once per
+    peel step: the refinement reads the corner moves the step applied."""
+    calls = [0, 0]
+    real_staircase = symdegen._staircase
 
     def counting(rep):
         calls[0] += 1
         return ranks_of(rep)
 
+    def counting_staircase(*args):
+        calls[1] += 1
+        return real_staircase(*args)
+
     monkeypatch.setattr(symdegen, "ranks_of", counting)
     monkeypatch.setattr(degen, "ranks_of", counting)
+    monkeypatch.setattr(symdegen, "_staircase", counting_staircase)
     start, target = _random_pair(33, 0)
     peels = len(sym_degeneration_path(start, target)) - 1
-    calls[0] = 0
+    calls[:] = [0, 0]
     reset_sym_audit()
     moves = sym_move_refinement(start, target)
     assert len(moves) == SYM_AUDIT["verified"] == 91 and peels == 37
-    assert calls[0] == 2 + 2 * len(moves) + peels == 221
+    assert calls == [2 + 2 * len(moves) + peels, peels] == [221, 37]
 
 
 def test_sym_path_validates_once_per_peel(monkeypatch):
     """Each Z is built from carried counts, so a seeded n = 20 path calls
-    no rep_of and makes one validity decision per peel step: the corner
-    check of the staircase step (symdegen._perp_step).  No full
-    validate() pass runs: validate() and rep_of go through
-    RankSequence._validated_mult, which the path never calls."""
+    no rep_of and runs one step (symdegen._perp_step) per peel step,
+    whose paired corner moves find their segments in the source's
+    multiplicities or raise.  No full validate() pass runs: validate()
+    and rep_of go through RankSequence._validated_mult, which the path
+    never calls."""
     calls = {"rep_of": 0, "validate": 0, "step": 0}
     real_rep_of, real_check, real_step = rep_of, RankSequence._validated_mult, symdegen._perp_step
 
@@ -705,11 +713,12 @@ def _perp_reference(R, q, a, top):
 
 
 def _check_perp_step(R, q, a, top):
-    """The staircase step on R, from R's multiplicities, against the
-    reference: the same rows and multiplicities.  Returns the step's
-    table."""
+    """The peel step on R (the paired corner moves of the ordinary
+    staircase, less U[q, top] and its reflection), from R's
+    multiplicities, against the reference: the same rows and
+    multiplicities.  Returns the step's table."""
     mult = dict(rep_of(R).mult)
-    got = symdegen._perp_step(R, mult, q, a, top)
+    got = symdegen._perp_step(R, mult, q, a, top)[0]
     want, module = _perp_reference(R, q, a, top)
     assert got == want, (R, q)
     assert mult == module.mult, (R, q)
@@ -830,7 +839,8 @@ def test_stalled_sym_peel_raises_not_comparable(monkeypatch):
 
     def short(R, mult, q, a, top):
         # the quotient one lower at r(a, a), where dimensions must agree
-        return real(R, mult, q, a, top)._less_segment(a, a)
+        table, moves = real(R, mult, q, a, top)
+        return table._less_segment(a, a), moves
 
     monkeypatch.setattr(symdegen, "_perp_step", short)
     with pytest.raises(NotComparable, match="no final segment of the target"):
