@@ -19,7 +19,7 @@ import math
 import random
 import sys
 from types import SimpleNamespace
-from typing import Iterator, List
+from typing import List
 
 from . import core, degen, oracle, pbw, symdegen
 from .coxeter import WeylWord, evaluate, word_to_str
@@ -75,6 +75,10 @@ MAX_RENDERED_CHARS = 12_000_000
 # one per wall, and five per segment, of which there are at most 1 + 4t
 # for t walls
 MAX_BUILT_LINES = 2_000_000
+# hom and ext refuse a pair of modules with more pairs of segments than
+# this before summing over them; every segment of n = 99 as both
+# modules (24,502,500 pairs) takes about 4 s
+MAX_HOM_PAIRS = 25_000_000
 # with these guards, every accepted call of the verbs they cover peaks
 # below 225 MB.  Peak RSS of one CLI process on a 2-core x86-64 host:
 # ranks at n = 1999 about 45 MB, pbw-weyl at n = 707 with every wall
@@ -82,9 +86,15 @@ MAX_BUILT_LINES = 2_000_000
 # pbw-face at n = 91 about 55 MB when both its reports hold close to
 # MAX_REPORTED_ROWS rows (about 42 MB with none), degen-path at its edge
 # about 103 MB, sym-path --table at its edge about 85 MB, sym-moves at its
-# edge about 20 MB, render-coeff with 1,999,999 copies of [1, 2] about
-# 172 MB, and pbw-build at n = 500,000 with no wall about 103 MB and at
-# n = 80,000 with every wall about 154 MB
+# edge about 20 MB, render-coeff with a header alone on 1,333,333
+# vertices about 115 MB (1,999,999 copies of [1, 2] about 32 MB), and
+# pbw-build at n = 500,000 with no wall about 103 MB and at n = 80,000
+# with every wall about 154 MB
+#
+# The guards refuse by one of two rules.  A size computed before any work
+# is refused above its limit by _refuse_above ("<subject>, more than the
+# <name> guard <limit>").  Rows read from a generator are read only up to
+# one past their limit, and refused when that many come, by _at_most.
 
 
 def _load(path: str):
@@ -96,55 +106,72 @@ def _load(path: str):
             raise ValueError("JSON input nested too deeply") from None
 
 
+def _refuse_above(size: int, limit: int, guard: str, subject: str) -> None:
+    """InstanceTooLarge "<subject>, more than the <guard> guard <limit>"
+    when size is above limit; subject formats size with its one %d."""
+    if size > limit:
+        raise InstanceTooLarge("%s, more than the %s guard %d"
+                               % (subject % size, guard, limit))
+
+
+def _at_most(items, limit: int, message: str) -> list:
+    """The items as a list, read only up to one past limit, or
+    InstanceTooLarge(message) when there are more than limit."""
+    found = list(itertools.islice(items, limit + 1))
+    if len(found) > limit:
+        raise InstanceTooLarge(message)
+    return found
+
+
 def _tabled_rep(path: str) -> core.Representation:
     """The module in the JSON file at path, for a verb that builds its rank
-    table: InstanceTooLarge before any table is built when the table
-    would have more than MAX_RANK_ENTRIES entries."""
+    table, refused before any table is built when the table would have
+    more than MAX_RANK_ENTRIES entries."""
     rep = core.rep_from_json(_load(path))
-    entries = rep.n * (rep.n + 1) // 2
-    if entries > MAX_RANK_ENTRIES:
-        raise InstanceTooLarge("a rank table on %d vertices has %d entries, more "
-                               "than the ranks guard %d"
-                               % (rep.n, entries, MAX_RANK_ENTRIES))
+    _refuse_above(rep.n * (rep.n + 1) // 2, MAX_RANK_ENTRIES, "ranks",
+                  "a rank table on %d vertices has %%d entries" % rep.n)
     return rep
 
 
 def _path_work(rep: core.Representation, what: str, verb: str, limit: int) -> None:
-    """InstanceTooLarge, before any peel step, when the source rep of a
-    path verb has a work bound above limit (see MAX_SYM_MOVES_WORK)."""
-    n = rep.n
-    dim = sum(m * (j - i + 1) for (i, j), m in rep.mult.items())
-    work = dim * (n * (n + 1) // 2 + 1000)
-    if work > limit:
-        raise InstanceTooLarge("%s from total dimension %d on %d vertices have a work "
-                               "bound of %d, more than the %s guard %d"
-                               % (what, dim, n, work, verb, limit))
+    """Refuses, before any peel step, the source rep of a path verb whose
+    work bound is above limit (see MAX_SYM_MOVES_WORK)."""
+    n, dim = rep.n, sum(core.dim_vector(rep))
+    _refuse_above(dim * (n * (n + 1) // 2 + 1000), limit, verb,
+                  "%s from total dimension %d on %d vertices have a work bound of %%d"
+                  % (what, dim, n))
 
 
 def _worded_subset(args) -> pbw.PbwSubset:
-    """The locus of a verb that builds its type-A word: InstanceTooLarge
-    before any word is built when the word would have more than
-    MAX_WORD_LETTERS letters."""
+    """The locus of a verb that builds its type-A word, refused before any
+    word is built when the word would have more than MAX_WORD_LETTERS
+    letters."""
     subset = pbw.PbwSubset.make(args.n, args.i)
-    letters = subset.n * (2 * subset.n - 1)
-    if letters > MAX_WORD_LETTERS:
-        raise InstanceTooLarge("the type-A word of a locus with n=%d has %d letters, "
-                               "more than the words guard %d"
-                               % (subset.n, letters, MAX_WORD_LETTERS))
+    n = subset.n
+    _refuse_above(n * (2 * n - 1), MAX_WORD_LETTERS, "words",
+                  "the type-A word of a locus with n=%d has %%d letters" % n)
     return subset
 
 
 def _faced_subset(args) -> pbw.PbwSubset:
-    """The locus of a verb that builds its face: InstanceTooLarge before
-    the face or any root vector is built when the face would have more
-    than MAX_FACE_ROWS pair constraints."""
+    """The locus of a verb that builds its face, refused before the face
+    or any root vector is built when the face would have more than
+    MAX_FACE_ROWS pair constraints."""
     subset = pbw.PbwSubset.make(args.n, args.i)
     n = subset.n
-    rows = (2 * n - 1) * (n - 1) * n // 3
-    if rows > MAX_FACE_ROWS:
-        raise InstanceTooLarge("the face of a locus with n=%d has %d pair constraints, "
-                               "more than the face guard %d" % (n, rows, MAX_FACE_ROWS))
+    _refuse_above((2 * n - 1) * (n - 1) * n // 3, MAX_FACE_ROWS, "face",
+                  "the face of a locus with n=%d has %%d pair constraints" % n)
     return subset
+
+
+def _hom_pair(args, verb: str):
+    """M and N of hom or ext, refused before the sum over their pairs of
+    segments when there are more than MAX_HOM_PAIRS."""
+    m = core.rep_from_json(_load(args.m))
+    n = core.rep_from_json(_load(args.n))
+    _refuse_above(len(m.mult) * len(n.mult), MAX_HOM_PAIRS, verb,
+                  "a sum over %d by %d segments has %%d pairs" % (len(m.mult), len(n.mult)))
+    return m, n
 
 
 def _emit(obj) -> None:
@@ -249,22 +276,15 @@ def _write_sym_path(M: symdegen.EpsilonRep, N: symdegen.EpsilonRep) -> None:
         sys.stdout.write("\n".join(out) + "\n")
 
 
-def _render_coeff(rep: core.Representation) -> str:
+def _render_coeff(rep: core.Representation) -> None:
+    """The vertex header, then one row per copy of each segment [i, j]: an
+    o at each of its vertices, joined by dashes, one write per segment."""
     slot = len(str(rep.n)) + 2
-    header = "".join(str(v).ljust(slot) for v in range(1, rep.n + 1)).rstrip()
-    lines = [header]
-    for (i, j) in sorted(rep.mult):
-        for _ in range(rep.m(i, j)):
-            row = ""
-            for v in range(1, rep.n + 1):
-                if i <= v < j:
-                    row += "o" + "-" * (slot - 1)
-                elif v == j:
-                    row += "o" + " " * (slot - 1)
-                else:
-                    row += " " * slot
-            lines.append(row.rstrip())
-    return "\n".join(lines) + "\n"
+    sys.stdout.write("".join(str(v).ljust(slot) for v in range(1, rep.n + 1)).rstrip()
+                     + "\n")
+    for (i, j), m in sorted(rep.mult.items()):
+        row = " " * (slot * (i - 1)) + ("o" + "-" * (slot - 1)) * (j - i) + "o"
+        sys.stdout.write((row + "\n") * m)
 
 
 def _word_report(word: WeylWord) -> dict:
@@ -302,16 +322,12 @@ def _cmd_dual(args) -> int:
 
 
 def _cmd_hom(args) -> int:
-    m = core.rep_from_json(_load(args.m))
-    n = core.rep_from_json(_load(args.n))
-    _emit({"hom": core.hom_dim(m, n)})
+    _emit({"hom": core.hom_dim(*_hom_pair(args, "hom"))})
     return 0
 
 
 def _cmd_ext(args) -> int:
-    m = core.rep_from_json(_load(args.m))
-    n = core.rep_from_json(_load(args.n))
-    _emit({"ext": core.ext_dim(m, n)})
+    _emit({"ext": core.ext_dim(*_hom_pair(args, "ext"))})
     return 0
 
 
@@ -393,11 +409,9 @@ def _cmd_sym_moves(args) -> int:
 
 def _cmd_pbw_build(args) -> int:
     subset = pbw.PbwSubset.make(args.n, args.i)
-    lines = 2 * (2 * subset.n - 1) + 21 * subset.t
-    if lines > MAX_BUILT_LINES:
-        raise InstanceTooLarge("the module of a locus with n=%d and %d walls may print "
-                               "%d lines, more than the build guard %d"
-                               % (subset.n, subset.t, lines, MAX_BUILT_LINES))
+    _refuse_above(2 * (2 * subset.n - 1) + 21 * subset.t, MAX_BUILT_LINES, "build",
+                  "the module of a locus with n=%d and %d walls may print %%d lines"
+                  % (subset.n, subset.t))
     erep, e = pbw.build_Mi(subset)
     _emit({
         "n": subset.n,
@@ -427,32 +441,23 @@ def _cmd_pbw_weyl(args) -> int:
     return 0
 
 
-def _capped(rows: Iterator[dict]) -> list:
-    """The rows, read only up to one past MAX_REPORTED_ROWS."""
-    return list(itertools.islice(rows, MAX_REPORTED_ROWS + 1))
-
-
-def _guarded_report(rows: list, strict: bool) -> list:
-    """rows, or InstanceTooLarge, before any JSON is written, when the
-    report is longer than MAX_REPORTED_ROWS."""
-    if len(rows) > MAX_REPORTED_ROWS:
-        raise InstanceTooLarge("the %s face report of this vector has more than %d rows, "
-                               "the report guard" % ("strict" if strict else "weak",
-                                                     MAX_REPORTED_ROWS))
-    return rows
-
-
 def _cmd_pbw_face(args) -> int:
     subset = _faced_subset(args)
     d = _dvec_from_json(_load(args.rep))
     vals = pbw._root_values(subset, d)
+
+    def report(rows, kind):
+        return _at_most(rows, MAX_REPORTED_ROWS, "the %s face report of this vector has "
+                        "more than %d rows, the report guard" % (kind, MAX_REPORTED_ROWS))
+
     # each report is its pair rows, then the exchange rows, the same in
-    # both modes: they are walked once, after the weak pair rows pass
-    weak = _guarded_report(_capped(pbw._pair_violations(subset, vals, False)), False)
-    exchange = _capped(pbw._exchange_violations(subset.n, vals))
-    violations = _guarded_report(weak + exchange, False)
-    violations_strict = _guarded_report(
-        _capped(pbw._pair_violations(subset, vals, True)) + exchange, True)
+    # both modes: they are walked once, in the weak report, after its pair
+    # rows pass, and the strict report takes them from there
+    weak = report(pbw._pair_violations(subset, vals, False), "weak")
+    violations = report(itertools.chain(weak, pbw._exchange_violations(subset.n, vals)),
+                        "weak")
+    violations_strict = report(itertools.chain(pbw._pair_violations(subset, vals, True),
+                                               violations[len(weak):]), "strict")
     # the face contains d exactly when d breaks none of its constraints
     _emit({
         "n": subset.n,
@@ -471,12 +476,6 @@ def _cmd_pbw_interior(args) -> int:
     return 0
 
 
-def _count_too_long(n: int, digits: int) -> InstanceTooLarge:
-    return InstanceTooLarge(
-        "the fixed-point count for n=%d has more than %d digits, the "
-        "interpreter's limit for printing an integer" % (n, digits))
-
-
 def _cmd_pbw_fixed_points(args) -> int:
     subset = pbw.PbwSubset.make(args.n, args.i)
     n = subset.n
@@ -489,7 +488,9 @@ def _cmd_pbw_fixed_points(args) -> int:
     # n, before any step, and the count itself at level 0
     for level, total in enumerate(pbw._chain_totals(subset)):
         if limit is not None and sum(total) * math.factorial(n - level) >= limit:
-            raise _count_too_long(n, digits)
+            raise InstanceTooLarge(
+                "the fixed-point count for n=%d has more than %d digits, the "
+                "interpreter's limit for printing an integer" % (n, digits))
     count = total[0]
     report = {"n": subset.n, "i": subset.i, "count": count}
     if args.list:
@@ -509,11 +510,9 @@ def _cmd_pbw_lemma_ui(args) -> int:
 
 def _cmd_poset(args) -> int:
     sym = _sym_type(len(args.dims), args.type)
-    nodes = sorted(itertools.islice(symdegen._epsilon_modules(args.dims, sym),
-                                    MAX_POSET_NODES + 1), key=core.Representation.key)
-    if len(nodes) > MAX_POSET_NODES:
-        raise InstanceTooLarge("more than %d epsilon modules exceed the poset guard"
-                               % MAX_POSET_NODES)
+    nodes = sorted(_at_most(symdegen._epsilon_modules(args.dims, sym), MAX_POSET_NODES,
+                            "more than %d epsilon modules exceed the poset guard"
+                            % MAX_POSET_NODES), key=core.Representation.key)
     ranks = [core.ranks_of(rep) for rep in nodes]
     above = [[a != b and ranks[a].dominates(ranks[b])
               for b in range(len(nodes))] for a in range(len(nodes))]
@@ -575,12 +574,9 @@ def _cmd_oracle_verify(args) -> int:
 def _cmd_render_coeff(args) -> int:
     rep = core.rep_from_json(_load(args.rep))
     rows = 1 + sum(rep.mult.values())
-    chars = rows * rep.n * (len(str(rep.n)) + 2)
-    if chars > MAX_RENDERED_CHARS:
-        raise InstanceTooLarge("a drawing of %d rows on %d vertices has %d characters, "
-                               "more than the render guard %d"
-                               % (rows, rep.n, chars, MAX_RENDERED_CHARS))
-    sys.stdout.write(_render_coeff(rep))
+    _refuse_above(rows * rep.n * (len(str(rep.n)) + 2), MAX_RENDERED_CHARS, "render",
+                  "a drawing of %d rows on %d vertices has %%d characters" % (rows, rep.n))
+    _render_coeff(rep)
     return 0
 
 

@@ -746,6 +746,39 @@ def test_render_coeff_guard_before_drawing(tmp_path, capsys, monkeypatch):
             drawn.clear()
 
 
+@pytest.mark.parametrize("verb", ["hom", "ext"])
+def test_hom_and_ext_guard_before_the_sum(tmp_path, capsys, monkeypatch, verb):
+    """hom and ext refuse a pair of modules with more than 25,000,000 pairs
+    of segments: one InstanceTooLarge line and exit 1 at once, before the
+    sum over those pairs.  4,901 by 5,101 segments (25,000,001 pairs) are
+    refused, and 5,000 by 5,000 still reach the sum, stood in for here.
+    Before the guard, every segment of n = 200 as both modules (20,100
+    segments, 581 KB) took 55 s on a 2-core x86-64 host."""
+    summed = []
+
+    def stand_in(m, n):
+        summed.append((len(m.mult), len(n.mult)))
+        return 0
+
+    monkeypatch.setattr(core, verb + "_dim", stand_in)
+    segments = [(i, j) for i in range(1, 102) for j in range(i, 102)]
+
+    def module(name, count):
+        return _write(tmp_path, name, core.rep_to_json(core.Representation(
+            101, {seg: 1 for seg in segments[:count]})))
+
+    for a, b, refused in ((4901, 5101, True), (5000, 5000, False)):
+        code, out, err = _run(capsys, verb, "--m", module("m.json", a),
+                              "--n", module("n.json", b))
+        if refused:
+            assert (code, out, summed) == (1, "", [])
+            assert err == ("InstanceTooLarge: a sum over 4901 by 5101 segments has "
+                           "25000001 pairs, more than the %s guard 25000000\n" % verb)
+        else:
+            assert (code, err, summed) == (0, "", [(a, b)])
+            assert json.loads(out) == {verb: 0}
+
+
 def test_pbw_build_guard_before_building(capsys, monkeypatch):
     """pbw-build refuses a locus whose JSON may print more than 2,000,000
     lines, 2(2n - 1) for dims and e and 21 per wall: one InstanceTooLarge
@@ -1279,3 +1312,69 @@ def test_parser_messages_match_the_full_parser(argv, capsys):
     full = capsys.readouterr()
     assert code is not None
     assert _run(capsys, *argv) == (code, full.out, full.err)
+
+
+def _sweep_module(rng, n, count, symmetric):
+    """count random segments on n vertices, each with its reflection when
+    symmetric (so a self-dual segment counts twice)."""
+    mult = {}
+    for _ in range(count):
+        i, j = sorted((rng.randint(1, n), rng.randint(1, n)))
+        for seg in ((i, j), (n + 1 - j, n + 1 - i))[:2 if symmetric else 1]:
+            mult[seg] = mult.get(seg, 0) + 1
+    return core.Representation(n, mult)
+
+
+def _walked(rng, start, moves, apply):
+    """start after up to four random moves, each drawn from moves(current)."""
+    cur = start
+    for _ in range(4):
+        options = list(moves(cur))
+        if not options:
+            break
+        cur = apply(cur, rng.choice(options))
+    return cur
+
+
+def test_every_verb_on_a_large_valid_input(tmp_path, capsys):
+    """One seeded valid call of each verb, and sym-path --table, in
+    process: n = 100 for the rank and path verbs (n = 99 for the odd-neg
+    pairs), n = 60 with 20 walls for the pbw verbs, pbw-face on the point
+    pbw-interior prints.  Each exits 0, 1 or 2, prints nothing on stderr
+    on 0 and one line otherwise, and the whole sweep stays under 10 s."""
+    rng = random.Random(100)
+    m = _sweep_module(rng, 100, 4, False)
+    n = _walked(rng, m, degen.single_moves, degen.apply_move)
+    em = _sweep_module(rng, 99, 2, True)
+    en = _walked(rng, EpsilonRep(em, SymmetricType(99, -1)), symdegen.sym_moves,
+                 symdegen.apply_sym_move).rep
+    files = {name: _write(tmp_path, name + ".json", core.rep_to_json(rep))
+             for name, rep in (("m", m), ("n", n), ("em", em), ("en", en))}
+    files["ranks"] = _write(tmp_path, "ranks.json", core.ranks_to_json(core.ranks_of(m)))
+    walls = ",".join(map(str, sorted(rng.sample(range(1, 60), 20))))
+    dims = ",".join(map(str, core.dim_vector(_sweep_module(rng, 5, 2, True))))
+    pair, sym_pair = ("--m", files["m"], "--n", files["n"]), \
+        ("--m", files["em"], "--n", files["en"], "--type", "odd-neg")
+    calls = [("ranks", "--rep", files["m"]), ("rep-of-ranks", "--rep", files["ranks"]),
+             ("dual", "--rep", files["m"]), ("hom",) + pair, ("ext",) + pair,
+             ("check-eps", "--rep", files["em"], "--type", "odd-neg"),
+             ("degen-check",) + pair, ("degen-path",) + pair,
+             ("sym-check",) + sym_pair, ("sym-path",) + sym_pair,
+             ("sym-path", "--table") + sym_pair, ("sym-moves",) + sym_pair,
+             ("pbw-build", "60", walls), ("pbw-weyl", "60", walls),
+             ("pbw-interior", "60", walls),
+             ("pbw-face", "60", walls, "--rep", str(tmp_path / "interior.json")),
+             ("pbw-fixed-points", "60", walls), ("pbw-lemma-ui", "60", walls),
+             ("poset", "--type", "odd-neg", "--dims", dims),
+             ("oracle-verify", "--seed", str(rng.randrange(10 ** 6)), "--budget", "20"),
+             ("render-coeff", "--rep", files["m"])]
+    assert {call[0] for call in calls} == set(cli.VERBS)
+    start = time.perf_counter()
+    for call in calls:
+        code, out, err = _run(capsys, *call)
+        assert code in (0, 1, 2), call
+        assert err.count("\n") == (1 if code else 0) and err.endswith("\n" if code else ""), \
+            (call, err)
+        if call[0] == "pbw-interior":
+            (tmp_path / "interior.json").write_text(out)
+    assert time.perf_counter() - start < 10

@@ -128,6 +128,22 @@ def test_collector_switch_in_one_place():
                              "pbw._collector_paused gc.enable"]
 
 
+def test_cli_refusals_in_one_place():
+    """Every InstanceTooLarge the CLI raises is raised by one of its two
+    refusal rules, _refuse_above (a size above its guard) and _at_most
+    (more rows than a limit), or by pbw-fixed-points, whose count is
+    known only level by level (its digit and --list refusals)."""
+    path = pathlib.Path(sympdeg.__file__).parent / "cli.py"
+    found = []
+    for top in ast.parse(path.read_text(), str(path)).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call) and "InstanceTooLarge" in (
+                    getattr(node.func, "id", None), getattr(node.func, "attr", None)):
+                found.append(getattr(top, "name", "<module>"))
+    assert sorted(found) == ["_at_most", "_cmd_pbw_fixed_points",
+                             "_cmd_pbw_fixed_points", "_refuse_above"]
+
+
 def test_every_parameter_is_read():
     """Every parameter of every function and lambda of the package is read
     in its body, so no argument is accepted only to be dropped.  Exempt
